@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ringsim_bench::perf::{report_digest, Scenario};
-use ringsim_core::SimKind;
+use ringsim_core::{RunOptions, SimKind, SimSpec};
+use ringsim_proto::ProtocolKind;
+use ringsim_trace::{Workload, WorkloadSpec};
 
 const GOLDEN: &str = "tests/goldens/simkind_digests.json";
 
@@ -29,14 +31,41 @@ fn golden_scenarios() -> Vec<Scenario> {
     out
 }
 
+/// The slotted-ring backends under the full-map directory protocol (the
+/// scenarios above run every backend with its default, snooping): the
+/// same budgets, keyed `<kind>-dir-<procs>p-r<refs>`.
+fn directory_scenarios() -> Vec<(SimKind, usize, u64)> {
+    let mut out = Vec::new();
+    for kind in [SimKind::Ring500, SimKind::Ring250] {
+        out.push((kind, 16, 2_000));
+        out.push((kind, 64, 400));
+    }
+    out
+}
+
+fn directory_digest(kind: SimKind, procs: usize, refs_per_proc: u64) -> String {
+    let workload =
+        Workload::new(WorkloadSpec::demo(procs).with_refs(refs_per_proc)).expect("demo workload");
+    let spec = SimSpec::new(workload).with_protocol(ProtocolKind::Directory);
+    let mut sim = kind.build(&spec).expect("ring directory backend");
+    report_digest(&sim.run(&RunOptions::default()).report)
+}
+
 fn current_digests() -> BTreeMap<String, String> {
-    golden_scenarios()
+    let mut out: BTreeMap<String, String> = golden_scenarios()
         .iter()
         .map(|s| {
             let (report, _) = s.run_once();
             (format!("{}-r{}", s.name(), s.refs_per_proc), report_digest(&report))
         })
-        .collect()
+        .collect();
+    for (kind, procs, refs) in directory_scenarios() {
+        out.insert(
+            format!("{}-dir-{procs}p-r{refs}", kind.name()),
+            directory_digest(kind, procs, refs),
+        );
+    }
+    out
 }
 
 fn golden_path() -> PathBuf {
