@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use ringsim_cache::{AccessClass, Cache, LineState};
+use ringsim_cache::{AccessClass, CacheBank, LineState};
 use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
 use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
 use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
@@ -45,7 +45,7 @@ enum TxnKind {
     Upgrade,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
     kind: TxnKind,
@@ -67,7 +67,6 @@ struct Txn {
 #[derive(Debug)]
 struct Node {
     stream: NodeStream,
-    cache: Cache,
     ready_at: Time,
     instr_carry: f64,
     refs_issued: u64,
@@ -140,6 +139,19 @@ pub struct RingSystem {
     cfg: SystemConfig,
     ring: SlotRing<RingMessage>,
     nodes: Vec<Node>,
+    /// Every node's cache, line-interleaved: a probe passing all nodes
+    /// reads one short run of memory.
+    caches: CacheBank,
+    /// Home of the block each snooping probe in flight concerns, indexed by
+    /// slot and written when the probe is inserted, so the nodes it passes
+    /// do not hash the address again.
+    slot_home: Vec<NodeId>,
+    /// Bit `i` set while node `i`'s probe queue holds a message: an empty
+    /// slot passing a node with nothing queued for its class returns
+    /// without touching the queues (a ring has at most 64 nodes).
+    queued_probe: u64,
+    /// Bit `i` set while node `i`'s block queue holds a message.
+    queued_block: u64,
     space: AddressSpace,
     // Snooping memory state.
     mem: HomeMemory,
@@ -177,6 +189,12 @@ pub struct RingSystem {
     /// finished). Lets the per-cycle processor pass skip blocked nodes
     /// from one compact array instead of touching every `Node`.
     wake_at: Vec<u64>,
+    /// A lower bound on every `wake_at`: while the cycle is below it, no
+    /// processor can act and the processor pass is skipped whole.
+    min_wake: u64,
+    /// Bit `i` set when `wake_at[i]` is finite: the processor pass visits
+    /// only these nodes (a ring has at most 64).
+    runnable: u64,
 }
 
 impl RingSystem {
@@ -197,35 +215,37 @@ impl RingSystem {
         let spec = workload.spec().clone();
         let space = workload.space();
         let ring = SlotRing::new(cfg.ring)?;
-        let nodes = workload
+        let nodes: Vec<Node> = workload
             .into_streams()
             .into_iter()
-            .map(|stream| {
-                Ok(Node {
-                    stream,
-                    cache: Cache::new(cfg.cache)?,
-                    ready_at: Time::ZERO,
-                    instr_carry: 0.0,
-                    refs_issued: 0,
-                    warmup_refs: spec.warmup_refs_per_proc,
-                    total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                    measuring: false,
-                    measure_start: Time::ZERO,
-                    busy: Time::ZERO,
-                    finish_at: None,
-                    txn: None,
-                    probe_q: RingBuf::new(),
-                    block_q: RingBuf::new(),
-                    wb_buffer: HashSet::new(),
-                    pending_fwds: Vec::new(),
-                    misses: 0,
-                    miss_lat: LatencyHistogram::new(),
-                })
+            .map(|stream| Node {
+                stream,
+                ready_at: Time::ZERO,
+                instr_carry: 0.0,
+                refs_issued: 0,
+                warmup_refs: spec.warmup_refs_per_proc,
+                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
+                measuring: false,
+                measure_start: Time::ZERO,
+                busy: Time::ZERO,
+                finish_at: None,
+                txn: None,
+                probe_q: RingBuf::new(),
+                block_q: RingBuf::new(),
+                wb_buffer: HashSet::new(),
+                pending_fwds: Vec::new(),
+                misses: 0,
+                miss_lat: LatencyHistogram::new(),
             })
-            .collect::<Result<Vec<_>, ConfigError>>()?;
+            .collect();
         let n = nodes.len();
         let arrival_sched = ring.layout().arrival_schedule();
+        let slot_home = vec![NodeId::new(0); ring.layout().slot_count()];
         Ok(Self {
+            caches: CacheBank::new(cfg.cache, n)?,
+            slot_home,
+            queued_probe: 0,
+            queued_block: 0,
             cfg,
             ring,
             nodes,
@@ -250,6 +270,8 @@ impl RingSystem {
             finished_nodes: 0,
             measuring_nodes: 0,
             wake_at: vec![0; n],
+            min_wake: 0,
+            runnable: if n == 64 { u64::MAX } else { (1 << n) - 1 },
         })
     }
 
@@ -308,20 +330,31 @@ impl RingSystem {
                 self.dispatch(ev, now);
             }
             // 2. processors (only the ones that could act this cycle —
-            // `step_processor` is a no-op for the rest by its own guard).
+            // `step_processor` is a no-op for the rest by its own guard —
+            // and none at all below the earliest wake cycle).
             let cycle = self.ring.cycle();
-            for i in 0..self.nodes.len() {
-                if self.wake_at[i] <= cycle {
-                    self.step_processor(i, now);
-                    self.refresh_wake(i);
+            if cycle >= self.min_wake {
+                self.min_wake = u64::MAX;
+                let mut rest = self.runnable;
+                while rest != 0 {
+                    let i = rest.trailing_zeros() as usize;
+                    if self.wake_at[i] <= cycle {
+                        self.step_processor(i, now);
+                        self.refresh_wake(i);
+                    }
+                    self.min_wake = self.min_wake.min(self.wake_at[i]);
+                    rest = self.runnable & (u64::MAX << i << 1);
                 }
             }
             // 3. slot arrivals — only the nodes with a header this phase.
-            let phase = (self.ring.cycle() % self.arrival_sched.len() as u64) as usize;
-            for k in 0..self.arrival_sched[phase].len() {
-                let (n, slot) = self.arrival_sched[phase][k];
-                self.handle_slot(n.index(), slot, now);
+            let phase = (cycle % self.arrival_sched.len() as u64) as usize;
+            // Moved out for the loop (handling a slot never reads the
+            // schedule), so the arrivals are one plain slice walk.
+            let sched = std::mem::take(&mut self.arrival_sched);
+            for &(n, slot) in &sched[phase] {
+                self.handle_slot(n, slot, now);
             }
+            self.arrival_sched = sched;
             // 4. telemetry gauges (no-op unless attached).
             if self.obs.sample_due(now) {
                 let values = vec![
@@ -382,7 +415,8 @@ impl RingSystem {
     /// `ready_at` (i.e. [`Self::step_processor`] and
     /// [`Self::finish_txn_at`]); skipping a node whose wake cycle has not
     /// arrived is then exactly equivalent to `step_processor`'s own
-    /// early-return guard.
+    /// early-return guard. It also keeps `min_wake` a lower bound of every
+    /// `wake_at`, so skipping the whole pass below it is equivalent too.
     fn refresh_wake(&mut self, i: usize) {
         let node = &self.nodes[i];
         self.wake_at[i] = if node.txn.is_some() || node.finish_at.is_some() {
@@ -391,6 +425,12 @@ impl RingSystem {
             let period = self.ring.config().clock_period.as_ps();
             node.ready_at.as_ps().div_ceil(period)
         };
+        self.min_wake = self.min_wake.min(self.wake_at[i]);
+        if self.wake_at[i] == u64::MAX {
+            self.runnable &= !(1 << i);
+        } else {
+            self.runnable |= 1 << i;
+        }
     }
 
     fn step_processor(&mut self, i: usize, now: Time) {
@@ -423,7 +463,7 @@ impl RingSystem {
                 node.busy = cost; // this reference is the first measured one
             }
             let block = r.addr.block(BLOCK_BYTES);
-            let class = node.cache.classify(block, r.kind);
+            let class = self.caches.classify(i, block, r.kind);
             if node.measuring {
                 match (r.region, r.kind) {
                     (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
@@ -568,22 +608,22 @@ impl RingSystem {
     /// Completes a transaction that needed no reply message (local clean
     /// read, or self-owned write waiting for memory + probe return).
     fn complete_local(&mut self, i: usize, now: Time) {
-        let Some(t) = self.nodes[i].txn.clone() else { return };
+        let Some(t) = self.nodes[i].txn else { return };
         match t.kind {
             TxnKind::Read => {
                 if !t.poisoned {
                     self.fill(i, t.block, LineState::Rs, now);
                 }
-                self.finish_txn(i, now, None);
+                self.finish_txn_at(i, now, None);
             }
             TxnKind::Write => {
                 self.fill(i, t.block, LineState::We, now);
-                self.finish_txn(i, now, None);
+                self.finish_txn_at(i, now, None);
             }
             TxnKind::Upgrade => {
-                let ok = self.nodes[i].cache.promote(t.block);
+                let ok = self.caches.promote(i, t.block);
                 debug_assert!(ok, "self-owned upgrade failed to promote");
-                self.finish_txn(i, now, None);
+                self.finish_txn_at(i, now, None);
             }
         }
     }
@@ -595,34 +635,51 @@ impl RingSystem {
             return;
         }
         match msg.class() {
-            MsgClass::Probe => self.nodes[i].probe_q.push_back(msg),
-            MsgClass::Block => self.nodes[i].block_q.push_back(msg),
+            MsgClass::Probe => {
+                self.nodes[i].probe_q.push_back(msg);
+                self.queued_probe |= 1 << i;
+            }
+            MsgClass::Block => {
+                self.nodes[i].block_q.push_back(msg);
+                self.queued_block |= 1 << i;
+            }
         }
     }
 
     // ------------------------------------------------------------- slots
 
-    fn handle_slot(&mut self, i: usize, slot: SlotId, now: Time) {
-        let me = NodeId::new(i);
-        let occupied = self.ring.peek(slot).is_some();
-        if occupied {
-            let msg = *self.ring.peek(slot).expect("occupied");
-            let removes = msg.dst == me && (!msg.kind.returns_to_source() || msg.src == me);
-            if removes {
-                let msg = self.ring.remove(slot, me);
-                self.last_progress_cycle = self.ring.cycle();
-                self.deliver(i, msg, now);
-            } else {
-                self.snoop(i, slot);
+    fn handle_slot(&mut self, me: NodeId, slot: SlotId, now: Time) {
+        let i = me.index();
+        match self.ring.peek(slot) {
+            Some(&msg) => {
+                let removes = msg.dst == me && (!msg.kind.returns_to_source() || msg.src == me);
+                if removes {
+                    let msg = self.ring.remove(slot, me);
+                    self.last_progress_cycle = self.ring.cycle();
+                    self.deliver(i, msg, now);
+                } else {
+                    self.snoop(me, slot, msg);
+                }
             }
-        } else {
-            self.try_transmit(i, slot);
+            None => self.try_transmit(me, slot),
         }
     }
 
-    fn try_transmit(&mut self, i: usize, slot: SlotId) {
-        let me = NodeId::new(i);
+    fn try_transmit(&mut self, me: NodeId, slot: SlotId) {
+        let i = me.index();
+        let bit = 1u64 << i;
+        // Nothing queued at all: the common case for an empty slot.
+        if (self.queued_probe | self.queued_block) & bit == 0 {
+            return;
+        }
         let kind = self.ring.kind_of(slot);
+        let queued = match kind {
+            SlotKind::Block => self.queued_block,
+            _ => self.queued_probe,
+        };
+        if queued & bit == 0 {
+            return;
+        }
         let q = match kind {
             SlotKind::Block => &mut self.nodes[i].block_q,
             _ => &mut self.nodes[i].probe_q,
@@ -636,6 +693,7 @@ impl RingSystem {
         });
         if let Some(pos) = pos {
             let msg = q.remove(pos).expect("position valid");
+            let drained = q.is_empty();
             if self.ring.try_insert(slot, me, msg).is_err() {
                 // Anti-starvation rule: put it back, try next slot.
                 let q = match kind {
@@ -644,26 +702,42 @@ impl RingSystem {
                 };
                 q.push_front(msg);
             } else {
+                if drained {
+                    match kind {
+                        SlotKind::Block => self.queued_block &= !bit,
+                        _ => self.queued_probe &= !bit,
+                    }
+                }
+                if msg.kind.is_snoop_probe() {
+                    self.slot_home[slot.index()] = self.home_of(msg.block);
+                }
                 self.last_progress_cycle = self.ring.cycle();
             }
         }
     }
 
-    /// A message passes node `i` without being removed: snooping actions.
-    fn snoop(&mut self, i: usize, slot: SlotId) {
-        let me = NodeId::new(i);
-        let msg = *self.ring.peek(slot).expect("occupied");
+    /// A message passes node `me` without being removed: snooping actions.
+    /// Only snooping probes and other nodes' multicast invalidations are
+    /// snooped; every other message passes untouched.
+    fn snoop(&mut self, me: NodeId, slot: SlotId, msg: RingMessage) {
+        let i = me.index();
         match msg.kind {
             MsgKind::SnoopRead | MsgKind::SnoopWrite | MsgKind::SnoopUpgrade => {
-                self.snoop_probe(i, slot, msg);
+                self.snoop_probe(me, slot, msg);
             }
             MsgKind::DirInval if msg.requester != me => {
-                let state = self.nodes[i].cache.state_of(msg.block);
+                let state = self.caches.state_of(i, msg.block);
+                // An `Inv` line ignores every message (the table's
+                // `snooper_action(Inv, _)` is `Ignore`): no rule to evaluate.
+                if state == LineState::Inv {
+                    self.poison_pending_read(i, msg.block);
+                    return;
+                }
                 match transitions::snooper_action(state, msg.kind) {
                     SnoopAction::Invalidate => {
                         // Presence bits are updated wholesale when the
                         // multicast returns to the home.
-                        self.nodes[i].cache.snoop_invalidate(msg.block);
+                        self.caches.snoop_invalidate(i, msg.block);
                     }
                     SnoopAction::Ignore => {}
                     SnoopAction::SupplyInvalidate | SnoopAction::SupplyDowngrade => {
@@ -697,8 +771,8 @@ impl RingSystem {
         }
     }
 
-    fn snoop_probe(&mut self, i: usize, slot: SlotId, msg: RingMessage) {
-        let me = NodeId::new(i);
+    fn snoop_probe(&mut self, me: NodeId, slot: SlotId, msg: RingMessage) {
+        let i = me.index();
         debug_assert_ne!(msg.src, me, "source does not snoop its own probe");
         let block = msg.block;
         // A node with its own transaction in flight on this block does not
@@ -712,8 +786,16 @@ impl RingSystem {
                 return;
             }
         }
-        let state = self.nodes[i].cache.state_of(block);
-        let home = self.home_of(block);
+        let state = self.caches.state_of(i, block);
+        let home = self.slot_home[slot.index()];
+        debug_assert_eq!(home, self.home_of(block), "stale memoised home");
+        // Neither side acts: an `Inv` line ignores every probe (the table's
+        // `snooper_action(Inv, _)` is `Ignore`), and only the home's memory
+        // answers. Most probe passes end here, before any reply is built or
+        // rule evaluated.
+        if state == LineState::Inv && me != home {
+            return;
+        }
         let supply = self.cfg.supply_latency;
         let mem = self.cfg.mem_latency;
         let now = self.ring.now();
@@ -723,7 +805,7 @@ impl RingSystem {
         match transitions::snooper_action(state, msg.kind) {
             SnoopAction::SupplyDowngrade => {
                 // Dirty owner: downgrade, ack, supply, refresh memory.
-                self.nodes[i].cache.snoop_downgrade(block);
+                self.caches.snoop_downgrade(i, block);
                 if let Some(m) = self.ring.peek_mut(slot) {
                     m.acked = true;
                 }
@@ -734,7 +816,7 @@ impl RingSystem {
             }
             SnoopAction::SupplyInvalidate => {
                 // Dirty owner: supply and relinquish.
-                self.nodes[i].cache.snoop_invalidate(block);
+                self.caches.snoop_invalidate(i, block);
                 if let Some(m) = self.ring.peek_mut(slot) {
                     m.acked = true;
                 }
@@ -742,7 +824,7 @@ impl RingSystem {
                 self.schedule(now + supply, Event::Send { node: i, msg: data });
             }
             SnoopAction::Invalidate => {
-                self.nodes[i].cache.snoop_invalidate(block);
+                self.caches.snoop_invalidate(i, block);
                 self.credit_invalidation(msg.requester, block);
             }
             SnoopAction::Ignore => {}
@@ -824,7 +906,7 @@ impl RingSystem {
 
     /// A snooping probe returned to its requester.
     fn probe_returned(&mut self, i: usize, msg: RingMessage, now: Time) {
-        let Some(t) = self.nodes[i].txn.clone() else { return };
+        let Some(t) = self.nodes[i].txn else { return };
         if t.block != msg.block {
             return; // stale return from a superseded attempt
         }
@@ -843,7 +925,7 @@ impl RingSystem {
             if convert {
                 // The requester's line is stale: drop it before retrying as
                 // a write miss.
-                self.nodes[i].cache.snoop_invalidate(msg.block);
+                self.caches.snoop_invalidate(i, msg.block);
             }
             let backoff = self.cfg.ring.clock_period * self.cfg.retry_backoff_cycles;
             self.schedule(now + backoff, Event::Retry { node: i });
@@ -858,7 +940,7 @@ impl RingSystem {
                 } else {
                     self.cfg.ring.clock_period * self.cfg.ring.frame_stages() as u64
                 };
-                let ok = self.nodes[i].cache.promote(t.block);
+                let ok = self.caches.promote(i, t.block);
                 debug_assert!(ok, "acked upgrade failed to promote");
                 let done = now + delay;
                 self.finish_txn_at(i, done, None);
@@ -875,9 +957,7 @@ impl RingSystem {
 
     /// Data reply arrives at the requester.
     fn data_received(&mut self, i: usize, msg: RingMessage, now: Time) {
-        let Some(t) = self.nodes[i].txn.clone() else {
-            return;
-        };
+        let Some(t) = self.nodes[i].txn else { return };
         if t.block != msg.block {
             return;
         }
@@ -893,30 +973,30 @@ impl RingSystem {
                 self.fill(i, t.block, LineState::We, now);
             }
         }
-        self.finish_txn(i, now, Some(msg));
+        self.finish_txn_at(i, now, Some(msg));
     }
 
     /// Directory upgrade grant arrives at the requester.
     fn ack_received(&mut self, i: usize, msg: RingMessage, now: Time) {
-        let Some(t) = self.nodes[i].txn.clone() else { return };
+        let Some(t) = self.nodes[i].txn else { return };
         if t.block != msg.block {
             return;
         }
         debug_assert_eq!(t.kind, TxnKind::Upgrade);
-        let ok = self.nodes[i].cache.promote(t.block);
+        let ok = self.caches.promote(i, t.block);
         debug_assert!(
             ok,
             "directory granted an upgrade for an absent line: node {i}, {msg}, state {:?}, dir {:?}",
-            self.nodes[i].cache.state_of(t.block),
+            self.caches.state_of(i, t.block),
             self.dir.entry(t.block),
         );
-        self.finish_txn(i, now, Some(msg));
+        self.finish_txn_at(i, now, Some(msg));
     }
 
     /// Install a block and handle the victim it displaces.
     fn fill(&mut self, i: usize, block: BlockAddr, state: LineState, now: Time) {
         let me = NodeId::new(i);
-        if let Some((victim, vstate)) = self.nodes[i].cache.fill(block, state) {
+        if let Some((victim, vstate)) = self.caches.fill(i, block, state) {
             let vhome = self.home_of(victim);
             match self.cfg.protocol {
                 ProtocolKind::Snooping => {
@@ -964,11 +1044,7 @@ impl RingSystem {
         }
     }
 
-    /// Finish the in-flight transaction for node `i` at time `now`.
-    fn finish_txn(&mut self, i: usize, now: Time, reply: Option<RingMessage>) {
-        self.finish_txn_at(i, now, reply);
-    }
-
+    /// Finish the in-flight transaction for node `i` at time `done`.
     fn finish_txn_at(&mut self, i: usize, done: Time, reply: Option<RingMessage>) {
         let t = self.nodes[i].txn.take().expect("finishing absent txn");
         // Serve any forwards that waited for this fill (directory mode).
@@ -1191,7 +1267,7 @@ impl RingSystem {
     /// is the exempt requester.
     fn home_self_invalidate(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) {
         if home != requester {
-            self.nodes[home.index()].cache.snoop_invalidate(block);
+            self.caches.snoop_invalidate(home.index(), block);
             self.poison_pending_read(home.index(), block);
         }
     }
@@ -1456,7 +1532,7 @@ impl RingSystem {
         let me = NodeId::new(i);
         let block = fwd.block;
         let home = fwd.src;
-        let state = self.nodes[i].cache.state_of(block);
+        let state = self.caches.state_of(i, block);
         let buffered = self.nodes[i].wb_buffer.contains(&block.raw());
         debug_assert!(
             state == LineState::We || buffered,
@@ -1473,7 +1549,7 @@ impl RingSystem {
         let retained = match fwd.kind {
             MsgKind::DirFwdRead => {
                 if state == LineState::We {
-                    self.nodes[i].cache.snoop_downgrade(block);
+                    self.caches.snoop_downgrade(i, block);
                     true
                 } else {
                     false
@@ -1481,7 +1557,7 @@ impl RingSystem {
             }
             MsgKind::DirFwdWrite => {
                 if state == LineState::We {
-                    self.nodes[i].cache.snoop_invalidate(block);
+                    self.caches.snoop_invalidate(i, block);
                 }
                 false
             }
@@ -1549,7 +1625,7 @@ impl RingSystem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn cache_state(&self, i: usize, block: BlockAddr) -> LineState {
-        self.nodes[i].cache.state_of(block)
+        self.caches.state_of(i, block)
     }
 
     /// Accumulated event counts so far (also available in the final
@@ -1563,7 +1639,8 @@ impl RingSystem {
     /// for one block at a transaction-retire boundary. The carve-outs match
     /// the `ringsim-check` model checker, so these hold at any instant.
     fn sanitize_retired_block(&self, block: BlockAddr) {
-        let states: Vec<LineState> = self.nodes.iter().map(|n| n.cache.state_of(block)).collect();
+        let states: Vec<LineState> =
+            (0..self.nodes.len()).map(|i| self.caches.state_of(i, block)).collect();
         let conflicting: Vec<bool> =
             self.nodes.iter().map(|n| n.txn.as_ref().is_some_and(|t| t.block == block)).collect();
         sanitize::check_swmr(block, &states, &conflicting);
@@ -1581,8 +1658,8 @@ impl RingSystem {
     pub fn check_coherence(&self) -> Result<(), String> {
         let mut writers: HashMap<u64, NodeId> = HashMap::new();
         let mut readers: HashMap<u64, Vec<NodeId>> = HashMap::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            for (block, state) in node.cache.resident_blocks() {
+        for i in 0..self.nodes.len() {
+            for (block, state) in self.caches.resident_blocks(i) {
                 match state {
                     LineState::We => {
                         if let Some(prev) = writers.insert(block.raw(), NodeId::new(i)) {

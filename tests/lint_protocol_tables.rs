@@ -21,7 +21,7 @@
 use ringsim::cache::LineState;
 use ringsim::proto::transitions::{
     dir_action, home_snoop_action, must_reclaim_writeback, snooper_action, upgrade_must_convert,
-    DirRequest,
+    DirRequest, HomeSnoopAction, SnoopAction,
 };
 use ringsim::proto::{DirEntry, MsgKind};
 use ringsim::types::NodeId;
@@ -74,6 +74,34 @@ fn home_snoop_table_is_total() {
     for dirty in [false, true] {
         for kind in ALL_KINDS {
             let _ = home_snoop_action(dirty, kind);
+        }
+    }
+}
+
+// The ring simulator returns early, before evaluating any rule, when a
+// message passes a node that holds the line `Inv` and is not the block's
+// home (`RingSystem::snoop` and `snoop_probe`). The next two tests pin the
+// premises that make those early returns equivalent to evaluating the
+// tables.
+
+#[test]
+fn inv_lines_ignore_every_message() {
+    for kind in ALL_KINDS {
+        assert_eq!(snooper_action(LineState::Inv, kind), SnoopAction::Ignore, "{kind:?}");
+    }
+}
+
+#[test]
+fn home_snoop_acts_only_on_probes() {
+    for dirty in [false, true] {
+        for kind in ALL_KINDS {
+            if !kind.is_snoop_probe() {
+                assert_eq!(
+                    home_snoop_action(dirty, kind),
+                    HomeSnoopAction::Silent,
+                    "{kind:?} (dirty {dirty})"
+                );
+            }
         }
     }
 }
