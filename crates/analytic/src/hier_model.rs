@@ -1,5 +1,5 @@
-use ringsim_ring::RingHierarchy;
-use ringsim_types::Time;
+use ringsim_ring::RingTopology;
+use ringsim_types::{ConfigError, Time};
 
 use crate::input::ModelInput;
 use crate::{fixed_point, ModelOutput};
@@ -24,7 +24,7 @@ use crate::{fixed_point, ModelOutput};
 /// the *global* ring's (documented re-purposing for the hierarchy).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierRingModel {
-    hier: RingHierarchy,
+    topo: RingTopology,
     locality: f64,
     mem_latency: Time,
     supply_latency: Time,
@@ -32,17 +32,25 @@ pub struct HierRingModel {
 }
 
 impl HierRingModel {
-    /// Creates the model with uniform home placement (locality `1/k`).
-    #[must_use]
-    pub fn new(hier: RingHierarchy) -> Self {
-        let locality = hier.uniform_locality();
-        Self {
-            hier,
+    /// Creates the model of a two-level `topo` with uniform home placement
+    /// (locality `1/k`).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] unless `topo` has exactly two levels: the
+    /// model's slot pools are one level of local rings and one global ring.
+    pub fn new(topo: RingTopology) -> Result<Self, ConfigError> {
+        if topo.levels() != 2 {
+            return Err(ConfigError::new("levels", "the hierarchy model is exactly two levels"));
+        }
+        let locality = topo.uniform_locality();
+        Ok(Self {
+            topo,
             locality,
             mem_latency: Time::from_ns(140),
             supply_latency: Time::from_ns(140),
             tolerate_writes: false,
-        }
+        })
     }
 
     /// Overrides the fraction of remote transactions that stay within the
@@ -62,24 +70,18 @@ impl HierRingModel {
         self
     }
 
-    /// The hierarchy the model describes.
-    #[must_use]
-    pub fn hierarchy(&self) -> &RingHierarchy {
-        &self.hier
-    }
-
     /// Evaluates the model at a processor cycle time.
     #[must_use]
     pub fn evaluate(&self, input: &ModelInput, proc_cycle: Time) -> ModelOutput {
-        let tc = self.hier.base().clock_period.as_ns_f64();
-        let s_l = self.hier.local_layout().stages() as f64;
-        let s_g = self.hier.global_layout().stages() as f64;
-        let f_stages = self.hier.base().frame_stages() as f64;
-        let rings = self.hier.local_rings() as f64;
+        let tc = self.topo.base().clock_period.as_ns_f64();
+        let s_l = self.topo.layout(0).stages() as f64;
+        let s_g = self.topo.layout(1).stages() as f64;
+        let f_stages = self.topo.base().frame_stages() as f64;
+        let rings = self.topo.leaf_rings() as f64;
         // Slot pools: every local ring contributes its slots; demand is
         // spread evenly (symmetric workload).
-        let block_slots_per_frame = self.hier.base().block_slots_per_frame as f64;
-        let probe_slots_per_frame = self.hier.base().probe_slots_per_frame as f64;
+        let block_slots_per_frame = self.topo.base().block_slots_per_frame as f64;
+        let probe_slots_per_frame = self.topo.base().probe_slots_per_frame as f64;
         let frames_l = s_l / f_stages;
         let frames_g = s_g / f_stages;
         let n_lp = frames_l * probe_slots_per_frame * rings;
@@ -228,10 +230,13 @@ mod tests {
         }
     }
 
+    fn model(rings: usize, per: usize) -> HierRingModel {
+        HierRingModel::new(RingTopology::two_level(rings, per).unwrap()).unwrap()
+    }
+
     #[test]
     fn converges_and_is_sane() {
-        let h = RingHierarchy::new(8, 8).unwrap();
-        let out = HierRingModel::new(h).evaluate(&input64(), Time::from_ns(10));
+        let out = model(8, 8).evaluate(&input64(), Time::from_ns(10));
         assert!(out.converged);
         assert!(out.proc_util > 0.0 && out.proc_util < 1.0);
         assert!(out.miss_latency_ns > 140.0);
@@ -240,10 +245,8 @@ mod tests {
 
     #[test]
     fn locality_helps() {
-        let h = RingHierarchy::new(8, 8).unwrap();
-        let uniform = HierRingModel::new(h.clone()).evaluate(&input64(), Time::from_ns(5));
-        let clustered =
-            HierRingModel::new(h).with_locality(0.9).evaluate(&input64(), Time::from_ns(5));
+        let uniform = model(8, 8).evaluate(&input64(), Time::from_ns(5));
+        let clustered = model(8, 8).with_locality(0.9).evaluate(&input64(), Time::from_ns(5));
         assert!(clustered.proc_util > uniform.proc_util);
         assert!(clustered.miss_latency_ns < uniform.miss_latency_ns);
     }
@@ -255,8 +258,7 @@ mod tests {
         let input = input64();
         let flat = RingModel::new(RingConfig::standard_500mhz(64), ProtocolKind::Snooping)
             .evaluate(&input, Time::from_ns(10));
-        let h = RingHierarchy::new(8, 8).unwrap();
-        let hier = HierRingModel::new(h).evaluate(&input, Time::from_ns(10));
+        let hier = model(8, 8).evaluate(&input, Time::from_ns(10));
         assert!(
             hier.miss_latency_ns < flat.miss_latency_ns,
             "hier {} vs flat {}",
@@ -269,8 +271,7 @@ mod tests {
     fn global_ring_is_the_hierarchys_bottleneck() {
         // With low locality and fast processors, the global ring loads up
         // much more than the local rings.
-        let h = RingHierarchy::new(8, 8).unwrap();
-        let out = HierRingModel::new(h).with_locality(0.1).evaluate(&input64(), Time::from_ns(2));
+        let out = model(8, 8).with_locality(0.1).evaluate(&input64(), Time::from_ns(2));
         assert!(
             out.block_util > out.probe_util,
             "global {} <= local {}",
@@ -281,12 +282,16 @@ mod tests {
 
     #[test]
     fn write_tolerance_reduces_stall() {
-        let h = RingHierarchy::new(4, 8).unwrap();
         let mut input = input64();
         input.procs = 32;
-        let base = HierRingModel::new(h.clone()).evaluate(&input, Time::from_ns(5));
-        let tol =
-            HierRingModel::new(h).with_write_tolerance(true).evaluate(&input, Time::from_ns(5));
+        let base = model(4, 8).evaluate(&input, Time::from_ns(5));
+        let tol = model(4, 8).with_write_tolerance(true).evaluate(&input, Time::from_ns(5));
         assert!(tol.proc_util > base.proc_util);
+    }
+
+    #[test]
+    fn only_two_level_trees_are_modelled() {
+        assert!(HierRingModel::new(RingTopology::three_level(2, 2, 2).unwrap()).is_err());
+        assert!(HierRingModel::new(RingTopology::flat(8).unwrap()).is_err());
     }
 }

@@ -1,15 +1,15 @@
-//! Shared command-line driver for the experiment binaries.
-//!
-//! Every per-experiment binary and the `all` driver accept the same flags:
+//! Command-line driver behind `ringsim experiments`, which runs the
+//! registered experiments ([`experiments::ALL`]) with these flags:
 //!
 //! ```text
 //! --jobs <n>      worker threads per experiment; 0 auto-detects the
 //!                 available cores (the default)
-//! --refs <n>      references per processor (default: 60000; bare number works too)
+//! --refs <n>      references per processor (default: 60000)
 //! --out <dir>     output directory (default: results/)
-//! --list          list experiments and exit            (all only)
-//! --only <a,b>    run a comma-separated subset         (all only)
+//! --list          list experiments and exit
+//! --only <a,b>    run a comma-separated subset
 //! --metrics <p>   fold every run's latency histograms and timelines into one JSON file
+//! --sanitize      run the coherence sanitizer on every point
 //! --no-cache      recompute every point, ignoring cached results
 //! --cache-stats   print per-experiment cache hit/miss counts
 //! ```
@@ -30,15 +30,15 @@ use crate::EXPERIMENT_REFS;
 
 const HELP: &str = "\
 USAGE:
-  <experiment> [OPTIONS] [REFS]
+  ringsim experiments [OPTIONS]
 
 OPTIONS:
   --jobs, -j N    worker threads per experiment; 0 auto-detects the
                   available cores (the default)
-  --refs N        references per processor (a bare number works too)
+  --refs N        references per processor (default: 60000)
   --out DIR       output directory (default: results/)
-  --list          list experiments and exit            (all only)
-  --only a,b      run a comma-separated subset         (all only)
+  --list          list experiments and exit
+  --only a,b      run a comma-separated subset
   --metrics PATH  fold every run's latency histograms and timelines
                   into one JSON file (disables the point cache)
   --sanitize      run the coherence sanitizer on every point
@@ -87,8 +87,7 @@ impl Default for Options {
 }
 
 /// Parses driver flags from `std::env::args` form (without the program
-/// name). A bare number is accepted as the reference budget for backwards
-/// compatibility with the original positional argument.
+/// and subcommand names).
 ///
 /// # Errors
 ///
@@ -127,14 +126,9 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 std::process::exit(0);
             }
             other => {
-                // Backwards compatibility: a bare number is a refs budget.
-                if let Ok(refs) = other.parse::<u64>() {
-                    opts.refs = refs;
-                } else {
-                    return Err(format!(
-                        "unknown argument `{other}` (try --jobs N, --refs N, --out DIR, --list, --only a,b, --sanitize, --metrics PATH, --no-cache, --cache-stats)"
-                    ));
-                }
+                return Err(format!(
+                    "unknown argument `{other}` (try --jobs N, --refs N, --out DIR, --list, --only a,b, --sanitize, --metrics PATH, --no-cache, --cache-stats)"
+                ));
             }
         }
     }
@@ -186,37 +180,6 @@ fn write_metrics(opts: &Options) -> bool {
     }
 }
 
-/// Entry point for a single-experiment binary: parses args, runs the named
-/// experiment, prints the throughput summary.
-#[must_use]
-pub fn run_single(name: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.sanitize {
-        ringsim_core::set_sanitize_mode(ringsim_core::SanitizeMode::On);
-    }
-    if opts.metrics.is_some() {
-        ringsim_obs::set_global_metrics(true);
-    }
-    let Some(exp) = experiments::find(name) else {
-        eprintln!("error: unknown experiment `{name}`");
-        return ExitCode::FAILURE;
-    };
-    note_cache_implication(&opts);
-    run_one(exp, &opts);
-    if write_metrics(&opts) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn run_one(exp: &'static dyn Experiment, opts: &Options) {
     let report = run_experiment(exp, &sweep_config(opts));
     eprintln!(
@@ -240,17 +203,8 @@ fn run_one(exp: &'static dyn Experiment, opts: &Options) {
     }
 }
 
-/// Entry point for the `all` driver: `--list`, `--only`, and the shared
-/// flags.
-#[must_use]
-pub fn run_all() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_with(&args)
-}
-
-/// Driver body shared by the `all` binary and the `ringsim experiments`
-/// subcommand: parses `args` (already stripped of the program/subcommand
-/// name) and runs the selection.
+/// Body of the `ringsim experiments` subcommand: parses `args` (already
+/// stripped of the program and subcommand names) and runs the selection.
 #[must_use]
 pub fn run_with(args: &[String]) -> ExitCode {
     let opts = match parse(args) {
@@ -323,11 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_bare_refs_for_backwards_compat() {
-        assert_eq!(parse(&args(&["30000"])).unwrap().refs, 30_000);
-    }
-
-    #[test]
     fn jobs_zero_auto_detects() {
         let o = parse(&args(&["--jobs", "0"])).unwrap();
         assert_eq!(o.jobs, default_jobs());
@@ -352,5 +301,6 @@ mod tests {
         assert!(parse(&args(&["--jobs", "x"])).is_err());
         assert!(parse(&args(&["--refs", "0"])).is_err());
         assert!(parse(&args(&["0"])).is_err());
+        assert!(parse(&args(&["30000"])).is_err(), "the reference budget is `--refs N` only");
     }
 }

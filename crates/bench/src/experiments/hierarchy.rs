@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use ringsim_analytic::{HierRingModel, RingModel};
 use ringsim_proto::ProtocolKind;
-use ringsim_ring::{RingConfig, RingHierarchy};
+use ringsim_ring::{RingConfig, RingTopology};
 use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
@@ -60,8 +60,8 @@ impl Experiment for Hierarchy {
         let t = Time::from_ns(5); // 200 MIPS
         let mut points = vec![Point::Flat];
         for (rings, per) in [(4usize, 16usize), (8, 8), (16, 4)] {
-            let hier = RingHierarchy::new(rings, per).expect("valid hierarchy");
-            let uniform = (100.0 * hier.uniform_locality()).round() as u32;
+            let topo = RingTopology::two_level(rings, per).expect("valid hierarchy");
+            let uniform = (100.0 * topo.uniform_locality()).round() as u32;
             for locality_pct in [uniform, 50, 80] {
                 points.push(Point::Hier { rings, per, locality_pct });
             }
@@ -84,9 +84,10 @@ impl Experiment for Hierarchy {
                     }
                 }
                 Point::Hier { rings, per, locality_pct } => {
-                    let hier = RingHierarchy::new(rings, per).expect("valid hierarchy");
-                    let model =
-                        HierRingModel::new(hier).with_locality(f64::from(locality_pct) / 100.0);
+                    let topo = RingTopology::two_level(rings, per).expect("valid hierarchy");
+                    let model = HierRingModel::new(topo)
+                        .expect("two-level hierarchy")
+                        .with_locality(f64::from(locality_pct) / 100.0);
                     let out = model.evaluate(&input, t);
                     Row {
                         topology: format!("{rings}x{per}"),

@@ -3,7 +3,7 @@
 //!
 //! Every experiment prints a human-readable table and writes JSON (and for
 //! the figure sweeps, gnuplot `.dat`) artifacts through its
-//! [`ringsim_sweep::SweepCtx`]; the `all` binary drives the registry.
+//! [`ringsim_sweep::SweepCtx`]; `ringsim experiments` drives the registry.
 
 use ringsim_sweep::Experiment;
 
@@ -25,7 +25,7 @@ pub mod topology_sweep;
 pub mod validate;
 pub mod wide_ring;
 
-/// Every experiment, in the order the `all` driver runs them.
+/// Every experiment, in the order `ringsim experiments` runs them.
 pub static ALL: [&dyn Experiment; 17] = [
     &table1::Table1,
     &table2::Table2,
@@ -52,7 +52,7 @@ pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     ALL.into_iter().find(|e| e.name() == name)
 }
 
-/// The full registry, for front ends beyond the `all` binary — the CLI
+/// The full registry, for front ends beyond `ringsim experiments` — its
 /// `--list` output and the HTTP service's `GET /experiments` endpoint both
 /// render name/description pairs from this slice.
 #[must_use]

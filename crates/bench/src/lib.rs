@@ -1,13 +1,13 @@
-//! Shared plumbing for the experiment binaries that regenerate every table
-//! and figure of the paper.
+//! Shared plumbing for the experiments that regenerate every table and
+//! figure of the paper.
 //!
 //! Each experiment implements [`ringsim_sweep::Experiment`] and is listed
 //! in [`experiments::ALL`]; it prints a formatted text table to stdout and
 //! writes the same data as JSON (plus `.dat` series for the figures) into
-//! `results/`, with a `<name>.meta.json` wall-time twin. Run one with
-//! `cargo run --release -p ringsim-bench --bin <name> [-- --jobs N]`; the
-//! `all` binary drives the whole registry (`--list`, `--only a,b`,
-//! `--jobs N`). Artifacts are byte-identical for any `--jobs` value.
+//! `results/`, with a `<name>.meta.json` wall-time twin. `ringsim
+//! experiments` drives the registry through [`cli::run_with`] (`--list`,
+//! `--only a,b`, `--jobs N`). Artifacts are byte-identical for any
+//! `--jobs` value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,8 @@
 //! Pinned byte-identity for the topology refactor: the two-level `hier`
 //! backend must keep producing exactly the report bytes captured *before*
-//! `RingHierarchy` was generalised into the recursive `RingTopology` tree
-//! and `HierNetSim` was rebuilt around `Bridge` junctions.
+//! the fixed local/global ring pair was generalised into the recursive
+//! `RingTopology` tree and `HierNetSim` was rebuilt around `Bridge`
+//! junctions.
 //!
 //! Unlike `simkind_goldens` (which can be re-blessed), these digests are
 //! hard-coded from the pre-refactor engine on purpose: if this test fails,

@@ -43,7 +43,7 @@
 
 use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
 use ringsim_proto::{MsgClass, MsgKind, RingMessage};
-use ringsim_ring::{RingHierarchy, RingTopology, SlotId, SlotKind, SlotRing};
+use ringsim_ring::{RingTopology, SlotId, SlotKind, SlotRing};
 use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Time};
@@ -91,15 +91,9 @@ pub struct HierNetConfig {
 }
 
 impl HierNetConfig {
-    /// A baseline configuration for a classic two-level topology.
-    #[must_use]
-    pub fn new(hier: RingHierarchy) -> Self {
-        Self::with_topology(hier.into_topology())
-    }
-
     /// A baseline configuration for the given ring tree.
     #[must_use]
-    pub fn with_topology(topo: RingTopology) -> Self {
+    pub fn new(topo: RingTopology) -> Self {
         let locality = topo.uniform_locality();
         Self {
             topo,
@@ -241,10 +235,9 @@ impl Bridge {
 ///
 /// ```
 /// use ringsim_core::{HierNetConfig, HierNetSim};
-/// use ringsim_ring::RingHierarchy;
+/// use ringsim_ring::RingTopology;
 ///
-/// let hier = RingHierarchy::new(4, 4).unwrap();
-/// let mut cfg = HierNetConfig::new(hier);
+/// let mut cfg = HierNetConfig::new(RingTopology::two_level(4, 4).unwrap());
 /// cfg.txns_per_node = 50;
 /// let report = HierNetSim::new(cfg).unwrap().run();
 /// assert_eq!(report.completed, 16 * 50);
@@ -1105,8 +1098,7 @@ mod tests {
     use super::*;
 
     fn run(rings: usize, per: usize, think_ns: u64, locality: f64, txns: u64) -> HierNetReport {
-        let hier = RingHierarchy::new(rings, per).unwrap();
-        let mut cfg = HierNetConfig::new(hier);
+        let mut cfg = HierNetConfig::new(RingTopology::two_level(rings, per).unwrap());
         cfg.think_time = Time::from_ns(think_ns);
         cfg.locality = locality;
         cfg.txns_per_node = txns;
@@ -1120,7 +1112,7 @@ mod tests {
         txns: u64,
         bridge_buffer: Option<usize>,
     ) -> HierNetReport {
-        let mut cfg = HierNetConfig::with_topology(topo);
+        let mut cfg = HierNetConfig::new(topo);
         cfg.think_time = Time::from_ns(think_ns);
         cfg.locality = locality;
         cfg.txns_per_node = txns;
@@ -1234,8 +1226,7 @@ mod tests {
 
     #[test]
     fn sim_report_mirrors_run_totals() {
-        let hier = RingHierarchy::new(4, 4).unwrap();
-        let mut cfg = HierNetConfig::new(hier);
+        let mut cfg = HierNetConfig::new(RingTopology::two_level(4, 4).unwrap());
         cfg.txns_per_node = 40;
         let mut sim = HierNetSim::new(cfg).unwrap();
         let rep = sim.run();

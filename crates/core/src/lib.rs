@@ -52,8 +52,6 @@ pub use report::{summarize_nodes, ClassLatencies, NodeMeasure, NodeSummary, SimR
 pub use ring_system::RingSystem;
 pub use sanitize::{sanitize_enabled, set_sanitize_mode, SanitizeMode};
 pub use sci_system::{SciRingSystem, SciSystemConfig};
-#[allow(deprecated)]
-pub use simulator::run_sim;
 pub use simulator::{
     HierTopology, RunOptions, RunOutcome, SimKind, SimKindError, SimSpec, Simulator,
 };

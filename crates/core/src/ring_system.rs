@@ -26,6 +26,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use ringsim_cache::{AccessClass, CacheBank, LineState};
 use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_proto::guarded;
 use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
 use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
 use ringsim_ring::{SlotId, SlotKind, SlotRing};
@@ -733,7 +734,7 @@ impl RingSystem {
                     self.poison_pending_read(i, msg.block);
                     return;
                 }
-                match transitions::snooper_action(state, msg.kind) {
+                match guarded::snooper_action(state, msg.kind, None) {
                     SnoopAction::Invalidate => {
                         // Presence bits are updated wholesale when the
                         // multicast returns to the home.
@@ -802,7 +803,7 @@ impl RingSystem {
         let data_reply =
             RingMessage::for_requester(MsgKind::BlockData, block, me, msg.requester, msg.requester);
         // Cache side: the pure table decides, this function adds timing.
-        match transitions::snooper_action(state, msg.kind) {
+        match guarded::snooper_action(state, msg.kind, None) {
             SnoopAction::SupplyDowngrade => {
                 // Dirty owner: downgrade, ack, supply, refresh memory.
                 self.caches.snoop_downgrade(i, block);
@@ -832,7 +833,7 @@ impl RingSystem {
         // Home side: the dirty bit arbitrates whether memory answers. If
         // dirty, the (old or pending) owner responds instead.
         if me == home {
-            match transitions::home_snoop_action(self.mem.is_dirty(block), msg.kind) {
+            match guarded::home_snoop_action(self.mem.is_dirty(block), msg.kind, None) {
                 HomeSnoopAction::Supply => {
                     if let Some(m) = self.ring.peek_mut(slot) {
                         m.acked = true;
@@ -1297,7 +1298,7 @@ impl RingSystem {
         let measuring = self.measuring_requester(&req);
         let region = self.requester_region(&req);
         let local = home == requester;
-        match transitions::dir_action(&entry, requester, DirRequest::Read) {
+        match guarded::dir_action(&entry, requester, DirRequest::Read, None) {
             DirAction::ForwardRead { owner: d } => {
                 debug_assert_ne!(d, requester, "requester misses on a block it owns");
                 if measuring {
@@ -1359,7 +1360,7 @@ impl RingSystem {
         let region = self.requester_region(&req);
         let local = home == requester;
         let others = entry.other_sharers(requester);
-        match transitions::dir_action(&entry, requester, DirRequest::Write) {
+        match guarded::dir_action(&entry, requester, DirRequest::Write, None) {
             DirAction::ForwardWrite { owner: d } => {
                 debug_assert_ne!(d, requester);
                 if measuring {
@@ -1455,7 +1456,7 @@ impl RingSystem {
                 self.events.upgrade_nosharers_remote += 1;
             }
         }
-        match transitions::dir_action(&entry, requester, DirRequest::Upgrade) {
+        match guarded::dir_action(&entry, requester, DirRequest::Upgrade, None) {
             DirAction::InvalidateSharers => {
                 self.home_self_invalidate(home, requester, block);
                 let inval =

@@ -14,8 +14,7 @@
 //! telemetry request) and returns a [`RunOutcome`] bundling the
 //! [`SimReport`] with the optional recorder. The older three-call
 //! `attach_obs` / `run` / `take_obs` dance survives only as inherent
-//! methods on the concrete backends (useful in white-box tests) and as the
-//! deprecated [`run_sim`] shim.
+//! methods on the concrete backends (useful in white-box tests).
 
 use std::fmt;
 use std::str::FromStr;
@@ -381,14 +380,6 @@ impl SimKind {
         }
     }
 
-    /// Parses a CLI network name; `ring`, `bus` and `hiernet` are accepted
-    /// as aliases for the default variants.
-    #[deprecated(note = "use `str::parse::<SimKind>()` for a typed SimKindError")]
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
-
     /// Builds a ready-to-run simulator for this backend from `spec`.
     ///
     /// The hierarchy backends derive their ring tree from the processor
@@ -443,7 +434,7 @@ impl SimKind {
                 // budget: one coherence transaction per ~50 references
                 // keeps the default budgets comparable across backends.
                 let budget = topo.txn_budget(spec.workload.spec().data_refs_per_proc);
-                let mut cfg = HierNetConfig::with_topology(topo);
+                let mut cfg = HierNetConfig::new(topo);
                 cfg.txns_per_node = budget;
                 cfg.bridge_buffer = spec.bridge_buffer.or(if self == SimKind::HierDeflect {
                     Some(2)
@@ -550,17 +541,6 @@ impl FromStr for SimKind {
     }
 }
 
-/// Tuple-style shim over [`Simulator::run`], kept for callers written
-/// against the pre-`RunOptions` lifecycle. Identical semantics: an
-/// explicit `obs` request returns the recorder, otherwise gauge timelines
-/// flow to the global metrics sink when that is enabled.
-#[deprecated(note = "call Simulator::run(&RunOptions) and use the RunOutcome fields")]
-pub fn run_sim(sim: &mut dyn Simulator, obs: Option<ObsConfig>) -> (SimReport, Option<Recorder>) {
-    let opts = RunOptions { obs };
-    let outcome = sim.run(&opts);
-    (outcome.report, outcome.obs)
-}
-
 #[cfg(test)]
 mod tests {
     use ringsim_trace::{Workload, WorkloadSpec};
@@ -651,13 +631,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shim_matches_from_str() {
-        assert_eq!(SimKind::parse("ring250"), Some(SimKind::Ring250));
-        assert_eq!(SimKind::parse("token-ring"), None);
-    }
-
-    #[test]
     fn every_backend_runs_through_the_trait() {
         // 8 processors factor at every hierarchy depth (8 = 4×2 = 2×2×2).
         for kind in SimKind::ALL {
@@ -698,15 +671,5 @@ mod tests {
         let outcome = sim.run(&RunOptions::new().with_obs(ObsConfig::default()));
         let rec = outcome.obs.expect("recorder");
         assert!(!rec.timelines.is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_sim_shim_still_drives_a_run() {
-        let spec = SimSpec::new(workload(4, 500));
-        let mut sim = SimKind::Ring500.build(&spec).unwrap();
-        let (report, rec) = run_sim(sim.as_mut(), None);
-        assert!(rec.is_none());
-        assert!(report.sim_end > Time::ZERO);
     }
 }

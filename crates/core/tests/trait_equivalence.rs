@@ -8,7 +8,7 @@ use ringsim_core::{
     SimReport, SimSpec, SystemConfig,
 };
 use ringsim_proto::ProtocolKind;
-use ringsim_ring::RingHierarchy;
+use ringsim_ring::RingTopology;
 use ringsim_trace::{Workload, WorkloadSpec};
 use ringsim_types::Time;
 
@@ -65,8 +65,7 @@ fn hier_backend_matches_direct_calls() {
     // Mirror `SimKind::build`'s topology/budget derivation by hand: the
     // most balanced split of 8 processors and one transaction per ~50
     // references.
-    let hier = RingHierarchy::new(2, 4).expect("hierarchy");
-    let mut cfg = HierNetConfig::new(hier);
+    let mut cfg = HierNetConfig::new(RingTopology::two_level(2, 4).expect("topology"));
     cfg.txns_per_node = (REFS / 50).max(1);
     let mut sim = HierNetSim::new(cfg).expect("system");
     let rep = sim.run();

@@ -4,10 +4,11 @@
 //! declarative rule set — named `Rule { guard, action }` pairs over a small
 //! context struct — in the style of guarded-action protocol languages
 //! (cf. *Modeling a Cache Coherence Protocol with the Guarded Action
-//! Language*). The pure dispatch functions in [`crate::transitions`] are
-//! thin wrappers over these rule sets, so the rules are the single source
-//! of truth for the timed simulators *and* the `ringsim-check` model
-//! checker.
+//! Language*). The timed simulators and the `ringsim-check` model checker
+//! both call the dispatch functions here ([`snooper_action`],
+//! [`home_snoop_action`], [`dir_action`], ...), the checker with
+//! [`FireCounts`] and the simulators with `None`, so the rules are the
+//! single source of truth for both.
 //!
 //! The declarative form buys two kinds of static analysis:
 //!
@@ -841,27 +842,5 @@ mod tests {
         let a = snooper_action(LineState::We, MsgKind::BlockData, Some(&counts));
         assert_eq!(a, SnoopAction::Ignore);
         assert_eq!(counts.snapshot().iter().map(|f| f.fired).sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn guarded_dispatch_matches_transition_tables() {
-        // The wrappers in `transitions` delegate here; evaluate both ways
-        // over the full small domain to pin the equivalence.
-        for state in ALL_STATES {
-            for kind in ALL_KINDS {
-                assert_eq!(
-                    crate::transitions::snooper_action(state, kind),
-                    snooper_action(state, kind, None),
-                );
-            }
-        }
-        for dirty in [false, true] {
-            for kind in ALL_KINDS {
-                assert_eq!(
-                    crate::transitions::home_snoop_action(dirty, kind),
-                    home_snoop_action(dirty, kind, None),
-                );
-            }
-        }
     }
 }

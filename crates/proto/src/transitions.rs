@@ -2,23 +2,20 @@
 //!
 //! Both protocols' *decisions* — what a snooping cache does as a probe
 //! passes, what the home memory contributes, and how the full-map directory
-//! dispatches a request — live here as total functions over
-//! ([`LineState`], [`MsgKind`]) and [`DirEntry`]. The timed simulator in
-//! `ringsim-core` consults these tables and adds timing (slots, latencies,
-//! retries); the model checker in `ringsim-check` drives the very same
-//! tables through an abstract scheduler. A transition bug therefore cannot
-//! hide in one consumer: the checker exercises exactly the code the
-//! simulator runs.
+//! dispatches a request — are declared once, as the guarded rule sets in
+//! [`crate::guarded`], total over ([`ringsim_cache::LineState`],
+//! [`MsgKind`]) and [`DirEntry`]. This module holds the actions those rules
+//! return and the directory's admission predicates. The timed simulator in `ringsim-core`
+//! evaluates the rules and adds timing (slots, latencies, retries); the
+//! model checker in `ringsim-check` evaluates the very same rules through
+//! an abstract scheduler. A transition bug therefore cannot hide in one
+//! consumer: the checker exercises exactly the code the simulator runs.
 //!
-//! The decision logic itself is declared once, as the guarded rule sets in
-//! [`crate::guarded`]; the dispatch functions here are the rule sets'
-//! fire-count-free entry points, and the enums they return stay in this
-//! module. Every `match` in this module and in `guarded` is intentionally
+//! Every `match` in this module and in `guarded` is intentionally
 //! total with **no wildcard arms** — `tests/lint_protocol_tables.rs`
 //! asserts this statically so a new `MsgKind` or `LineState` variant forces
 //! every table to be revisited.
 
-use ringsim_cache::LineState;
 use ringsim_types::NodeId;
 
 use crate::{DirEntry, MsgKind};
@@ -45,19 +42,6 @@ pub enum SnoopAction {
     SupplyDowngrade,
 }
 
-/// The snooping cache-side transition table: action for a line in `state`
-/// as a message of kind `msg` passes the interface.
-///
-/// Total over every ([`LineState`], [`MsgKind`]) pair; unicast directory
-/// messages are never snooped and map to [`SnoopAction::Ignore`]. The
-/// table itself is declared as the guarded rule set
-/// [`crate::guarded::SNOOPER_RULES`]; this wrapper is the fire-count-free
-/// entry point for the timed simulator.
-#[must_use]
-pub fn snooper_action(state: LineState, msg: MsgKind) -> SnoopAction {
-    crate::guarded::snooper_action(state, msg, None)
-}
-
 /// What the home node's memory contributes as a snooping probe passes it
 /// (paper §3.1: the dirty bit arbitrates who answers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,15 +56,6 @@ pub enum HomeSnoopAction {
     SupplyClaim,
     /// Clean upgrade: acknowledge and set the dirty bit; no data moves.
     AckClaim,
-}
-
-/// The snooping home-side transition table: memory action for a probe of
-/// kind `msg` given the block's `dirty` bit. Total over every kind;
-/// non-probe messages contribute nothing. Declared as the guarded rule set
-/// [`crate::guarded::HOME_RULES`].
-#[must_use]
-pub fn home_snoop_action(dirty: bool, msg: MsgKind) -> HomeSnoopAction {
-    crate::guarded::home_snoop_action(dirty, msg, None)
 }
 
 /// A request at the directory home's serialisation point, after the
@@ -160,15 +135,6 @@ pub fn upgrade_must_convert(entry: &DirEntry, requester: NodeId) -> bool {
     !entry.has_sharer(requester)
 }
 
-/// The full-map directory dispatch table. `entry` is the state *after*
-/// [`must_reclaim_writeback`] handling, and `req` the request *after*
-/// [`upgrade_must_convert`] demotion. Declared as the guarded rule set
-/// [`crate::guarded::DIR_RULES`].
-#[must_use]
-pub fn dir_action(entry: &DirEntry, requester: NodeId, req: DirRequest) -> DirAction {
-    crate::guarded::dir_action(entry, requester, req, None)
-}
-
 /// A processor operation at the atomic bus's serialisation point, as seen
 /// by the MESI and Dragon rule sets. Misses and upgrades are bus
 /// transactions; the two hit variants are local decisions that MESI and
@@ -244,28 +210,46 @@ pub enum DragonAction {
 
 #[cfg(test)]
 mod tests {
+    use ringsim_cache::LineState;
+
     use super::*;
+    use crate::guarded::{dir_action, home_snoop_action, snooper_action};
 
     #[test]
     fn snooper_table_matches_paper_protocol() {
-        assert_eq!(snooper_action(LineState::We, MsgKind::SnoopRead), SnoopAction::SupplyDowngrade);
         assert_eq!(
-            snooper_action(LineState::We, MsgKind::SnoopWrite),
+            snooper_action(LineState::We, MsgKind::SnoopRead, None),
+            SnoopAction::SupplyDowngrade
+        );
+        assert_eq!(
+            snooper_action(LineState::We, MsgKind::SnoopWrite, None),
             SnoopAction::SupplyInvalidate
         );
-        assert_eq!(snooper_action(LineState::Rs, MsgKind::SnoopWrite), SnoopAction::Invalidate);
-        assert_eq!(snooper_action(LineState::Rs, MsgKind::SnoopUpgrade), SnoopAction::Invalidate);
-        assert_eq!(snooper_action(LineState::Inv, MsgKind::SnoopWrite), SnoopAction::Ignore);
-        assert_eq!(snooper_action(LineState::Rs, MsgKind::BlockData), SnoopAction::Ignore);
+        assert_eq!(
+            snooper_action(LineState::Rs, MsgKind::SnoopWrite, None),
+            SnoopAction::Invalidate
+        );
+        assert_eq!(
+            snooper_action(LineState::Rs, MsgKind::SnoopUpgrade, None),
+            SnoopAction::Invalidate
+        );
+        assert_eq!(snooper_action(LineState::Inv, MsgKind::SnoopWrite, None), SnoopAction::Ignore);
+        assert_eq!(snooper_action(LineState::Rs, MsgKind::BlockData, None), SnoopAction::Ignore);
     }
 
     #[test]
     fn home_table_claims_only_when_clean() {
-        assert_eq!(home_snoop_action(false, MsgKind::SnoopRead), HomeSnoopAction::Supply);
-        assert_eq!(home_snoop_action(false, MsgKind::SnoopWrite), HomeSnoopAction::SupplyClaim);
-        assert_eq!(home_snoop_action(false, MsgKind::SnoopUpgrade), HomeSnoopAction::AckClaim);
+        assert_eq!(home_snoop_action(false, MsgKind::SnoopRead, None), HomeSnoopAction::Supply);
+        assert_eq!(
+            home_snoop_action(false, MsgKind::SnoopWrite, None),
+            HomeSnoopAction::SupplyClaim
+        );
+        assert_eq!(
+            home_snoop_action(false, MsgKind::SnoopUpgrade, None),
+            HomeSnoopAction::AckClaim
+        );
         for kind in [MsgKind::SnoopRead, MsgKind::SnoopWrite, MsgKind::SnoopUpgrade] {
-            assert_eq!(home_snoop_action(true, kind), HomeSnoopAction::Silent);
+            assert_eq!(home_snoop_action(true, kind, None), HomeSnoopAction::Silent);
         }
     }
 
@@ -275,11 +259,11 @@ mod tests {
         let owner = NodeId::new(2);
         let entry = DirEntry { owner: Some(owner), sharers: DirEntry::mask(owner) };
         assert_eq!(
-            dir_action(&entry, requester, DirRequest::Read),
+            dir_action(&entry, requester, DirRequest::Read, None),
             DirAction::ForwardRead { owner }
         );
         assert_eq!(
-            dir_action(&entry, requester, DirRequest::Write),
+            dir_action(&entry, requester, DirRequest::Write, None),
             DirAction::ForwardWrite { owner }
         );
     }
@@ -291,14 +275,17 @@ mod tests {
             sharers: DirEntry::mask(requester) | DirEntry::mask(NodeId::new(3)),
             ..DirEntry::default()
         };
-        assert_eq!(dir_action(&entry, requester, DirRequest::Write), DirAction::InvalidateSharers);
         assert_eq!(
-            dir_action(&entry, requester, DirRequest::Upgrade),
+            dir_action(&entry, requester, DirRequest::Write, None),
+            DirAction::InvalidateSharers
+        );
+        assert_eq!(
+            dir_action(&entry, requester, DirRequest::Upgrade, None),
             DirAction::InvalidateSharers
         );
         entry.sharers = DirEntry::mask(requester);
-        assert_eq!(dir_action(&entry, requester, DirRequest::Write), DirAction::GrantData);
-        assert_eq!(dir_action(&entry, requester, DirRequest::Upgrade), DirAction::GrantAck);
+        assert_eq!(dir_action(&entry, requester, DirRequest::Write, None), DirAction::GrantData);
+        assert_eq!(dir_action(&entry, requester, DirRequest::Upgrade, None), DirAction::GrantAck);
     }
 
     #[test]

@@ -47,13 +47,11 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod hierarchy;
 mod layout;
 mod ring;
 pub mod topology;
 
 pub use config::{Parity, RingConfig};
-pub use hierarchy::RingHierarchy;
 pub use layout::{RingLayout, SlotId, SlotKind, SlotSpec};
 pub use ring::{InsertError, RingStats, SlotRing};
 pub use topology::RingTopology;

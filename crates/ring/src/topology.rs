@@ -1,8 +1,8 @@
 //! Recursive trees of slotted rings: flat, two-level and three-level
 //! topologies over one [`RingConfig`]/[`RingLayout`] machinery.
 //!
-//! A [`RingTopology`] generalises the fixed local/global pair of
-//! [`crate::RingHierarchy`]: level 0 holds the leaf rings carrying the
+//! A [`RingTopology`] generalises the fixed local/global pair of a
+//! two-level hierarchy: level 0 holds the leaf rings carrying the
 //! processors, every level above connects the rings one level down through
 //! bridge positions, and the root ring closes the tree. The shape vector
 //! `[procs_per_leaf, fanout₁, …, fanout_root]` fully determines the
@@ -416,6 +416,11 @@ mod tests {
         assert_eq!(t.round_trip(0), Time::from_ns(60));
         assert_eq!(t.inter_ring_probe_time(), Time::from_ns(180));
         assert_eq!(t.flat_equivalent_round_trip(), Time::from_ns(400));
+        // Three short revolutions still beat one 64-node revolution.
+        assert!(t.inter_ring_probe_time() < t.flat_equivalent_round_trip());
+        // A uniformly placed home shares the requester's ring 1/k of the time.
+        let wide = RingTopology::two_level(4, 16).unwrap();
+        assert!((wide.uniform_locality() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use ringsim::analytic::{ClassFreqs, HierRingModel, ModelInput};
 use ringsim::core::{HierNetConfig, HierNetSim};
-use ringsim::ring::RingHierarchy;
+use ringsim::ring::RingTopology;
 use ringsim::types::Time;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,10 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "topology", "locality", "latency ns (sim/mod)", "global util % (s/m)"
     );
     for (rings, per) in [(4usize, 16usize), (8, 8), (16, 4)] {
-        let hier = RingHierarchy::new(rings, per)?;
-        for locality in [hier.uniform_locality(), 0.5, 0.9] {
+        let topo = RingTopology::two_level(rings, per)?;
+        for locality in [topo.uniform_locality(), 0.5, 0.9] {
             // Simulate.
-            let mut cfg = HierNetConfig::new(hier.clone());
+            let mut cfg = HierNetConfig::new(topo.clone());
             cfg.think_time = think;
             cfg.locality = locality;
             cfg.txns_per_node = 200;
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 freqs: ClassFreqs { read_clean_remote: 1.0, ..ClassFreqs::default() },
             };
             let model =
-                HierRingModel::new(hier.clone()).with_locality(locality).evaluate(&input, think);
+                HierRingModel::new(topo.clone())?.with_locality(locality).evaluate(&input, think);
             println!(
                 "{:<9} {:>8.0}% | {:>9.0} / {:>9.0} | {:>9.1} / {:>9.1}",
                 format!("{rings}x{per}"),

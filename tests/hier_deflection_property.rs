@@ -19,7 +19,7 @@ const SHAPES: [&[usize]; 5] = [&[6], &[2, 2], &[4, 2], &[2, 2, 2], &[3, 2, 2]];
 
 fn run_shape(shape: &[usize], bridge_buffer: usize, seed: u64, locality: f64) -> (u64, u64, u64) {
     let topo = RingTopology::from_shape(shape, RingConfig::standard_500mhz(2)).unwrap();
-    let mut cfg = HierNetConfig::with_topology(topo);
+    let mut cfg = HierNetConfig::new(topo);
     // Short think time at low locality keeps the bridges contended, which
     // is the regime deflection exists for.
     cfg.think_time = Time::from_ns(150);

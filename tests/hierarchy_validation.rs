@@ -4,7 +4,7 @@
 
 use ringsim::analytic::{ClassFreqs, HierRingModel, ModelInput};
 use ringsim::core::{HierNetConfig, HierNetSim};
-use ringsim::ring::RingHierarchy;
+use ringsim::ring::RingTopology;
 use ringsim::types::Time;
 
 /// Maps the network simulator's closed loop (think → one remote
@@ -19,14 +19,15 @@ fn model_input(procs: usize) -> ModelInput {
 }
 
 fn run_pair(rings: usize, per: usize, think_ns: u64, locality: f64) -> (f64, f64, f64, f64) {
-    let hier = RingHierarchy::new(rings, per).unwrap();
-    let mut cfg = HierNetConfig::new(hier.clone());
+    let topo = RingTopology::two_level(rings, per).unwrap();
+    let mut cfg = HierNetConfig::new(topo.clone());
     cfg.think_time = Time::from_ns(think_ns);
     cfg.locality = locality;
     cfg.txns_per_node = 300;
     let sim = HierNetSim::new(cfg).unwrap().run();
 
-    let model = HierRingModel::new(hier)
+    let model = HierRingModel::new(topo)
+        .unwrap()
         .with_locality(locality)
         .evaluate(&model_input(rings * per), Time::from_ns(think_ns));
     (

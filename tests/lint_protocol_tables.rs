@@ -1,6 +1,5 @@
-//! Static lint over the pure protocol transition tables in
-//! `ringsim-proto::transitions` and the guarded-rule sets in
-//! `ringsim-proto::guarded` they dispatch through.
+//! Static lint over the guarded-rule sets in `ringsim-proto::guarded` and
+//! the actions and predicates they share with `ringsim-proto::transitions`.
 //!
 //! Three layers of defence against silently-incomplete tables:
 //!
@@ -19,9 +18,9 @@
 //!    protocol it belongs to).
 
 use ringsim::cache::LineState;
+use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
 use ringsim::proto::transitions::{
-    dir_action, home_snoop_action, must_reclaim_writeback, snooper_action, upgrade_must_convert,
-    DirRequest, HomeSnoopAction, SnoopAction,
+    must_reclaim_writeback, upgrade_must_convert, DirRequest, HomeSnoopAction, SnoopAction,
 };
 use ringsim::proto::{DirEntry, MsgKind};
 use ringsim::types::NodeId;
@@ -64,7 +63,7 @@ fn snooper_table_is_total() {
         for kind in ALL_KINDS {
             // Must not panic for any combination; the enum of results is the
             // contract, not a particular value.
-            let _ = snooper_action(state, kind);
+            let _ = snooper_action(state, kind, None);
         }
     }
 }
@@ -73,7 +72,7 @@ fn snooper_table_is_total() {
 fn home_snoop_table_is_total() {
     for dirty in [false, true] {
         for kind in ALL_KINDS {
-            let _ = home_snoop_action(dirty, kind);
+            let _ = home_snoop_action(dirty, kind, None);
         }
     }
 }
@@ -87,7 +86,7 @@ fn home_snoop_table_is_total() {
 #[test]
 fn inv_lines_ignore_every_message() {
     for kind in ALL_KINDS {
-        assert_eq!(snooper_action(LineState::Inv, kind), SnoopAction::Ignore, "{kind:?}");
+        assert_eq!(snooper_action(LineState::Inv, kind, None), SnoopAction::Ignore, "{kind:?}");
     }
 }
 
@@ -97,7 +96,7 @@ fn home_snoop_acts_only_on_probes() {
         for kind in ALL_KINDS {
             if !kind.is_snoop_probe() {
                 assert_eq!(
-                    home_snoop_action(dirty, kind),
+                    home_snoop_action(dirty, kind, None),
                     HomeSnoopAction::Silent,
                     "{kind:?} (dirty {dirty})"
                 );
@@ -122,7 +121,7 @@ fn dir_dispatch_is_total_over_entry_shapes() {
             let _ = must_reclaim_writeback(&entry, requester);
             let _ = upgrade_must_convert(&entry, requester);
             for req in [DirRequest::Read, DirRequest::Write, DirRequest::Upgrade] {
-                let _ = dir_action(&entry, requester, req);
+                let _ = dir_action(&entry, requester, req, None);
             }
         }
     }
@@ -145,7 +144,7 @@ fn transition_tables_have_no_wildcard_arms() {
         );
     }
     // The scan above is only meaningful while the functions it guards exist.
-    for name in ["snooper_action", "home_snoop_action", "dir_action", "classify"] {
+    for name in ["classify", "must_reclaim_writeback", "upgrade_must_convert"] {
         assert!(src.contains(name), "expected `{name}` in transitions.rs");
     }
 }
@@ -189,9 +188,17 @@ fn guarded_rules_have_no_wildcard_arms() {
             line.trim()
         );
     }
-    for name in
-        ["SNOOPER_RULES", "HOME_RULES", "DIR_RULES", "SCI_RULES", "MESI_RULES", "DRAGON_RULES"]
-    {
+    for name in [
+        "SNOOPER_RULES",
+        "HOME_RULES",
+        "DIR_RULES",
+        "SCI_RULES",
+        "MESI_RULES",
+        "DRAGON_RULES",
+        "snooper_action",
+        "home_snoop_action",
+        "dir_action",
+    ] {
         assert!(src.contains(name), "expected `{name}` in guarded.rs");
     }
 }

@@ -17,7 +17,7 @@ use ringsim::core::{
     SanitizeMode, SystemConfig,
 };
 use ringsim::proto::ProtocolKind;
-use ringsim::ring::RingHierarchy;
+use ringsim::ring::RingTopology;
 use ringsim::trace::{Workload, WorkloadSpec};
 
 fn workload(procs: usize, refs: u64, seed: u64) -> Workload {
@@ -44,7 +44,7 @@ fn sanitizer_is_quiet_on_all_interconnects() {
     }
     // The hierarchy simulator has no caches; its sanitizer check is the
     // transaction conservation law.
-    let mut cfg = HierNetConfig::new(RingHierarchy::new(4, 2).unwrap());
+    let mut cfg = HierNetConfig::new(RingTopology::two_level(4, 2).unwrap());
     cfg.txns_per_node = 200;
     let report = HierNetSim::new(cfg).unwrap().run();
     assert!(report.latency.mean() > 0.0);
