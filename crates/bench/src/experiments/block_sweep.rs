@@ -16,7 +16,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -44,9 +44,9 @@ impl Experiment for BlockSweep {
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         let procs = 16;
-        // Shared characterisation: pure function of the spec, computed once.
-        let (_, input) =
-            benchmark_input(Benchmark::Mp3d, procs, ctx.refs_per_proc()).expect("paper config");
+        // Shared characterisation: pure function of the spec, computed once
+        // per cache root.
+        let (_, input) = characterized(ctx, Benchmark::Mp3d, procs, ctx.refs_per_proc());
         let t = Time::from_ns(5);
         let blocks = [16u64, 32, 64, 128];
         let rows = ctx.map(

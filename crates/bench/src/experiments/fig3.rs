@@ -10,7 +10,7 @@ use ringsim_ring::RingConfig;
 use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 /// One full curve for one (benchmark, procs, protocol) combination.
 #[derive(Debug, Serialize, Deserialize)]
@@ -27,12 +27,13 @@ pub struct Curve {
 
 /// Sweeps one benchmark/size under both protocols.
 pub fn curves_for(
+    ctx: &SweepCtx,
     bench: Benchmark,
     procs: usize,
     ring: RingConfig,
     refs_per_proc: u64,
 ) -> Vec<Curve> {
-    let (_, input) = benchmark_input(bench, procs, refs_per_proc).expect("paper config");
+    let (_, input) = characterized(ctx, bench, procs, refs_per_proc);
     [ProtocolKind::Snooping, ProtocolKind::Directory]
         .into_iter()
         .map(|protocol| {
@@ -103,7 +104,7 @@ pub fn sweep_configs(ctx: &SweepCtx, configs: &[(Benchmark, usize)]) -> Vec<Curv
         configs,
         |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
         |pctx, &(bench, procs)| {
-            curves_for(bench, procs, RingConfig::standard_500mhz(procs), pctx.refs_per_proc)
+            curves_for(ctx, bench, procs, RingConfig::standard_500mhz(procs), pctx.refs_per_proc)
         },
     )
     .into_iter()

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -36,8 +36,7 @@ impl Experiment for Fig5 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (ch, _) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (ch, _) = characterized(ctx, bench, procs, pctx.refs_per_proc);
                 let e = ch.events;
                 let c1 = e.fig5_one_cycle_clean() as f64;
                 let d1 = e.fig5_one_cycle_dirty() as f64;

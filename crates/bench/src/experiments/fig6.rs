@@ -12,7 +12,7 @@ use ringsim_ring::RingConfig;
 use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 /// One interconnect curve.
 #[derive(Debug, Serialize, Deserialize)]
@@ -50,8 +50,7 @@ impl Experiment for Fig6 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = characterized(ctx, bench, procs, pctx.refs_per_proc);
                 let mut curves: Vec<Curve> = Vec::new();
                 for (label, ring) in [
                     ("ring-500", RingConfig::standard_500mhz(procs)),

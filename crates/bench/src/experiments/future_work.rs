@@ -19,7 +19,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -49,11 +49,10 @@ impl Experiment for FutureWork {
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         let procs = 16;
-        // The characterisation is shared by all points; run it once on the
-        // harness thread (it is a pure function of the spec, so this does
-        // not affect determinism).
-        let (_, input) =
-            benchmark_input(Benchmark::Mp3d, procs, ctx.refs_per_proc()).expect("paper config");
+        // The characterisation is shared by all points; run it once per
+        // cache root on the harness thread (it is a pure function of the
+        // spec, so this does not affect determinism).
+        let (_, input) = characterized(ctx, Benchmark::Mp3d, procs, ctx.refs_per_proc());
         let mut points = Vec::new();
         for mips in [100u64, 200, 400] {
             points.push(("ring-500", mips));

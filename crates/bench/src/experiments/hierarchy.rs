@@ -11,7 +11,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -54,9 +54,9 @@ impl Experiment for Hierarchy {
     }
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
-        // Shared characterisation: pure function of the spec, computed once.
-        let (_, input) =
-            benchmark_input(Benchmark::Weather, 64, ctx.refs_per_proc()).expect("paper config");
+        // Shared characterisation: pure function of the spec, computed once
+        // per cache root.
+        let (_, input) = characterized(ctx, Benchmark::Weather, 64, ctx.refs_per_proc());
         let t = Time::from_ns(5); // 200 MIPS
         let mut points = vec![Point::Flat];
         for (rings, per) in [(4usize, 16usize), (8, 8), (16, 4)] {

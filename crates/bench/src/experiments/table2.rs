@@ -8,7 +8,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::CoherenceEvents;
 
-use crate::{benchmark_input, paper_table2, PaperTable2Row};
+use crate::{characterized, paper_table2, PaperTable2Row};
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -42,8 +42,7 @@ impl Experiment for Table2 {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (ch, _) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (ch, _) = characterized(ctx, bench, procs, pctx.refs_per_proc);
                 let e = ch.events;
                 let p = paper
                     .iter()

@@ -11,7 +11,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 /// Paper values: `[(bench, procs, [250 MHz: 100/200/400 MIPS], [500 MHz: ...])]`.
 fn paper() -> Vec<(&'static str, usize, [f64; 3], [f64; 3])> {
@@ -55,8 +55,8 @@ impl Experiment for Table4 {
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         let cases = paper();
-        // One point per (benchmark, procs); each computes all six cells so
-        // the expensive characterisation runs once per point.
+        // One point per (benchmark, procs); each computes all six cells from
+        // one characterisation.
         let per_case = ctx.map(
             &cases,
             |&(name, procs, _, _)| SweepPoint::new().bench(name).procs(procs),
@@ -65,8 +65,7 @@ impl Experiment for Table4 {
                     .into_iter()
                     .find(|b| b.name() == name)
                     .expect("benchmark exists");
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = characterized(ctx, bench, procs, pctx.refs_per_proc);
                 let mut rows = Vec::new();
                 for (mhz, papers) in [(250u64, paper250), (500u64, paper500)] {
                     let ring = if mhz == 250 {

@@ -13,7 +13,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 /// The timed simulations are the slowest part of the suite; cap their
 /// reference budget so validation stays tractable at the default budget.
@@ -59,8 +59,8 @@ impl Variant {
     }
 }
 
-fn run_point(bench: Benchmark, procs: usize, variant: Variant, refs: u64) -> Row {
-    let (_, input) = benchmark_input(bench, procs, refs).expect("paper config");
+fn run_point(ctx: &SweepCtx, bench: Benchmark, procs: usize, variant: Variant, refs: u64) -> Row {
+    let (_, input) = characterized(ctx, bench, procs, refs);
     let proc = Time::from_ns(20);
     let wl_spec = bench.spec(procs).expect("spec").with_refs(refs);
     let workload = Workload::new(wl_spec).expect("workload");
@@ -127,7 +127,7 @@ impl Experiment for Validate {
                 SweepPoint::new().bench(bench.name()).procs(procs).protocol(variant.label())
             },
             |pctx, &(bench, procs, variant)| {
-                run_point(bench, procs, variant, pctx.refs_per_proc.min(MAX_REFS))
+                run_point(ctx, bench, procs, variant, pctx.refs_per_proc.min(MAX_REFS))
             },
         );
         println!("Validation: timed simulation vs analytical model at 50 MIPS (20 ns processors)");

@@ -16,7 +16,7 @@ use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::Benchmark;
 use ringsim_types::Time;
 
-use crate::benchmark_input;
+use crate::characterized;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Row {
@@ -50,8 +50,7 @@ impl Experiment for WideRing {
             &configs,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs),
             |pctx, &(bench, procs)| {
-                let (_, input) =
-                    benchmark_input(bench, procs, pctx.refs_per_proc).expect("paper config");
+                let (_, input) = characterized(ctx, bench, procs, pctx.refs_per_proc);
                 let ring = RingConfig::wide_64bit_500mhz(procs);
                 [2u64, 5, 10]
                     .into_iter()

@@ -17,12 +17,10 @@ pub mod experiments;
 pub mod loadtest;
 pub mod perf;
 
-use std::fs;
-use std::path::PathBuf;
-
 use serde::{Deserialize, Serialize};
 
 use ringsim_analytic::ModelInput;
+use ringsim_sweep::SweepCtx;
 use ringsim_trace::{characterize, Benchmark, Characteristics};
 use ringsim_types::ConfigError;
 
@@ -85,32 +83,6 @@ pub fn paper_table2() -> Vec<PaperTable2Row> {
     ]
 }
 
-/// Directory where experiment outputs are written (`results/` relative to
-/// the working directory).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    let _ = fs::create_dir_all(&dir);
-    dir
-}
-
-/// Writes `value` as pretty JSON into `results/<name>.json`.
-///
-/// Legacy helper: experiments now write through
-/// [`ringsim_sweep::SweepCtx::write_json`], which also records the artifact
-/// and honours `--out`; this remains for ad-hoc scripts.
-///
-/// # Panics
-///
-/// Panics if serialisation or the write fails (experiment binaries want a
-/// loud failure).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = results_dir().join(format!("{name}.json"));
-    let data = serde_json::to_string_pretty(value).expect("serialisable result");
-    fs::write(&path, data).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
-}
-
 /// Characterises a paper benchmark at a reference-count budget suitable for
 /// experiment runs and returns the characteristics plus the derived model
 /// input.
@@ -129,6 +101,28 @@ pub fn benchmark_input(
     Ok((ch, input))
 }
 
+/// [`benchmark_input`] through the sweep's shared cache: each workload spec
+/// is characterised at most once per cache root, and every later call for
+/// the same spec (from any experiment run against the same out dir) reads
+/// the stored result (see [`SweepCtx::shared`]). The key is the full
+/// [`WorkloadSpec`](ringsim_trace::WorkloadSpec), so a recalibrated spec
+/// never reads a stale entry.
+///
+/// # Panics
+///
+/// Panics if `(bench, procs)` is not one of the benchmark's valid sizes.
+#[must_use]
+pub fn characterized(
+    ctx: &SweepCtx,
+    bench: Benchmark,
+    procs: usize,
+    refs_per_proc: u64,
+) -> (Characteristics, ModelInput) {
+    let spec = bench.spec(procs).expect("paper config").with_refs(refs_per_proc);
+    let key = format!("characterize|{}", serde_json::to_string(&spec).expect("serialisable spec"));
+    ctx.shared(&key, || benchmark_input(bench, procs, refs_per_proc).expect("paper config"))
+}
+
 /// Default per-processor reference budget for experiment binaries (release
 /// builds).
 pub const EXPERIMENT_REFS: u64 = 60_000;
@@ -137,35 +131,6 @@ pub const EXPERIMENT_REFS: u64 = 60_000;
 #[must_use]
 pub fn pct(x: f64) -> String {
     format!("{:5.1}", 100.0 * x)
-}
-
-/// Writes a gnuplot-ready data file into `results/<name>.dat`: a commented
-/// header line followed by whitespace-separated columns.
-///
-/// Legacy helper: experiments now write through
-/// [`ringsim_sweep::SweepCtx::write_dat`]; this remains for ad-hoc scripts.
-///
-/// # Panics
-///
-/// Panics if the write fails.
-pub fn write_dat(name: &str, header: &str, rows: &[Vec<f64>]) {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(rows.len() * 32 + header.len() + 2);
-    out.push_str("# ");
-    out.push_str(header);
-    out.push('\n');
-    for row in rows {
-        for (i, v) in row.iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            let _ = write!(out, "{v:.6}");
-        }
-        out.push('\n');
-    }
-    let path = results_dir().join(format!("{name}.dat"));
-    fs::write(&path, out).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    eprintln!("wrote {}", path.display());
 }
 
 #[cfg(test)]

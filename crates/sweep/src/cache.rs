@@ -19,6 +19,18 @@
 //! input and the key hashes elsewhere; the stale entry is simply never
 //! read again. Unreadable or unparsable entries count as misses and are
 //! rewritten.
+//!
+//! A second namespace, `<cache_root>/.cache/shared/<key-hash>.json`, holds
+//! values that many points and experiments need but that are pure functions
+//! of a caller-chosen key (the trace characterisation of a workload spec is
+//! the motivating case). [`SweepCtx::shared`](crate::SweepCtx::shared)
+//! reads and writes it: the key is `v{SCHEMA}|shared|<key>`, so entries are
+//! scoped to the cache root rather than to an experiment, and any run
+//! against the same out dir reuses them. It follows the per-point cache's
+//! on/off rules (off under `--no-cache`, forced on under sharding) and the
+//! same atomic-write and corrupt-entry-is-a-miss rules, but its lookups
+//! are not sweep points: they never appear in a meta twin's `points`,
+//! `cache_hits` or `cache_misses`.
 
 use std::path::{Path, PathBuf};
 
@@ -43,6 +55,12 @@ pub(crate) fn entry_path(
         "v{SCHEMA}|{experiment}|map={map_call}|refs={refs_per_proc}|seed={seed:016x}|{label}"
     );
     cache_root.join(".cache").join(experiment).join(format!("{:016x}.json", fnv1a(key.as_bytes())))
+}
+
+/// Where the shared entry for `key` lives (see the module docs).
+pub(crate) fn shared_path(cache_root: &Path, key: &str) -> PathBuf {
+    let key = format!("v{SCHEMA}|shared|{key}");
+    cache_root.join(".cache").join("shared").join(format!("{:016x}.json", fnv1a(key.as_bytes())))
 }
 
 /// FNV-1a over the key string (same family as `SweepPoint::seed`, but the
@@ -95,6 +113,16 @@ mod tests {
         assert_ne!(base, entry_path(d, "fig3", 0, 100, "procs=8", 43));
         assert_eq!(base, entry_path(d, "fig3", 0, 100, "procs=8", 42));
         assert!(base.starts_with("results/.cache/fig3"));
+    }
+
+    #[test]
+    fn shared_key_is_per_root_not_per_experiment() {
+        let d = Path::new("results");
+        let a = shared_path(d, "characterize|x");
+        assert_eq!(a, shared_path(d, "characterize|x"));
+        assert_ne!(a, shared_path(d, "characterize|y"));
+        assert_ne!(a, shared_path(Path::new("other"), "characterize|x"));
+        assert!(a.starts_with("results/.cache/shared"));
     }
 
     #[test]

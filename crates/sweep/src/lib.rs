@@ -553,6 +553,36 @@ impl SweepCtx {
         results.into_iter().map(|r| r.expect("point filled")).collect()
     }
 
+    /// Returns the value `key` names, computing it at most once per cache
+    /// root.
+    ///
+    /// The result is stored under `<cache_root>/.cache/shared/` (see the
+    /// `cache` module docs), so any later call with the same key — from
+    /// another point, another `map` call or another experiment run against
+    /// the same out dir — deserialises it instead of calling `compute`.
+    /// `compute` must be a pure function of `key`. The cache rules are
+    /// [`map`](Self::map)'s: off when the per-point cache is off
+    /// (`compute` then runs on every call and nothing is written), forced
+    /// on when sharded, so shard workers share values through
+    /// [`SweepConfig::cache_dir`]. A corrupt entry is a miss and is
+    /// rewritten. Lookups are not sweep points and leave
+    /// [`cache_counts`](Self::cache_counts) alone.
+    ///
+    /// Two threads missing the same key at once both compute it; they
+    /// write identical bytes and the rename is atomic, so either wins.
+    pub fn shared<R: Serialize + Deserialize>(&self, key: &str, compute: impl FnOnce() -> R) -> R {
+        if !self.cfg.use_cache && self.cfg.shard.is_none() {
+            return compute();
+        }
+        let entry = cache::shared_path(self.cfg.cache_root(), key);
+        if let Some(r) = cache::read(&entry) {
+            return r;
+        }
+        let r = compute();
+        cache::write(&entry, &r);
+        r
+    }
+
     fn count_cache(&self, hit: bool) {
         let counter = if hit { &self.cache_hits } else { &self.cache_misses };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -791,6 +821,118 @@ mod tests {
         run_experiment(&Doubler, &cfg);
         assert_eq!((total.load(Ordering::Relaxed), done.load(Ordering::Relaxed)), (20, 20));
         assert_eq!(cached.load(Ordering::Relaxed), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every point needs one value from [`SweepCtx::shared`]; `computed`
+    /// counts how often its closure runs.
+    struct SharedUser {
+        name: &'static str,
+        computed: AtomicUsize,
+    }
+
+    impl SharedUser {
+        fn new(name: &'static str) -> Self {
+            Self { name, computed: AtomicUsize::new(0) }
+        }
+        fn computed(&self) -> usize {
+            self.computed.load(Ordering::Relaxed)
+        }
+    }
+
+    impl Experiment for SharedUser {
+        fn name(&self) -> &'static str {
+            self.name
+        }
+        fn description(&self) -> &'static str {
+            "reads one shared value in every point"
+        }
+        fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
+            let points: Vec<u64> = (0..6).collect();
+            let rows = ctx.map(
+                &points,
+                |p| SweepPoint::new().detail(p.to_string()),
+                |_c, p| {
+                    let base: Vec<u64> = ctx.shared("base", || {
+                        self.computed.fetch_add(1, Ordering::Relaxed);
+                        vec![3, 100]
+                    });
+                    base[0] * p + base[1]
+                },
+            );
+            ctx.write_json(self.name, &rows);
+            ctx.artifacts()
+        }
+    }
+
+    fn shared_entries(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir.join(".cache").join("shared"))
+            .map(|d| d.flatten().map(|e| e.path()).collect())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn shared_value_is_computed_once_per_cache_root() {
+        let dir = std::env::temp_dir().join(format!("ringsim-shared-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SweepConfig::new(0).jobs(1).out_dir(&dir);
+        let (a, b) = (SharedUser::new("shared_a"), SharedUser::new("shared_b"));
+        run_experiment(&a, &cfg);
+        run_experiment(&b, &cfg);
+        assert_eq!((a.computed(), b.computed()), (1, 0), "the second experiment reads the entry");
+        assert_eq!(shared_entries(&dir).len(), 1);
+        assert_eq!(
+            std::fs::read(dir.join("shared_a.json")).unwrap(),
+            std::fs::read(dir.join("shared_b.json")).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_value_without_cache_is_computed_every_time_and_never_written() {
+        let dir = std::env::temp_dir().join(format!("ringsim-shared-off-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SweepConfig::new(0).jobs(2).out_dir(&dir).cache(false);
+        let exp = SharedUser::new("shared_off");
+        run_experiment(&exp, &cfg);
+        run_experiment(&exp, &cfg);
+        assert_eq!(exp.computed(), 12, "one call per point per run");
+        assert!(!dir.join(".cache").join("shared").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_shared_entry_is_a_miss_and_is_rewritten() {
+        let dir = std::env::temp_dir().join(format!("ringsim-shared-trunc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SweepConfig::new(0).jobs(1).out_dir(&dir);
+        let first = SharedUser::new("shared_first");
+        run_experiment(&first, &cfg);
+        let [entry] = shared_entries(&dir).try_into().expect("one shared entry");
+        let good = std::fs::read(&entry).unwrap();
+        std::fs::write(&entry, &good[..good.len() / 2]).unwrap();
+
+        let second = SharedUser::new("shared_second");
+        run_experiment(&second, &cfg);
+        assert_eq!(second.computed(), 1, "the truncated entry was recomputed");
+        assert_eq!(std::fs::read(&entry).unwrap(), good, "and rewritten whole");
+        assert_eq!(
+            std::fs::read(dir.join("shared_first.json")).unwrap(),
+            std::fs::read(dir.join("shared_second.json")).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_lookups_leave_meta_counts_alone() {
+        let dir = std::env::temp_dir().join(format!("ringsim-shared-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SweepConfig::new(0).jobs(2).out_dir(&dir);
+        let exp = SharedUser::new("shared_meta");
+        let cold = run_experiment(&exp, &cfg);
+        assert_eq!((cold.meta.points, cold.meta.cache_hits, cold.meta.cache_misses), (6, 0, 6));
+        let warm = run_experiment(&exp, &cfg);
+        assert_eq!((warm.meta.points, warm.meta.cache_hits, warm.meta.cache_misses), (6, 6, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -41,6 +41,34 @@ impl Experiment for Chained {
     }
 }
 
+/// Every point reads values from `SweepCtx::shared`, keyed by the point's
+/// parity (the shape of an experiment whose points share characterisations).
+struct SharedInputs;
+
+impl Experiment for SharedInputs {
+    fn name(&self) -> &'static str {
+        "shared_inputs"
+    }
+    fn description(&self) -> &'static str {
+        "points reading shared values"
+    }
+    fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
+        let points: Vec<u64> = (0..11).collect();
+        let rows = ctx.map(
+            &points,
+            |p| SweepPoint::new().detail(format!("p-{p}")),
+            |_c, p| {
+                let parity = p % 2;
+                let base: (u64, f64) =
+                    ctx.shared(&format!("parity|{parity}"), || (parity + 7, 0.1 * parity as f64));
+                (base.0 * p, base.1 + *p as f64)
+            },
+        );
+        ctx.write_json("shared_inputs", &rows);
+        ctx.artifacts()
+    }
+}
+
 fn read_artifacts(dir: &Path) -> (Vec<u8>, Vec<u8>) {
     (
         std::fs::read(dir.join("chained.json")).expect("json artifact"),
@@ -94,6 +122,48 @@ fn four_concurrent_shards_fold_to_single_pool_bytes() {
     let (fold_json, fold_dat) = read_artifacts(&run_dir);
     assert_eq!(fold_json, solo_json, "sharded JSON artifact differs from single-pool run");
     assert_eq!(fold_dat, solo_dat, "sharded dat artifact differs from single-pool run");
+
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn shared_values_under_two_shards_fold_to_single_pool_bytes() {
+    let base = std::env::temp_dir().join(format!("ringsim-shard-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+
+    let solo_dir = base.join("solo");
+    let solo = run_experiment(&SharedInputs, &SweepConfig::new(3).jobs(1).out_dir(&solo_dir));
+    assert_eq!(solo.meta.points, 11);
+    let solo_json = std::fs::read(solo_dir.join("shared_inputs.json")).expect("json artifact");
+
+    // Sharding forces the cache on, even against `--no-cache`: the shared
+    // entries land in the run dir both workers use as cache root.
+    let run_dir = base.join("run");
+    std::thread::scope(|scope| {
+        for w in 0..2 {
+            let run_dir = run_dir.clone();
+            scope.spawn(move || {
+                let cfg = SweepConfig::new(3)
+                    .jobs(2)
+                    .cache(false)
+                    .out_dir(run_dir.join(format!("shards/{w}")))
+                    .cache_dir(&run_dir)
+                    .shard(Shard::new(w, 2).unwrap())
+                    .shard_wait(Duration::from_secs(60));
+                assert_eq!(run_experiment(&SharedInputs, &cfg).meta.points, 11);
+            });
+        }
+    });
+    let shared = std::fs::read_dir(run_dir.join(".cache/shared")).expect("shared entries");
+    assert_eq!(shared.count(), 2, "one entry per parity");
+
+    let fold = run_experiment(
+        &SharedInputs,
+        &SweepConfig::new(3).jobs(1).out_dir(&run_dir).cache_dir(&run_dir),
+    );
+    assert_eq!((fold.meta.cache_hits, fold.meta.cache_misses), (11, 0));
+    let fold_json = std::fs::read(run_dir.join("shared_inputs.json")).expect("json artifact");
+    assert_eq!(fold_json, solo_json, "sharded JSON artifact differs from single-pool run");
 
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -1,5 +1,7 @@
 use std::collections::HashMap;
 
+use serde::{Deserialize, Serialize};
+
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
 use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, MemRef, NodeId, Region};
 
@@ -111,7 +113,7 @@ impl RefInterpreter {
     pub fn process(&mut self, r: MemRef) {
         let node = r.node;
         let block = r.addr.block(BLOCK_BYTES);
-        let class = self.caches[node.index()].peek(block, r.kind);
+        let class = self.caches[node.index()].classify(block, r.kind);
 
         if self.counting {
             match (r.region, r.kind) {
@@ -123,17 +125,9 @@ impl RefInterpreter {
         }
 
         match class {
-            AccessClass::Hit => {
-                self.caches[node.index()].classify(block, r.kind);
-            }
-            AccessClass::Upgrade => {
-                self.caches[node.index()].classify(block, r.kind);
-                self.do_upgrade(node, block);
-            }
-            AccessClass::Miss => {
-                self.caches[node.index()].classify(block, r.kind);
-                self.do_miss(node, block, r.kind, r.region);
-            }
+            AccessClass::Hit => {}
+            AccessClass::Upgrade => self.do_upgrade(node, block),
+            AccessClass::Miss => self.do_miss(node, block, r.kind, r.region),
         }
     }
 
@@ -310,7 +304,7 @@ impl RefInterpreter {
 
 /// Table 2-style characteristics of a workload, measured by running it
 /// through the [`RefInterpreter`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Characteristics {
     /// Workload name.
     pub name: String,

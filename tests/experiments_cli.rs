@@ -44,3 +44,51 @@ fn bare_reference_budget_is_rejected() {
     assert!(!out.status.success(), "a bare number must not be taken as --refs");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument `4000`"));
 }
+
+/// Every `fig5*` artifact in `dir`, by file name (meta twins excluded).
+fn fig5_artifacts(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("output directory")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("fig5") && !name.ends_with(".meta.json"))
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).expect("artifact");
+            (name, bytes)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn shared_characterisations_leave_artifacts_unchanged() {
+    let base =
+        std::env::temp_dir().join(format!("ringsim-experiments-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let run = |name: &str, args: &[&str]| {
+        let dir = base.join(name);
+        let out_dir = dir.to_str().expect("utf-8 temp path");
+        let mut all = vec!["--refs", "1000", "--jobs", "2", "--out", out_dir];
+        all.extend_from_slice(args);
+        let out = run_experiments(&all);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        dir
+    };
+    // fig5 alone characterises its twelve configurations itself; after
+    // table2 it reads the twelve entries table2 left in the shared cache;
+    // under --no-cache it computes everything and writes no cache at all.
+    let alone = run("alone", &["--only", "fig5"]);
+    let after_table2 = run("after_table2", &["--only", "table2,fig5"]);
+    let uncached = run("uncached", &["--only", "fig5", "--no-cache"]);
+
+    let want = fig5_artifacts(&alone);
+    assert!(!want.is_empty(), "fig5 wrote no artifacts");
+    assert_eq!(fig5_artifacts(&after_table2), want, "fig5 differs after table2");
+    assert_eq!(fig5_artifacts(&uncached), want, "fig5 differs under --no-cache");
+    let shared = std::fs::read_dir(after_table2.join(".cache/shared")).expect("shared entries");
+    assert_eq!(shared.count(), 12, "one entry per Table 2 configuration");
+    assert!(!uncached.join(".cache").exists(), "--no-cache wrote a cache");
+
+    std::fs::remove_dir_all(&base).expect("remove the output directories");
+}
