@@ -22,7 +22,9 @@
 //! run.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use ringsim_obs::MetricsSink;
 use ringsim_sweep::{default_jobs, run_experiment, Experiment, SweepConfig};
 
 use crate::experiments;
@@ -140,14 +142,23 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
 
 /// Whether point caching is effective for this invocation: `--no-cache`
 /// turns it off explicitly, and `--metrics` / `--sanitize` imply it (cache
-/// hits skip the work closure, so the metrics sinks and the sanitizer would
+/// hits skip the work closure, so the metrics sink and the sanitizer would
 /// see nothing on a warm run).
 fn cache_enabled(opts: &Options) -> bool {
     !opts.no_cache && opts.metrics.is_none() && !opts.sanitize
 }
 
-fn sweep_config(opts: &Options) -> SweepConfig {
-    SweepConfig::new(opts.refs).jobs(opts.jobs).out_dir(&opts.out_dir).cache(cache_enabled(opts))
+/// The sweep configuration of this invocation; `metrics` is the sink of
+/// `--metrics`, if given.
+fn sweep_config(opts: &Options, metrics: Option<Arc<MetricsSink>>) -> SweepConfig {
+    SweepConfig {
+        metrics,
+        ..SweepConfig::new(opts.refs)
+            .jobs(opts.jobs)
+            .out_dir(&opts.out_dir)
+            .cache(cache_enabled(opts))
+            .sanitize(opts.sanitize)
+    }
 }
 
 /// Explains an implied `--no-cache` once per invocation.
@@ -160,14 +171,11 @@ fn note_cache_implication(opts: &Options) {
     }
 }
 
-/// Drains the process-wide metrics sink into `opts.metrics` (no-op when the
-/// flag was not given). Returns `false` when the write failed.
-fn write_metrics(opts: &Options) -> bool {
-    let Some(path) = &opts.metrics else { return true };
-    let summary = ringsim_obs::take_global_metrics().unwrap_or_default();
-    let runs = summary.runs;
-    let file =
-        ringsim_obs::MetricsFile { summary, timelines: ringsim_obs::take_global_timelines() };
+/// Drains `sink` into the `--metrics` file at `path`. Returns `false`
+/// when the write failed.
+fn write_metrics(path: &str, sink: &MetricsSink) -> bool {
+    let file = sink.drain();
+    let runs = file.summary.runs;
     match std::fs::write(path, file.to_json()) {
         Ok(()) => {
             eprintln!("metrics: {runs} run(s) folded into {path}");
@@ -180,8 +188,8 @@ fn write_metrics(opts: &Options) -> bool {
     }
 }
 
-fn run_one(exp: &'static dyn Experiment, opts: &Options) {
-    let report = run_experiment(exp, &sweep_config(opts));
+fn run_one(exp: &'static dyn Experiment, opts: &Options, cfg: &SweepConfig) {
+    let report = run_experiment(exp, cfg);
     eprintln!(
         "{}: {} points in {:.0} ms on {} thread{} ({:.1} points/s), meta in {}/{}.meta.json",
         exp.name(),
@@ -214,12 +222,6 @@ pub fn run_with(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.sanitize {
-        ringsim_core::set_sanitize_mode(ringsim_core::SanitizeMode::On);
-    }
-    if opts.metrics.is_some() {
-        ringsim_obs::set_global_metrics(true);
-    }
     if opts.list {
         println!("{:<12}  description", "experiment");
         for e in experiments::ALL {
@@ -243,17 +245,22 @@ pub fn run_with(args: &[String]) -> ExitCode {
         }
         sel
     };
+    // One sink per invocation; it keeps timelines because `--metrics`
+    // exports them.
+    let sink = opts.metrics.as_ref().map(|_| Arc::new(MetricsSink::new(true)));
+    let cfg = sweep_config(&opts, sink.clone());
     for (i, exp) in selected.iter().enumerate() {
         if i > 0 {
             println!();
         }
-        run_one(*exp, &opts);
+        run_one(*exp, &opts, &cfg);
     }
-    if write_metrics(&opts) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if let (Some(path), Some(sink)) = (&opts.metrics, &sink) {
+        if !write_metrics(path, sink) {
+            return ExitCode::FAILURE;
+        }
     }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

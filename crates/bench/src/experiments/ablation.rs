@@ -12,10 +12,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use ringsim_core::{RingSystem, RunOptions, Simulator, SystemConfig};
+use ringsim_core::{RingSystem, SystemConfig};
 use ringsim_proto::ProtocolKind;
 use ringsim_ring::RingConfig;
-use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
+use ringsim_sweep::{Artifact, Experiment, PointCtx, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 use ringsim_types::Time;
 
@@ -111,13 +111,14 @@ struct SimSummary {
 
 /// The ablation points need bespoke [`SystemConfig`]s (slot mixes, wide
 /// rings, bank queueing), so they construct the [`RingSystem`] directly but
-/// still run it through the shared [`Simulator::run`] lifecycle so
-/// cross-cutting features (metrics sinks, obs) apply here too.
-fn simulate(cfg: SystemConfig, refs: u64) -> SimSummary {
+/// still run it through [`crate::simulate`] so the point's metrics sink and
+/// sanitizer request apply here too.
+fn run_point(pctx: &PointCtx, cfg: SystemConfig) -> SimSummary {
+    let refs = pctx.refs_per_proc.min(MAX_REFS);
     let spec = Benchmark::Mp3d.spec(16).expect("spec").with_refs(refs);
     let workload = Workload::new(spec).expect("workload");
     let mut system = RingSystem::new(cfg, workload).expect("system");
-    let r = Simulator::run(&mut system, &RunOptions::default()).report;
+    let r = crate::simulate(pctx, &mut system);
     SimSummary {
         proc_util: r.proc_util,
         ring_util: r.ring_util,
@@ -152,7 +153,7 @@ impl Experiment for Ablation {
         let results = ctx.map(
             &points,
             |p| SweepPoint::new().bench("mp3d").procs(16).detail(p.label()),
-            |pctx, p| simulate(p.config(), pctx.refs_per_proc.min(MAX_REFS)),
+            |pctx, p| run_point(pctx, p.config()),
         );
 
         // 1. slot mix sweep.

@@ -6,10 +6,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use ringsim_core::{RunOptions, SciRingSystem, SciSystemConfig, SimKind, SimSpec};
+use ringsim_core::{SciRingSystem, SciSystemConfig, SimKind, SimSpec};
 use ringsim_proto::table1::TraversalReport;
 use ringsim_proto::ProtocolKind;
-use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
+use ringsim_sweep::{Artifact, Experiment, PointCtx, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 use ringsim_types::Time;
 
@@ -35,7 +35,8 @@ struct Row {
     sci_traversals: TraversalReport,
 }
 
-fn run_point(bench: Benchmark, procs: usize, refs: u64) -> Row {
+fn run_point(pctx: &PointCtx, bench: Benchmark, procs: usize) -> Row {
+    let refs = pctx.refs_per_proc.min(MAX_REFS);
     let proc = Time::from_ns(20);
     let spec = bench.spec(procs).expect("paper spec").with_refs(refs);
 
@@ -44,7 +45,7 @@ fn run_point(bench: Benchmark, procs: usize, refs: u64) -> Row {
         let sim_spec =
             SimSpec::new(workload).with_protocol(ProtocolKind::Directory).with_proc_cycle(proc);
         let mut system = SimKind::Ring500.build(&sim_spec).expect("system");
-        system.run(&RunOptions::default()).report
+        crate::simulate(pctx, system.as_mut())
     };
 
     // Built directly (not through the registry) so the engine's traversal
@@ -52,7 +53,7 @@ fn run_point(bench: Benchmark, procs: usize, refs: u64) -> Row {
     let workload = Workload::new(spec).expect("workload");
     let cfg = SciSystemConfig::sci_500mhz(procs).with_proc_cycle(proc);
     let mut sci = SciRingSystem::new(cfg, workload).expect("system");
-    let sci_report = sci.run();
+    let sci_report = crate::simulate(pctx, &mut sci);
 
     Row {
         bench: bench.name().to_owned(),
@@ -84,7 +85,7 @@ impl Experiment for SciVsFullmap {
         let rows = ctx.map(
             &cases,
             |&(bench, procs)| SweepPoint::new().bench(bench.name()).procs(procs).protocol("sci"),
-            |pctx, &(bench, procs)| run_point(bench, procs, pctx.refs_per_proc.min(MAX_REFS)),
+            |pctx, &(bench, procs)| run_point(pctx, bench, procs),
         );
         println!("SCI linked list vs full map, timed at 500 MHz / 50 MIPS (16 procs)");
         println!("{:-<100}", "");

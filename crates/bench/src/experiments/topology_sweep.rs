@@ -6,8 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use ringsim_core::{HierTopology, RunOptions, SimKind, SimSpec};
-use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
+use ringsim_core::{HierTopology, SimKind, SimSpec};
+use ringsim_sweep::{Artifact, Experiment, PointCtx, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 
 /// Cap the budget like the other timed comparisons so the experiment stays
@@ -41,7 +41,8 @@ struct Row {
     sim_end_ns: f64,
 }
 
-fn run_point(bench: Benchmark, procs: usize, label: &str, refs: u64) -> Row {
+fn run_point(pctx: &PointCtx, bench: Benchmark, procs: usize, label: &str) -> Row {
+    let refs = pctx.refs_per_proc.min(MAX_REFS);
     let (_, kind, topo) = *CONFIGS.iter().find(|(l, ..)| *l == label).expect("known config");
     let spec = bench.spec(procs).expect("paper spec").with_refs(refs);
     let workload = Workload::new(spec).expect("workload");
@@ -50,7 +51,7 @@ fn run_point(bench: Benchmark, procs: usize, label: &str, refs: u64) -> Row {
         sim_spec = sim_spec.with_topology(t);
     }
     let mut sim = kind.build(&sim_spec).expect("hier topology system");
-    let report = sim.run(&RunOptions::default()).report;
+    let report = crate::simulate(pctx, sim.as_mut());
     Row {
         bench: bench.name().to_owned(),
         procs,
@@ -91,9 +92,7 @@ impl Experiment for TopologySweep {
             |&(bench, label)| {
                 SweepPoint::new().bench(bench.name()).procs(procs).detail(format!("topo={label}"))
             },
-            |pctx, &(bench, label)| {
-                run_point(bench, procs, label, pctx.refs_per_proc.min(MAX_REFS))
-            },
+            |pctx, &(bench, label)| run_point(pctx, bench, procs, label),
         );
         println!("Ring topology sweep, timed at 500 MHz ({procs} procs)");
         println!("{:-<86}", "");

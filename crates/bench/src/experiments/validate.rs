@@ -6,10 +6,10 @@ use serde::{Deserialize, Serialize};
 
 use ringsim_analytic::{BusModel, ModelInput, RingModel};
 use ringsim_bus::BusConfig;
-use ringsim_core::{RunOptions, SimKind, SimSpec};
+use ringsim_core::{SimKind, SimSpec};
 use ringsim_proto::ProtocolKind;
 use ringsim_ring::RingConfig;
-use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
+use ringsim_sweep::{Artifact, Experiment, PointCtx, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
 use ringsim_types::Time;
 
@@ -59,7 +59,14 @@ impl Variant {
     }
 }
 
-fn run_point(ctx: &SweepCtx, bench: Benchmark, procs: usize, variant: Variant, refs: u64) -> Row {
+fn run_point(
+    ctx: &SweepCtx,
+    pctx: &PointCtx,
+    bench: Benchmark,
+    procs: usize,
+    variant: Variant,
+) -> Row {
+    let refs = pctx.refs_per_proc.min(MAX_REFS);
     let (_, input) = characterized(ctx, bench, procs, refs);
     let proc = Time::from_ns(20);
     let wl_spec = bench.spec(procs).expect("spec").with_refs(refs);
@@ -75,7 +82,7 @@ fn run_point(ctx: &SweepCtx, bench: Benchmark, procs: usize, variant: Variant, r
         Variant::Bus => SimSpec::new(workload).with_proc_cycle(proc),
     };
     let mut system = kind.build(&spec).expect("system");
-    let sim = system.run(&RunOptions::default()).report;
+    let sim = crate::simulate(pctx, system.as_mut());
     // Feed the *simulator's own* event mix to the model, mirroring the
     // paper's methodology (simulation-derived parameters).
     let sim_input = ModelInput::from_report(&sim, input.instr_per_data);
@@ -126,9 +133,7 @@ impl Experiment for Validate {
             |&(bench, procs, variant)| {
                 SweepPoint::new().bench(bench.name()).procs(procs).protocol(variant.label())
             },
-            |pctx, &(bench, procs, variant)| {
-                run_point(ctx, bench, procs, variant, pctx.refs_per_proc.min(MAX_REFS))
-            },
+            |pctx, &(bench, procs, variant)| run_point(ctx, pctx, bench, procs, variant),
         );
         println!("Validation: timed simulation vs analytical model at 50 MIPS (20 ns processors)");
         println!("{:-<100}", "");

@@ -20,7 +20,9 @@ pub mod perf;
 use serde::{Deserialize, Serialize};
 
 use ringsim_analytic::ModelInput;
-use ringsim_sweep::SweepCtx;
+use ringsim_core::{RunOptions, SimReport, Simulator};
+use ringsim_obs::ObsConfig;
+use ringsim_sweep::{PointCtx, SweepCtx};
 use ringsim_trace::{characterize, Benchmark, Characteristics};
 use ringsim_types::ConfigError;
 
@@ -121,6 +123,31 @@ pub fn characterized(
     let spec = bench.spec(procs).expect("paper config").with_refs(refs_per_proc);
     let key = format!("characterize|{}", serde_json::to_string(&spec).expect("serialisable spec"));
     ctx.shared(&key, || benchmark_input(bench, procs, refs_per_proc).expect("paper config"))
+}
+
+/// Runs `sim` as one simulator run of the sweep point `pctx`.
+///
+/// The run forces the coherence sanitizer on when the point asks for it.
+/// When the point carries a metrics sink, the run's summary is folded into
+/// it. If the sink keeps timelines, the run records gauge timelines only
+/// (a zero-capacity trace) and folds them too, named
+/// `<experiment>/<label>/<timeline>` so the exported document is
+/// independent of `--jobs`.
+pub fn simulate(pctx: &PointCtx, sim: &mut dyn Simulator) -> SimReport {
+    let obs = pctx
+        .metrics
+        .as_ref()
+        .filter(|sink| sink.keeps_timelines())
+        .map(|_| ObsConfig { trace_capacity: 0, ..ObsConfig::default() });
+    let outcome = sim.run(&RunOptions { obs, sanitize: pctx.sanitize });
+    if let Some(sink) = &pctx.metrics {
+        let timelines = outcome.obs.into_iter().flat_map(|rec| rec.timelines).map(|mut tl| {
+            tl.name = format!("{}/{}/{}", pctx.experiment, pctx.label, tl.name);
+            tl
+        });
+        sink.fold(&outcome.report.metrics_summary(), timelines);
+    }
+    outcome.report
 }
 
 /// Default per-processor reference budget for experiment binaries (release

@@ -12,7 +12,7 @@
 
 use ringsim_bus::{Bus, BusConfig, PhaseKind};
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::guarded;
 use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
 use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
@@ -22,6 +22,7 @@ use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId,
 use crate::collections::FnvMap;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
+use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 /// Windowed-accumulator slot for bus arbitration wait (see [`Obs::acc_add`]).
 const ACC_ARB_WAIT: usize = 0;
@@ -270,10 +271,12 @@ pub struct BusSystem {
     class_lat: ClassLatencies,
     events: CoherenceEvents,
     snapshot: Option<(ringsim_bus::BusStats, Time)>,
-    // Telemetry (no-op unless `attach_obs` was called).
+    // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_bus_tl: usize,
     obs_window: (ringsim_bus::BusStats, Time),
+    /// Whether retire boundaries run the coherence sanitizer.
+    sanitize: bool,
 }
 
 impl BusSystem {
@@ -333,26 +336,10 @@ impl BusSystem {
             events: CoherenceEvents::default(),
             snapshot: None,
             obs: Obs::disabled(),
+            sanitize: sanitize::enabled(false),
             obs_bus_tl: usize::MAX,
             obs_window: (ringsim_bus::BusStats::default(), Time::ZERO),
         })
-    }
-
-    /// Enables telemetry for this run: per-transaction trace events plus a
-    /// `"bus"` gauge timeline (busy fractions over the sampling window,
-    /// outstanding transactions, mean arbitration wait). Strictly
-    /// observational.
-    pub fn attach_obs(&mut self, cfg: ObsConfig) {
-        let mut obs = Obs::enabled(cfg, self.nodes.len());
-        self.obs_bus_tl = obs
-            .add_timeline("bus", &["busy", "addr_busy", "data_busy", "outstanding", "arb_wait_ns"]);
-        self.obs = obs;
-    }
-
-    /// Takes the telemetry recorder after a run; `None` unless
-    /// [`BusSystem::attach_obs`] was called.
-    pub fn take_obs(&mut self) -> Option<Recorder> {
-        std::mem::take(&mut self.obs).into_recorder()
     }
 
     fn schedule(&mut self, at: Time, ev: Event) {
@@ -912,7 +899,7 @@ impl BusSystem {
 
     fn complete(&mut self, i: usize) {
         let t = self.nodes[i].txn.take().expect("completing absent txn");
-        if sanitize::sanitize_enabled() {
+        if self.sanitize {
             // Snoop resolution is atomic at the serialisation point, so no
             // transient carve-outs are needed: SWMR must hold outright.
             let states: Vec<LineState> =
@@ -988,7 +975,7 @@ impl BusSystem {
                 (t.as_ps() as f64 / window.as_ps() as f64).min(1.0)
             }
         };
-        let report = SimReport {
+        SimReport {
             protocol: match self.cfg.protocol {
                 BusProtocol::Msi => "bus-snooping".into(),
                 BusProtocol::Mesi => "bus-mesi".into(),
@@ -1008,11 +995,7 @@ impl BusSystem {
             events: self.events,
             retries: 0,
             per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
         }
-        report
     }
 }
 
@@ -1023,6 +1006,24 @@ fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -
         return false;
     }
     requester.hops_to(dirty, nodes) < requester.hops_to(home, nodes)
+}
+
+/// A run records per-transaction trace events plus a `"bus"` gauge
+/// timeline (busy fractions over the sampling window, outstanding
+/// transactions, mean arbitration wait) when `opts.obs` asks for them.
+impl Simulator for BusSystem {
+    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
+        self.sanitize = sanitize::enabled(opts.sanitize);
+        if let Some(cfg) = opts.obs {
+            self.obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs_bus_tl = self.obs.add_timeline(
+                "bus",
+                &["busy", "addr_busy", "data_busy", "outstanding", "arb_wait_ns"],
+            );
+        }
+        let report = BusSystem::run(self);
+        RunOutcome { report, obs: std::mem::take(&mut self.obs).into_recorder() }
+    }
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@
 //!   transiently exceeds its cap) — without that escape, fully occupied
 //!   bridges on opposite sides of a ring can enter a circular wait. Every
 //!   message is therefore eventually delivered. Per-bridge
-//!   occupancy/deflection gauges flow through the `ringsim-obs` sinks.
+//!   occupancy/deflection gauges are recorded when a run asks for telemetry.
 
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::{MsgClass, MsgKind, RingMessage};
 use ringsim_ring::{RingTopology, SlotId, SlotKind, SlotRing};
 use ringsim_types::rng::Xoshiro256;
@@ -51,6 +51,7 @@ use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Time};
 use crate::collections::RingBuf;
 use crate::report::{summarize_nodes, ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
+use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 /// Block-address bit layout. Bits 0–31 carry the per-transaction id,
 /// bits 32–47 the home leaf ring and bits 48–53 the origin leaf ring + 1
@@ -264,6 +265,8 @@ pub struct HierNetSim {
     obs: Obs,
     obs_hier_tl: usize,
     obs_bridge_tl: usize,
+    /// Whether retire boundaries run the coherence sanitizer.
+    sanitize: bool,
     /// Earliest cycle each node could act in the think/issue step
     /// (`u64::MAX` while waiting on a reply or finished). Lets the
     /// per-cycle loop skip nodes that provably cannot move.
@@ -329,41 +332,12 @@ impl HierNetSim {
             max_cycles: 500_000_000,
             debug: false,
             obs: Obs::disabled(),
+            sanitize: sanitize::enabled(false),
             obs_hier_tl: usize::MAX,
             obs_bridge_tl: usize::MAX,
             wake_at: vec![0; cfg_total_nodes],
             scheds,
         })
-    }
-
-    /// Enables telemetry for this run: per-transaction trace events, a
-    /// `"hier"` gauge timeline (combined leaf-ring occupancy, combined
-    /// upper-ring occupancy, total bridge queue depth) and — for trees
-    /// with at least one bridge — a `"bridges"` timeline with per-bridge
-    /// occupancy, cumulative deflection and cumulative transfer columns.
-    /// Strictly observational.
-    pub fn attach_obs(&mut self, cfg: ObsConfig) {
-        let mut obs = Obs::enabled(cfg, self.nodes.len());
-        self.obs_hier_tl = obs.add_timeline("hier", &["local_occ", "global_occ", "iri_queue"]);
-        if self.cfg.topo.levels() > 1 {
-            let mut names = Vec::new();
-            for (level, row) in self.bridges.iter().enumerate() {
-                for ring in 0..row.len() {
-                    for gauge in ["occ", "defl", "xfer"] {
-                        names.push(format!("L{level}R{ring}_{gauge}"));
-                    }
-                }
-            }
-            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-            self.obs_bridge_tl = obs.add_timeline("bridges", &refs);
-        }
-        self.obs = obs;
-    }
-
-    /// Takes the telemetry recorder after a run; `None` unless
-    /// [`HierNetSim::attach_obs`] was called.
-    pub fn take_obs(&mut self) -> Option<Recorder> {
-        std::mem::take(&mut self.obs).into_recorder()
     }
 
     /// Encodes routing into a message: requester in `requester`, the home
@@ -685,7 +659,7 @@ impl HierNetSim {
             clean_remote: self.inter_hist.clone(),
             ..ClassLatencies::default()
         };
-        let report = SimReport {
+        SimReport {
             protocol: "hier-net".to_owned(),
             nodes: self.nodes.len(),
             proc_cycle: self.cfg.think_time,
@@ -701,11 +675,7 @@ impl HierNetSim {
             events,
             retries: rep.deflections,
             per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
         }
-        report
     }
 
     /// Handles one header arrival on leaf ring `ring_idx`: `pos` below
@@ -812,7 +782,7 @@ impl HierNetSim {
                                 self.wake_at[global_node] = until.as_ps().div_ceil(period_ps);
                                 let class = if origin_ring == 0 { "intra" } else { "inter" };
                                 self.obs.txn_end(global_node, "txn", class, now);
-                                if sanitize::sanitize_enabled() {
+                                if self.sanitize {
                                     let issued: u64 = self.nodes.iter().map(|n| n.issued).sum();
                                     sanitize::check_conservation(
                                         "hier-net",
@@ -1090,6 +1060,37 @@ impl HierNetSim {
                 }
             }
         }
+    }
+}
+
+/// A run records per-transaction trace events, a `"hier"` gauge timeline
+/// (combined leaf-ring occupancy, combined upper-ring occupancy, total
+/// bridge queue depth) and — for trees with at least one bridge — a
+/// `"bridges"` timeline with per-bridge occupancy, cumulative deflection
+/// and cumulative transfer columns, when `opts.obs` asks for them.
+impl Simulator for HierNetSim {
+    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
+        self.sanitize = sanitize::enabled(opts.sanitize);
+        if let Some(cfg) = opts.obs {
+            let mut obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs_hier_tl = obs.add_timeline("hier", &["local_occ", "global_occ", "iri_queue"]);
+            if self.cfg.topo.levels() > 1 {
+                let mut names = Vec::new();
+                for (level, row) in self.bridges.iter().enumerate() {
+                    for ring in 0..row.len() {
+                        for gauge in ["occ", "defl", "xfer"] {
+                            names.push(format!("L{level}R{ring}_{gauge}"));
+                        }
+                    }
+                }
+                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                self.obs_bridge_tl = obs.add_timeline("bridges", &refs);
+            }
+            self.obs = obs;
+        }
+        let rep = HierNetSim::run(self);
+        let report = self.sim_report(&rep);
+        RunOutcome { report, obs: std::mem::take(&mut self.obs).into_recorder() }
     }
 }
 

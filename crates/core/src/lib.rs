@@ -50,7 +50,6 @@ pub use engine::EventQueue;
 pub use hier_net::{HierNetConfig, HierNetReport, HierNetSim};
 pub use report::{summarize_nodes, ClassLatencies, NodeMeasure, NodeSummary, SimReport};
 pub use ring_system::RingSystem;
-pub use sanitize::{sanitize_enabled, set_sanitize_mode, SanitizeMode};
 pub use sci_system::{SciRingSystem, SciSystemConfig};
 pub use simulator::{
     HierTopology, RunOptions, RunOutcome, SimKind, SimKindError, SimSpec, Simulator,

@@ -25,7 +25,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use ringsim_cache::{AccessClass, CacheBank, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::guarded;
 use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
 use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
@@ -38,6 +38,7 @@ use crate::collections::{FnvMap, RingBuf};
 use crate::config::SystemConfig;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
+use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TxnKind {
@@ -169,9 +170,11 @@ pub struct RingSystem {
     events: CoherenceEvents,
     retries: u64,
     snapshot: Option<(ringsim_ring::RingStats, Time)>,
-    // Telemetry (no-op unless `attach_obs` was called).
+    // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_ring_tl: usize,
+    /// Whether retire boundaries run the coherence sanitizer.
+    sanitize: bool,
     last_progress_cycle: u64,
     /// Per-home memory bank availability (used when
     /// `model_bank_contention` is on).
@@ -265,6 +268,7 @@ impl RingSystem {
             snapshot: None,
             obs: Obs::disabled(),
             obs_ring_tl: usize::MAX,
+            sanitize: sanitize::enabled(false),
             last_progress_cycle: 0,
             bank_free_at: vec![Time::ZERO; n],
             arrival_sched,
@@ -274,25 +278,6 @@ impl RingSystem {
             min_wake: 0,
             runnable: if n == 64 { u64::MAX } else { (1 << n) - 1 },
         })
-    }
-
-    /// Enables telemetry for this run: per-transaction trace events plus a
-    /// `"ring"` gauge timeline (slot/probe/block occupancy, home queue
-    /// depth, transmit queue depth). Recording is strictly observational —
-    /// it cannot change the simulation's results.
-    pub fn attach_obs(&mut self, cfg: ObsConfig) {
-        let mut obs = Obs::enabled(cfg, self.nodes.len());
-        self.obs_ring_tl = obs.add_timeline(
-            "ring",
-            &["slot_occ", "probe_occ", "block_occ", "home_queue", "tx_queue"],
-        );
-        self.obs = obs;
-    }
-
-    /// Takes the telemetry recorder (trace buffer + timelines) after a run;
-    /// `None` unless [`RingSystem::attach_obs`] was called.
-    pub fn take_obs(&mut self) -> Option<Recorder> {
-        std::mem::take(&mut self.obs).into_recorder()
     }
 
     fn schedule(&mut self, at: Time, ev: Event) {
@@ -1057,7 +1042,7 @@ impl RingSystem {
                 self.nodes[i].pending_fwds.push(fwd);
             }
         }
-        if sanitize::sanitize_enabled() {
+        if self.sanitize {
             self.sanitize_retired_block(t.block);
         }
         let node = &mut self.nodes[i];
@@ -1595,7 +1580,7 @@ impl RingSystem {
             occupied_probe_cycles: total_stats.occupied_probe_cycles - base.occupied_probe_cycles,
             occupied_block_cycles: total_stats.occupied_block_cycles - base.occupied_block_cycles,
         };
-        let report = SimReport {
+        SimReport {
             protocol: self.cfg.protocol.name().to_owned(),
             nodes: self.cfg.nodes(),
             proc_cycle: self.cfg.proc_cycle,
@@ -1611,11 +1596,7 @@ impl RingSystem {
             events: self.events,
             retries: self.retries,
             per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
         }
-        report
     }
 
     /// Coherence state of `block` in node `i`'s cache (inspection hook for
@@ -1701,6 +1682,24 @@ fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -
         return false;
     }
     requester.hops_to(dirty, nodes) < requester.hops_to(home, nodes)
+}
+
+/// A run records per-transaction trace events plus a `"ring"` gauge
+/// timeline (slot/probe/block occupancy, home queue depth, transmit queue
+/// depth) when `opts.obs` asks for them.
+impl Simulator for RingSystem {
+    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
+        self.sanitize = sanitize::enabled(opts.sanitize);
+        if let Some(cfg) = opts.obs {
+            self.obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs_ring_tl = self.obs.add_timeline(
+                "ring",
+                &["slot_occ", "probe_occ", "block_occ", "home_queue", "tx_queue"],
+            );
+        }
+        let report = RingSystem::run(self);
+        RunOutcome { report, obs: std::mem::take(&mut self.obs).into_recorder() }
+    }
 }
 
 #[cfg(test)]

@@ -10,47 +10,19 @@
 //! The sanitizer never changes simulation behaviour or results — it only
 //! observes — so sanitized runs produce byte-identical artifacts.
 //!
-//! Cost is O(nodes) per retired transaction. The default [`SanitizeMode::Auto`]
-//! enables it in debug builds (including `cargo test`) and disables it in
-//! release runs; `--sanitize` on the CLI forces it on.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Cost is O(nodes) per retired transaction. A run checks in debug builds
+//! (including `cargo test`) and skips the checks in release builds unless
+//! its caller forces them on with `RunOptions::sanitize` (`--sanitize` on
+//! the CLI).
 
 use ringsim_cache::LineState;
 use ringsim_proto::invariants;
 use ringsim_types::BlockAddr;
 
-/// When the runtime coherence sanitizer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SanitizeMode {
-    /// On in debug builds and tests, off in release builds (the default).
-    #[default]
-    Auto,
-    /// Always on, release builds included (`--sanitize`).
-    On,
-    /// Always off.
-    Off,
-}
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide sanitizer mode.
-pub fn set_sanitize_mode(mode: SanitizeMode) {
-    let v = match mode {
-        SanitizeMode::Auto => 0,
-        SanitizeMode::On => 1,
-        SanitizeMode::Off => 2,
-    };
-    MODE.store(v, Ordering::Relaxed);
-}
-
-/// Whether retire-boundary checks currently run.
-pub fn sanitize_enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => cfg!(debug_assertions),
-    }
+/// Whether a run checks: always in debug builds, and in release builds
+/// when its caller `forced` the checks on.
+pub(crate) fn enabled(forced: bool) -> bool {
+    forced || cfg!(debug_assertions)
 }
 
 fn fail(block: BlockAddr, states: &[LineState], err: &str) -> ! {
@@ -90,13 +62,8 @@ mod tests {
 
     #[test]
     fn auto_follows_build_profile() {
-        set_sanitize_mode(SanitizeMode::Auto);
-        assert_eq!(sanitize_enabled(), cfg!(debug_assertions));
-        set_sanitize_mode(SanitizeMode::On);
-        assert!(sanitize_enabled());
-        set_sanitize_mode(SanitizeMode::Off);
-        assert!(!sanitize_enabled());
-        set_sanitize_mode(SanitizeMode::Auto);
+        assert_eq!(enabled(false), cfg!(debug_assertions));
+        assert!(enabled(true));
     }
 
     #[test]

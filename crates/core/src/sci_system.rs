@@ -25,7 +25,7 @@
 //! completed transaction.
 
 use ringsim_cache::{AccessClass, LineState};
-use ringsim_obs::{LatencyHistogram, Obs, ObsConfig, Recorder};
+use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::sci::SciEngine;
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
@@ -38,6 +38,7 @@ use ringsim_types::{
 use crate::collections::FnvMap;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
+use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 /// Windowed-accumulator slot for home-queue wait (see [`Obs::acc_add`]).
 const ACC_HOME_WAIT: usize = 0;
@@ -210,10 +211,12 @@ pub struct SciRingSystem {
     upg_lat: RunningMean,
     class_lat: ClassLatencies,
     events: CoherenceEvents,
-    // Telemetry (no-op unless `attach_obs` was called).
+    // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_sci_tl: usize,
     obs_window: (Time, Time),
+    /// Whether retire boundaries run the coherence sanitizer.
+    sanitize: bool,
 }
 
 impl SciRingSystem {
@@ -273,25 +276,10 @@ impl SciRingSystem {
             class_lat: ClassLatencies::default(),
             events: CoherenceEvents::default(),
             obs: Obs::disabled(),
+            sanitize: sanitize::enabled(false),
             obs_sci_tl: usize::MAX,
             obs_window: (Time::ZERO, Time::ZERO),
         })
-    }
-
-    /// Enables telemetry for this run: per-transaction trace events plus a
-    /// `"sci"` gauge timeline (ring travel fraction over the sampling
-    /// window, outstanding transactions, mean home-queue wait). Strictly
-    /// observational.
-    pub fn attach_obs(&mut self, cfg: ObsConfig) {
-        let mut obs = Obs::enabled(cfg, self.nodes.len());
-        self.obs_sci_tl = obs.add_timeline("sci", &["travel", "outstanding", "home_wait_ns"]);
-        self.obs = obs;
-    }
-
-    /// Takes the telemetry recorder after a run; `None` unless
-    /// [`SciRingSystem::attach_obs`] was called.
-    pub fn take_obs(&mut self) -> Option<Recorder> {
-        std::mem::take(&mut self.obs).into_recorder()
     }
 
     /// Replays `refs` through the protocol engine directly, in the order
@@ -516,7 +504,7 @@ impl SciRingSystem {
 
     fn complete(&mut self, i: usize) {
         let t = self.nodes[i].txn.take().expect("completing absent txn");
-        if sanitize::sanitize_enabled() {
+        if self.sanitize {
             // List and cache mutations are atomic at the serialisation
             // point, so SWMR must hold outright at every retire.
             let states: Vec<LineState> = (0..self.nodes.len())
@@ -576,7 +564,7 @@ impl SciRingSystem {
         } else {
             (travel.as_ps() as f64 / window.as_ps() as f64).min(1.0)
         };
-        let report = SimReport {
+        SimReport {
             protocol: "sci-linked-list".into(),
             nodes: self.cfg.nodes(),
             proc_cycle: self.cfg.proc_cycle,
@@ -595,11 +583,23 @@ impl SciRingSystem {
             events: self.events,
             retries: 0,
             per_node,
-        };
-        if ringsim_obs::global_metrics_enabled() {
-            ringsim_obs::global_record(&report.metrics_summary());
         }
-        report
+    }
+}
+
+/// A run records per-transaction trace events plus a `"sci"` gauge
+/// timeline (ring travel fraction over the sampling window, outstanding
+/// transactions, mean home-queue wait) when `opts.obs` asks for them.
+impl Simulator for SciRingSystem {
+    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
+        self.sanitize = sanitize::enabled(opts.sanitize);
+        if let Some(cfg) = opts.obs {
+            self.obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs_sci_tl =
+                self.obs.add_timeline("sci", &["travel", "outstanding", "home_wait_ns"]);
+        }
+        let report = SciRingSystem::run(self);
+        RunOutcome { report, obs: std::mem::take(&mut self.obs).into_recorder() }
     }
 }
 

@@ -2,19 +2,16 @@
 //! the one dispatch behind every CLI and experiment run.
 //!
 //! The paper's central method is running the *same* workloads through
-//! interchangeable interconnects and comparing curves. Before this module,
-//! each backend ([`RingSystem`], [`BusSystem`], [`HierNetSim`]) hand-rolled
-//! construction, obs attachment and report assembly, and every cross-cutting
-//! feature (sanitizer, telemetry, metrics sinks) had to be threaded through
-//! three copies. Now a backend is: implement [`Simulator`], register a
-//! [`SimKind`], done — `sim --network {ring,bus,hier}` is one dispatch, and
-//! so is the experiment suite's per-point execution.
+//! interchangeable interconnects and comparing curves. A backend is:
+//! implement [`Simulator`], register a [`SimKind`], done — `sim --network
+//! {ring,bus,hier}` is one dispatch, and so is the experiment suite's
+//! per-point execution.
 //!
-//! A run is a single call: [`Simulator::run`] takes [`RunOptions`] (the
-//! telemetry request) and returns a [`RunOutcome`] bundling the
-//! [`SimReport`] with the optional recorder. The older three-call
-//! `attach_obs` / `run` / `take_obs` dance survives only as inherent
-//! methods on the concrete backends (useful in white-box tests).
+//! A run is a single call: [`Simulator::run`] takes [`RunOptions`] — the
+//! telemetry and sanitizer request of this one run — and returns a
+//! [`RunOutcome`] bundling the [`SimReport`] with the recorder it asked
+//! for. Nothing reaches a run except through its options: a caller that
+//! wants metrics folded somewhere folds the outcome itself.
 
 use std::fmt;
 use std::str::FromStr;
@@ -32,12 +29,10 @@ use crate::report::SimReport;
 use crate::ring_system::RingSystem;
 use crate::sci_system::{SciRingSystem, SciSystemConfig};
 
-/// What a [`Simulator::run`] call should observe, beyond the report every
-/// run produces.
+/// What a [`Simulator::run`] call should do beyond producing its report.
 ///
-/// `RunOptions::default()` is a plain run: no recorder is returned (though
-/// gauge timelines still reach the process-wide metrics sink when that is
-/// enabled — see [`Simulator::run`]).
+/// `RunOptions::default()` is a plain run: no recorder, and the coherence
+/// sanitizer only in debug builds.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Telemetry to record during the run: per-transaction trace events
@@ -45,6 +40,9 @@ pub struct RunOptions {
     /// not change any simulation result. `Some` makes the outcome carry a
     /// [`Recorder`].
     pub obs: Option<ObsConfig>,
+    /// Forces the runtime coherence sanitizer on in release builds too
+    /// (debug builds always check). Strictly observational as well.
+    pub sanitize: bool,
 }
 
 impl RunOptions {
@@ -81,79 +79,11 @@ pub struct RunOutcome {
 /// 2. [`Simulator::run`] runs to completion and is not required to be
 ///    re-runnable; it returns the report plus — when `opts.obs` was set —
 ///    the telemetry recorder,
-/// 3. when `opts.obs` is `None` but the process-wide metrics sink is on
-///    (`experiments --metrics`), the backend still records a small gauge
-///    timeline set and folds it into the global sink, so every backend's
-///    timelines reach the metrics document without per-caller wiring.
+/// 3. the run touches no state outside the simulator: what it records
+///    goes back to the caller in the outcome.
 pub trait Simulator {
     /// Runs the simulation to completion and collects the outcome.
     fn run(&mut self, opts: &RunOptions) -> RunOutcome;
-}
-
-/// The obs configuration a run should attach: the explicit request wins;
-/// otherwise the global metrics sink implies a minimal-trace recorder.
-fn obs_to_attach(opts: &RunOptions) -> Option<ObsConfig> {
-    if opts.obs.is_some() {
-        return opts.obs;
-    }
-    ringsim_obs::global_metrics_enabled()
-        .then(|| ObsConfig { trace_capacity: 64, ..ObsConfig::default() })
-}
-
-/// Packages a finished run: the recorder is surfaced only for an explicit
-/// obs request; an implicitly attached one is drained into the global
-/// metrics sink.
-fn seal_outcome(opts: &RunOptions, report: SimReport, recorder: Option<Recorder>) -> RunOutcome {
-    if opts.obs.is_some() {
-        return RunOutcome { report, obs: recorder };
-    }
-    if let Some(rec) = recorder {
-        for tl in rec.timelines {
-            ringsim_obs::global_record_timeline(tl);
-        }
-    }
-    RunOutcome { report, obs: None }
-}
-
-impl Simulator for RingSystem {
-    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
-        if let Some(cfg) = obs_to_attach(opts) {
-            RingSystem::attach_obs(self, cfg);
-        }
-        let report = RingSystem::run(self);
-        seal_outcome(opts, report, RingSystem::take_obs(self))
-    }
-}
-
-impl Simulator for BusSystem {
-    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
-        if let Some(cfg) = obs_to_attach(opts) {
-            BusSystem::attach_obs(self, cfg);
-        }
-        let report = BusSystem::run(self);
-        seal_outcome(opts, report, BusSystem::take_obs(self))
-    }
-}
-
-impl Simulator for SciRingSystem {
-    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
-        if let Some(cfg) = obs_to_attach(opts) {
-            SciRingSystem::attach_obs(self, cfg);
-        }
-        let report = SciRingSystem::run(self);
-        seal_outcome(opts, report, SciRingSystem::take_obs(self))
-    }
-}
-
-impl Simulator for HierNetSim {
-    fn run(&mut self, opts: &RunOptions) -> RunOutcome {
-        if let Some(cfg) = obs_to_attach(opts) {
-            HierNetSim::attach_obs(self, cfg);
-        }
-        let rep = HierNetSim::run(self);
-        let report = self.sim_report(&rep);
-        seal_outcome(opts, report, HierNetSim::take_obs(self))
-    }
 }
 
 /// Ring-tree depth for the hierarchy backends, the sweepable topology

@@ -1,5 +1,5 @@
-//! Metrics summaries and exporters (JSON / CSV), plus the process-wide
-//! metrics sink the `experiments --metrics` path feeds.
+//! Metrics summaries and exporters (JSON / CSV), plus the owned
+//! [`MetricsSink`] a caller hands down to the runs it wants folded.
 //!
 //! [`MetricsSummary`] is the per-run digest every simulator can produce:
 //! one [`LatencyHistogram`] per transaction class. Its merge is exactly
@@ -7,14 +7,11 @@
 //! parallel sweep engine fold worker shards in completion order and still
 //! write byte-identical `metrics.json` artifacts for any `--jobs N`.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::hist::{LatencyHistogram, BUCKETS};
-use crate::json::JsonValue;
+use crate::hist::LatencyHistogram;
 use crate::timeline::Timeline;
 
 /// Per-transaction-class latency digest of one or more runs.
@@ -96,141 +93,65 @@ impl MetricsFile {
 
 /// Rebuilds a histogram from its parsed JSON form (`ringsim stats` input).
 #[must_use]
-pub fn hist_from_json(v: &JsonValue) -> Option<LatencyHistogram> {
+pub fn hist_from_json(v: &Value) -> Option<LatencyHistogram> {
     let count = v.get("count")?.as_u64()?;
     let sum_ns = v.get("sum_ns")?.as_u64()?;
-    let min = v.get("min").and_then(JsonValue::as_f64);
-    let max = v.get("max").and_then(JsonValue::as_f64);
+    let min = v.get("min").and_then(Value::as_f64);
+    let max = v.get("max").and_then(Value::as_f64);
     let buckets: Vec<u64> =
-        v.get("buckets")?.as_array()?.iter().map(JsonValue::as_u64).collect::<Option<_>>()?;
-    if buckets.len() != BUCKETS {
-        return None;
-    }
+        v.get("buckets")?.as_array()?.iter().map(Value::as_u64).collect::<Option<_>>()?;
     LatencyHistogram::from_parts(count, sum_ns, min, max, buckets)
 }
 
-// --- Process-wide metrics sink -------------------------------------------
-//
-// Mirrors the sanitizer's process-wide switch: `experiments --metrics`
-// flips it on, every simulator run then folds its summary into the sink,
-// and the CLI drains it once at the end. Merging is order-independent, so
-// parallel sweep workers racing on this mutex cannot perturb the output.
-
-static GLOBAL_ON: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Option<MetricsSummary>> = Mutex::new(None);
-static TIMELINE_SINK: Mutex<Vec<Timeline>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// Label prefixed onto timeline names fed to the sink from this thread
-    /// (the sweep engine sets `<experiment>/<point-label>` around each
-    /// point, so exported timelines are distinguishable *and* sort into a
-    /// jobs-count-independent order).
-    static RUN_LABEL: RefCell<Option<String>> = const { RefCell::new(None) };
+/// An owned metrics sink: the runs of one invocation (a CLI run, a server)
+/// fold their summaries into it, and — when its owner asked for them —
+/// their gauge timelines. Merging is order-independent and timelines are
+/// drained sorted by name, so parallel sweep workers racing on the mutex
+/// cannot perturb the output.
+#[derive(Debug, Default)]
+pub struct MetricsSink {
+    keep_timelines: bool,
+    file: Mutex<MetricsFile>,
 }
 
-/// Turns the process-wide metrics sink on or off (clearing it either way).
-pub fn set_global_metrics(on: bool) {
-    GLOBAL_ON.store(on, Ordering::Relaxed);
-    *SINK.lock().unwrap() = None;
-    TIMELINE_SINK.lock().unwrap().clear();
-}
-
-/// Whether simulator runs should feed the process-wide sink.
-#[must_use]
-pub fn global_metrics_enabled() -> bool {
-    GLOBAL_ON.load(Ordering::Relaxed)
-}
-
-/// Folds one run's summary into the process-wide sink (no-op when off).
-pub fn global_record(summary: &MetricsSummary) {
-    if !global_metrics_enabled() {
-        return;
+impl MetricsSink {
+    /// An empty sink; `keep_timelines` decides whether [`fold`](Self::fold)
+    /// retains timelines or drops them.
+    #[must_use]
+    pub fn new(keep_timelines: bool) -> Self {
+        Self { keep_timelines, file: Mutex::default() }
     }
-    let mut sink = SINK.lock().unwrap();
-    match sink.as_mut() {
-        Some(acc) => acc.merge(summary),
-        None => *sink = Some(summary.clone()),
+
+    /// Whether this sink retains the timelines folded into it.
+    #[must_use]
+    pub fn keeps_timelines(&self) -> bool {
+        self.keep_timelines
     }
-}
 
-/// Drains the process-wide sink.
-#[must_use]
-pub fn take_global_metrics() -> Option<MetricsSummary> {
-    SINK.lock().unwrap().take()
-}
-
-/// Clones the process-wide sink without draining it, for long-running
-/// consumers (the HTTP service's `/metrics` endpoint) that must not steal
-/// the summary from the end-of-process exporter.
-#[must_use]
-pub fn global_metrics_snapshot() -> Option<MetricsSummary> {
-    SINK.lock().unwrap().clone()
-}
-
-/// Sets (or clears, with `None`) this thread's run label. Timelines fed to
-/// [`global_record_timeline`] from this thread get their names prefixed
-/// `<label>/`.
-pub fn set_run_label(label: Option<&str>) {
-    RUN_LABEL.with(|l| *l.borrow_mut() = label.map(str::to_owned));
-}
-
-/// Feeds one gauge timeline into the process-wide sink (no-op when off).
-pub fn global_record_timeline(mut tl: Timeline) {
-    if !global_metrics_enabled() {
-        return;
-    }
-    RUN_LABEL.with(|l| {
-        if let Some(prefix) = l.borrow().as_deref() {
-            tl.name = format!("{prefix}/{}", tl.name);
+    /// Folds one run's summary, plus its timelines when this sink keeps
+    /// them.
+    pub fn fold(&self, summary: &MetricsSummary, timelines: impl IntoIterator<Item = Timeline>) {
+        let mut file = self.file.lock().expect("metrics sink lock");
+        file.summary.merge(summary);
+        if self.keep_timelines {
+            file.timelines.extend(timelines);
         }
-    });
-    TIMELINE_SINK.lock().unwrap().push(tl);
-}
-
-/// Drains the process-wide timeline sink, sorted by name so the output is
-/// independent of worker-thread completion order.
-#[must_use]
-pub fn take_global_timelines() -> Vec<Timeline> {
-    let mut v = std::mem::take(&mut *TIMELINE_SINK.lock().unwrap());
-    v.sort_by(|a, b| a.name.cmp(&b.name));
-    v
-}
-
-// --- Process-wide warning sink -------------------------------------------
-//
-// Loud-but-bounded: telemetry components that detect data loss (the trace
-// buffer dropping its oldest events, for example) report it here the moment
-// it happens, instead of leaving a counter to be discovered in an export
-// footer. Warnings are mirrored to stderr immediately and retained for
-// later inspection (the HTTP service surfaces them on `/metrics`).
-
-static WARNINGS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-
-/// Retention cap for [`record_warning`]; stderr mirroring is not capped.
-const MAX_WARNINGS: usize = 64;
-
-/// Records a process-wide observability warning: prints it to stderr
-/// immediately and retains it (up to a small cap) for
-/// [`warnings_snapshot`] / [`take_warnings`] consumers.
-pub fn record_warning(msg: impl Into<String>) {
-    let msg = msg.into();
-    eprintln!("warning: {msg}");
-    let mut w = WARNINGS.lock().unwrap();
-    if w.len() < MAX_WARNINGS {
-        w.push(msg);
     }
-}
 
-/// Clones the retained warnings without draining them.
-#[must_use]
-pub fn warnings_snapshot() -> Vec<String> {
-    WARNINGS.lock().unwrap().clone()
-}
+    /// A copy of the summary folded so far, leaving the sink as it is.
+    #[must_use]
+    pub fn summary(&self) -> MetricsSummary {
+        self.file.lock().expect("metrics sink lock").summary.clone()
+    }
 
-/// Drains the retained warnings.
-#[must_use]
-pub fn take_warnings() -> Vec<String> {
-    std::mem::take(&mut *WARNINGS.lock().unwrap())
+    /// Drains the sink, timelines sorted by name so the document does not
+    /// depend on worker completion order.
+    #[must_use]
+    pub fn drain(&self) -> MetricsFile {
+        let mut file = std::mem::take(&mut *self.file.lock().expect("metrics sink lock"));
+        file.timelines.sort_by(|a, b| a.name.cmp(&b.name));
+        file
+    }
 }
 
 #[cfg(test)]
@@ -268,48 +189,34 @@ mod tests {
     fn json_round_trip_through_parser() {
         let file = MetricsFile { summary: sample_summary(9), timelines: Vec::new() };
         let text = file.to_json();
-        let parsed = crate::json::parse(&text).unwrap();
+        let parsed = serde_json::parse_value(&text).unwrap();
         let miss = parsed.get("summary").unwrap().get("miss").unwrap();
         let rebuilt = hist_from_json(miss).unwrap();
         assert_eq!(rebuilt, file.summary.miss);
     }
 
-    /// Serialises the tests that flip the process-wide sinks.
-    static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
-    fn global_sink_folds_runs() {
-        let _g = GLOBAL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        set_global_metrics(true);
-        global_record(&sample_summary(4));
-        global_record(&sample_summary(5));
-        let got = take_global_metrics().unwrap();
-        assert_eq!(got.runs, 2);
-        set_global_metrics(false);
-        global_record(&sample_summary(6));
-        assert!(take_global_metrics().is_none());
-    }
-
-    #[test]
-    fn timeline_sink_labels_and_sorts() {
+    fn sink_folds_runs_and_sorts_timelines() {
         use ringsim_types::Time;
-        let _g = GLOBAL_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        set_global_metrics(true);
-        set_run_label(Some("exp/b"));
-        let mut tl = Timeline::new("ring", &["util"]);
+        let mut tl = Timeline::new("exp/b/ring", &["util"]);
         tl.push(Time::from_ns(1), vec![0.5]);
-        global_record_timeline(tl.clone());
-        set_run_label(Some("exp/a"));
-        global_record_timeline(tl.clone());
-        set_run_label(None);
-        global_record_timeline(tl.clone());
-        let got = take_global_timelines();
-        let names: Vec<&str> = got.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(names, vec!["exp/a/ring", "exp/b/ring", "ring"]);
-        assert!(take_global_timelines().is_empty());
-        set_global_metrics(false);
-        global_record_timeline(tl);
-        assert!(take_global_timelines().is_empty());
+        let mut other = tl.clone();
+        other.name = "exp/a/ring".to_owned();
+        let sink = MetricsSink::new(true);
+        sink.fold(&sample_summary(4), [tl.clone()]);
+        sink.fold(&sample_summary(5), [other]);
+        assert_eq!(sink.summary().runs, 2);
+        let file = sink.drain();
+        assert_eq!(file.summary.runs, 2);
+        let names: Vec<&str> = file.timelines.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, vec!["exp/a/ring", "exp/b/ring"]);
+        assert_eq!(sink.drain(), MetricsFile::default());
+
+        let summary_only = MetricsSink::new(false);
+        summary_only.fold(&sample_summary(6), [tl]);
+        let file = summary_only.drain();
+        assert_eq!(file.summary.runs, 1);
+        assert!(file.timelines.is_empty());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   `trace_event` JSON ([`TraceBuffer::to_chrome_json`]), viewable in
 //!   Perfetto.
 //! - [`MetricsSummary`] / [`MetricsFile`] — JSON/CSV exporters, plus the
-//!   process-wide sink behind `experiments --metrics`.
-//! - [`json`] — a minimal JSON reader (the vendored `serde_json` is
-//!   serialize-only) powering `ringsim stats` and the CI trace check.
+//!   owned [`MetricsSink`] a caller (the `experiments --metrics` CLI, the
+//!   HTTP service) hands down to the runs it wants folded.
 //!
 //! # Overhead contract
 //!
@@ -32,17 +31,17 @@
 
 pub mod export;
 pub mod hist;
-pub mod json;
 pub mod recorder;
 pub mod timeline;
 pub mod trace;
 
-pub use export::{
-    global_metrics_enabled, global_metrics_snapshot, global_record, global_record_timeline,
-    hist_from_json, record_warning, set_global_metrics, set_run_label, take_global_metrics,
-    take_global_timelines, take_warnings, warnings_snapshot, MetricsFile, MetricsSummary,
-};
+pub use export::{hist_from_json, MetricsFile, MetricsSink, MetricsSummary};
 pub use hist::{LatencyHistogram, BUCKETS};
 pub use recorder::{Obs, ObsConfig, Recorder};
+/// The workspace's JSON reader and tree, re-exported because
+/// [`hist_from_json`] takes the tree: `ringsim stats` reads every
+/// observability document through them.
+pub use serde::Value as JsonValue;
+pub use serde_json::parse_value as parse_json;
 pub use timeline::{Timeline, TimelineRow};
 pub use trace::{TraceBuffer, TraceEvent, DEFAULT_TRACE_CAPACITY};

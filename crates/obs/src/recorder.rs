@@ -23,7 +23,9 @@ use crate::trace::{TraceBuffer, DEFAULT_TRACE_CAPACITY};
 /// Tuning knobs for an enabled recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Trace ring-buffer capacity, in events.
+    /// Trace ring-buffer capacity, in events. `0` records no trace
+    /// events and skips the per-transaction span bookkeeping: the
+    /// recorder then keeps gauge timelines only.
     pub trace_capacity: usize,
     /// Simulated-time interval between gauge samples.
     pub sample_period: Time,
@@ -102,6 +104,9 @@ impl Obs {
     #[inline]
     pub fn txn_begin(&mut self, node: usize, name: &'static str, block: u64, at: Time) {
         let Some(r) = self.rec.as_deref_mut() else { return };
+        if r.cfg.trace_capacity == 0 {
+            return;
+        }
         if let Some(slot) = r.open.get_mut(node) {
             *slot = Some(OpenTxn { name, block, start: at, marks: Vec::new() });
         }
@@ -272,6 +277,27 @@ mod tests {
         // Phase spans tile [start, end] exactly.
         let phase_total: u64 = spans.iter().filter(|e| e.cat == "phase").map(|e| e.dur_ps).sum();
         assert_eq!(phase_total, top.dur_ps);
+    }
+
+    #[test]
+    fn zero_trace_capacity_keeps_timelines_only() {
+        let cfg = ObsConfig { trace_capacity: 0, ..Default::default() };
+        let mut obs = Obs::enabled(cfg, 1);
+        let tl = obs.add_timeline("ring", &["util"]);
+        for i in 0..10u64 {
+            obs.txn_begin(0, "read", 0x40, Time::from_ns(10 * i));
+            obs.txn_mark(0, "probe", Time::from_ns(10 * i + 3));
+            obs.instant(0, "retry", Time::from_ns(10 * i + 4));
+            obs.txn_end(0, "miss", "dirty", Time::from_ns(10 * i + 5));
+            if obs.sample_due(Time::from_ns(10 * i)) {
+                obs.sample(tl, Time::from_ns(10 * i), vec![0.5]);
+            }
+        }
+        let rec = obs.into_recorder().unwrap();
+        assert!(rec.trace.is_empty());
+        assert_eq!(rec.trace.dropped(), 0);
+        assert!(rec.open.iter().all(Option::is_none));
+        assert_eq!(rec.timelines[0].rows.len(), 1);
     }
 
     #[test]

@@ -44,27 +44,21 @@ pub struct TraceBuffer {
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 impl TraceBuffer {
-    /// Creates an empty buffer holding at most `cap` events.
+    /// Creates an empty buffer holding at most `cap` events. A zero
+    /// capacity records nothing: [`push`](Self::push) is a no-op.
     #[must_use]
     pub fn new(cap: usize) -> Self {
-        Self { events: VecDeque::new(), cap: cap.max(1), dropped: 0 }
+        Self { events: VecDeque::new(), cap, dropped: 0 }
     }
 
-    /// Appends an event, evicting the oldest if at capacity.
-    ///
-    /// The **first** eviction raises a warning through the process-wide obs
-    /// sink (see [`crate::export::record_warning`]) so long runs surface
-    /// truncation the moment it starts, not in the export footer; further
-    /// evictions only bump the [`dropped`](Self::dropped) counter.
+    /// Appends an event, evicting the oldest (and counting it in
+    /// [`dropped`](Self::dropped)) if at capacity. Whoever drains the
+    /// buffer decides how to report drops; `ringsim sim` warns on stderr.
     pub fn push(&mut self, ev: TraceEvent) {
+        if self.cap == 0 {
+            return;
+        }
         if self.events.len() == self.cap {
-            if self.dropped == 0 {
-                crate::export::record_warning(format!(
-                    "trace buffer full ({} events): dropping oldest events from now on — \
-                     the exported trace will be truncated (raise the recorder's trace capacity)",
-                    self.cap
-                ));
-            }
             self.events.pop_front();
             self.dropped += 1;
         }
@@ -217,10 +211,10 @@ mod tests {
         // 10 ns = 0.01 us; 15 ns dur = 0.015 us.
         assert!(json.contains("\"ts\":0.010000"));
         assert!(json.contains("\"dur\":0.015000"));
-        let parsed = crate::json::parse(&json).expect("chrome export must be valid JSON");
+        let parsed = serde_json::parse_value(&json).expect("chrome export must be valid JSON");
         assert!(parsed.get("traceEvents").is_some());
         // The drop counter is always in the footer, even when zero.
-        assert_eq!(parsed.get("droppedEvents").and_then(crate::json::JsonValue::as_u64), Some(0));
+        assert_eq!(parsed.get("droppedEvents").and_then(serde::Value::as_u64), Some(0));
     }
 
     #[test]
@@ -229,33 +223,12 @@ mod tests {
         for i in 0..5u64 {
             b.push(instant("x", "t", 0, Time::from_ns(i)));
         }
-        let parsed = crate::json::parse(&b.to_chrome_json()).unwrap();
-        assert_eq!(parsed.get("droppedEvents").and_then(crate::json::JsonValue::as_u64), Some(3));
+        let parsed = serde_json::parse_value(&b.to_chrome_json()).unwrap();
+        assert_eq!(parsed.get("droppedEvents").and_then(serde::Value::as_u64), Some(3));
     }
 
     #[test]
     fn escape_quotes() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-    }
-
-    #[test]
-    fn first_drop_warns_once_through_the_obs_sink() {
-        // Use a capacity no other test shares so the assertion is robust to
-        // warnings recorded concurrently by sibling tests.
-        let mut b = TraceBuffer::new(7);
-        for i in 0..7u64 {
-            b.push(instant("x", "t", 0, Time::from_ns(i)));
-        }
-        let fingerprint = "trace buffer full (7 events)";
-        let before =
-            crate::export::warnings_snapshot().iter().filter(|w| w.contains(fingerprint)).count();
-        // Overflow many times: exactly one warning for this buffer.
-        for i in 7..30u64 {
-            b.push(instant("x", "t", 0, Time::from_ns(i)));
-        }
-        assert_eq!(b.dropped(), 23);
-        let after =
-            crate::export::warnings_snapshot().iter().filter(|w| w.contains(fingerprint)).count();
-        assert_eq!(after, before + 1);
     }
 }

@@ -24,6 +24,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use ringsim_obs::MetricsSink;
 use ringsim_sweep::{
     run_experiment, Experiment, Progress, ProgressFn, Shard, SweepConfig, SweepPoint,
 };
@@ -341,6 +342,8 @@ struct PoolShared {
     worker_exe: Option<PathBuf>,
     /// Peer-wait deadline handed to shard workers.
     shard_wait: Duration,
+    /// Where in-process points fold their simulator metrics.
+    metrics: Arc<MetricsSink>,
 }
 
 /// Bounded worker pool executing experiment runs.
@@ -354,9 +357,10 @@ impl JobPool {
     /// many jobs may wait (running jobs excluded); `cfg.sweep_jobs` is the
     /// sweep engine's per-job thread budget (`0` = engine default); with
     /// `cfg.shards >= 2` each job runs as that many `serve-worker`
-    /// processes instead of in-process.
+    /// processes instead of in-process. Points computed in this process
+    /// fold their simulator metrics into `metrics`.
     #[must_use]
-    pub fn new(cfg: &ServeConfig) -> Self {
+    pub fn new(cfg: &ServeConfig, metrics: Arc<MetricsSink>) -> Self {
         let shared = Arc::new(PoolShared {
             jobs: Mutex::new(HashMap::new()),
             queue: Mutex::new(VecDeque::new()),
@@ -369,6 +373,7 @@ impl JobPool {
             shards: cfg.shards,
             worker_exe: cfg.worker_exe.clone(),
             shard_wait: cfg.shard_wait,
+            metrics,
         });
         let handles = (0..cfg.workers.max(1))
             .map(|i| {
@@ -666,7 +671,11 @@ fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path
             }
         })
     };
-    let mut cfg = SweepConfig::new(job.refs).out_dir(dir).cache(true).on_progress(progress);
+    let mut cfg = SweepConfig::new(job.refs)
+        .out_dir(dir)
+        .cache(true)
+        .on_progress(progress)
+        .metrics(Arc::clone(&pool.metrics));
     if pool.sweep_jobs > 0 {
         cfg = cfg.jobs(pool.sweep_jobs);
     }
@@ -731,7 +740,7 @@ mod tests {
     #[test]
     fn zero_capacity_queue_rejects_submissions() {
         let dir = tmp("cap0");
-        let pool = JobPool::new(&pool_cfg(dir.clone(), 0));
+        let pool = JobPool::new(&pool_cfg(dir.clone(), 0), Arc::default());
         let exp = ringsim_bench::experiments::find("fig3").unwrap();
         assert!(matches!(pool.submit(exp, 123), SubmitOutcome::QueueFull));
         pool.shutdown();
@@ -742,7 +751,7 @@ mod tests {
     #[test]
     fn draining_pool_rejects_submissions() {
         let dir = tmp("drain");
-        let pool = JobPool::new(&pool_cfg(dir.clone(), 4));
+        let pool = JobPool::new(&pool_cfg(dir.clone(), 4), Arc::default());
         pool.shutdown();
         let exp = ringsim_bench::experiments::find("fig3").unwrap();
         assert!(matches!(pool.submit(exp, 123), SubmitOutcome::Draining));

@@ -16,8 +16,9 @@
 //!   (history replayed, then followed until the terminal event);
 //! * `GET  /runs/:id/artifacts/:file` — byte-exact artifact serving;
 //! * `POST /runs/:id/pin` — exempt a run from artifact retention ([`gc`]);
-//! * `GET  /metrics` — process-wide simulator metrics, per-route request
-//!   latency histograms, job counts, and retained obs warnings;
+//! * `GET  /metrics` — the simulator metrics summary of this server's
+//!   in-process runs, per-route request latency histograms, and job
+//!   counts;
 //! * `POST /shutdown` — programmatic drain (same path as SIGINT).
 //!
 //! **Dedupe by construction.** A run id is a pure function of the
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ringsim_obs::LatencyHistogram;
+use ringsim_obs::{LatencyHistogram, MetricsSink};
 
 use crate::jobs::JobPool;
 use crate::router::Reply;
@@ -137,6 +138,9 @@ pub struct ServerState {
     pub cfg: ServeConfig,
     /// The bounded job pool.
     pub pool: JobPool,
+    /// Where this server's in-process runs fold their simulator metrics
+    /// (summary only: `/metrics` exports no timelines).
+    pub(crate) metrics: Arc<MetricsSink>,
     started: Instant,
     draining: AtomicBool,
     http: Mutex<BTreeMap<&'static str, LatencyHistogram>>,
@@ -149,7 +153,8 @@ impl ServerState {
     /// Builds the state and spawns the pool's workers.
     #[must_use]
     pub fn new(cfg: ServeConfig) -> Self {
-        let pool = JobPool::new(&cfg);
+        let metrics = Arc::new(MetricsSink::new(false));
+        let pool = JobPool::new(&cfg, Arc::clone(&metrics));
         // Pre-register every dispatchable route so `/metrics` reports a
         // (possibly zero-count) histogram per route from the first scrape —
         // a route that has never been hit is visible, not missing.
@@ -160,6 +165,7 @@ impl ServerState {
         Self {
             cfg,
             pool,
+            metrics,
             started: Instant::now(),
             draining: AtomicBool::new(false),
             http: Mutex::new(http),
@@ -227,9 +233,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr`, spawns the job workers and the accept loop, and
-    /// turns the process-wide obs metrics sink on (so `/metrics` carries a
-    /// simulator summary once simulator-backed experiments run).
+    /// Binds `cfg.addr` and spawns the job workers and the accept loop.
+    /// The server's state owns the metrics sink its in-process runs fold
+    /// into, so two servers in one process each report only their own
+    /// runs on `/metrics`.
     ///
     /// # Errors
     ///
@@ -238,7 +245,6 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        ringsim_obs::set_global_metrics(true);
         let state = Arc::new(ServerState::new(cfg));
         let accept_state = Arc::clone(&state);
         let accept = std::thread::Builder::new()

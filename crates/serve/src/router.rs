@@ -303,10 +303,9 @@ struct MetricsDoc {
     pool: PoolStat,
     gc: GcStat,
     http: Vec<RouteStat>,
-    /// Process-wide simulator metrics (`None` until a simulator-backed
-    /// experiment has run).
+    /// Simulator metrics of this server's in-process runs (`None` until a
+    /// simulator-backed experiment has run).
     summary: Option<ringsim_obs::MetricsSummary>,
-    warnings: Vec<String>,
 }
 
 fn metrics(state: &ServerState) -> Response {
@@ -327,8 +326,7 @@ fn metrics(state: &ServerState) -> Response {
         },
         gc: GcStat { sweeps: gc.0, deleted_runs: gc.1, reclaimed_bytes: gc.2 },
         http,
-        summary: ringsim_obs::global_metrics_snapshot(),
-        warnings: ringsim_obs::warnings_snapshot(),
+        summary: Some(state.metrics.summary()).filter(|s| s.runs > 0),
     };
     Response::json(200, render(&doc))
 }

@@ -273,3 +273,47 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&out_dir);
 }
+
+#[test]
+fn two_servers_in_one_process_report_only_their_own_runs() {
+    let bind = |tag: &str| {
+        let out_dir = tmp(tag);
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            out_dir: out_dir.clone(),
+            workers: 1,
+            queue_cap: 4,
+            sweep_jobs: 2,
+            default_refs: REFS,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        (server, out_dir)
+    };
+    let servers = [bind("metrics-a"), bind("metrics-b")];
+    let submission = format!("{{\"experiment\": \"topology_sweep\", \"refs\": {REFS}}}");
+    let ids: Vec<String> = servers
+        .iter()
+        .map(|(server, _)| {
+            let (status, body) =
+                http(&server.local_addr().to_string(), "POST", "/runs", &submission);
+            assert_eq!(status, 202);
+            str_of(&json(&body), "id").to_owned()
+        })
+        .collect();
+    for ((server, out_dir), id) in servers.into_iter().zip(&ids) {
+        let addr = server.local_addr().to_string();
+        let done = wait_done(&addr, id);
+        let computed = u64_of(done.get("cache").expect("cache counts"), "misses");
+        assert_eq!(computed, 12, "topology_sweep computes 12 points cold");
+        let (status, body) = http(&addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        let metrics = json(&body);
+        let summary = metrics.get("summary").expect("simulator summary");
+        assert_eq!(u64_of(summary, "runs"), computed, "each server folds only its own runs");
+        assert!(metrics.get("warnings").is_none(), "/metrics has no warnings field");
+        server.join();
+        let _ = std::fs::remove_dir_all(&out_dir);
+    }
+}

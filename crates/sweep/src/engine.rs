@@ -12,14 +12,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use crate::{PointCtx, PointStat, SweepPoint};
+use crate::{PointCtx, PointStat, SweepConfig, SweepPoint};
 
-/// Runs `work` over `points` on up to `jobs` threads, returning results in
-/// point order plus one [`PointStat`] per point (also in point order).
+/// Runs `work` over `points` on up to `cfg.jobs` threads, returning results
+/// in point order plus one [`PointStat`] per point (also in point order).
 pub fn run_points<P, R>(
     experiment: &str,
-    jobs: usize,
-    refs_per_proc: u64,
+    cfg: &SweepConfig,
     points: &[P],
     key: impl Fn(&P) -> SweepPoint + Sync,
     work: impl Fn(&PointCtx, &P) -> R + Sync,
@@ -29,16 +28,9 @@ where
     R: Send,
 {
     let n = points.len();
-    let jobs = jobs.clamp(1, n.max(1));
+    let jobs = cfg.jobs.clamp(1, n.max(1));
     let run_one = |i: usize| -> (R, PointStat) {
-        let point = key(&points[i]);
-        let pctx = PointCtx {
-            experiment: experiment.to_owned(),
-            label: point.label(),
-            seed: point.seed(experiment),
-            refs_per_proc,
-            index: i,
-        };
+        let pctx = PointCtx::new(experiment, cfg, i, &key(&points[i]));
         let start = Instant::now();
         let result = work(&pctx, &points[i]);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -100,8 +92,7 @@ mod tests {
         let points: Vec<u64> = (0..100).collect();
         let (results, stats) = run_points(
             "square",
-            jobs,
-            0,
+            &SweepConfig::new(0).jobs(jobs),
             &points,
             |p| SweepPoint::new().detail(p.to_string()),
             |_ctx, p| p * p,
@@ -124,8 +115,7 @@ mod tests {
         let seeds = |jobs| {
             let (r, _) = run_points(
                 "seeds",
-                jobs,
-                0,
+                &SweepConfig::new(0).jobs(jobs),
                 &points,
                 |p| SweepPoint::new().detail(p.to_string()),
                 |ctx, _| ctx.seed,
@@ -137,8 +127,9 @@ mod tests {
 
     #[test]
     fn zero_points_is_fine() {
+        let cfg = SweepConfig::new(0).jobs(8);
         let (r, s) =
-            run_points("empty", 8, 0, &Vec::<u64>::new(), |_| SweepPoint::new(), |_, p| *p);
+            run_points("empty", &cfg, &Vec::<u64>::new(), |_| SweepPoint::new(), |_, p| *p);
         assert!(r.is_empty() && s.is_empty());
     }
 }

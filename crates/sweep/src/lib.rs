@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use ringsim_obs::MetricsSink;
 use serde::{Deserialize, Serialize};
 
 /// A progress event emitted while [`SweepCtx::map`] runs points, so a
@@ -86,6 +87,12 @@ pub struct SweepConfig {
     /// How long a shard worker polls the shared cache for a peer's point
     /// before computing it itself (liveness fallback; see [`Shard`]).
     pub shard_wait: Duration,
+    /// Where computed points fold their simulator metrics (`None`: no
+    /// metrics). Handed to every work closure through [`PointCtx`].
+    pub metrics: Option<Arc<MetricsSink>>,
+    /// Forces the runtime coherence sanitizer on for every simulator run
+    /// (handed to the work closure through [`PointCtx`]).
+    pub sanitize: bool,
 }
 
 impl fmt::Debug for SweepConfig {
@@ -98,6 +105,8 @@ impl fmt::Debug for SweepConfig {
             .field("progress", &self.progress.is_some())
             .field("cache_dir", &self.cache_dir)
             .field("shard", &self.shard)
+            .field("metrics", &self.metrics.is_some())
+            .field("sanitize", &self.sanitize)
             .finish()
     }
 }
@@ -116,6 +125,8 @@ impl SweepConfig {
             cache_dir: None,
             shard: None,
             shard_wait: Duration::from_secs(600),
+            metrics: None,
+            sanitize: false,
         }
     }
 
@@ -171,6 +182,21 @@ impl SweepConfig {
         self
     }
 
+    /// Folds the metrics of every computed point into `sink`. A point
+    /// served from the cache runs nothing and folds nothing.
+    #[must_use]
+    pub fn metrics(mut self, sink: Arc<MetricsSink>) -> Self {
+        self.metrics = Some(sink);
+        self
+    }
+
+    /// Forces the runtime coherence sanitizer on for every computed point.
+    #[must_use]
+    pub fn sanitize(mut self, on: bool) -> Self {
+        self.sanitize = on;
+        self
+    }
+
     /// The directory the `.cache/` tree hangs under.
     #[must_use]
     pub fn cache_root(&self) -> &Path {
@@ -197,6 +223,28 @@ pub struct PointCtx {
     pub refs_per_proc: u64,
     /// Index of this point in the submitted slice.
     pub index: usize,
+    /// Where this point's simulator runs fold their metrics, if anywhere
+    /// ([`SweepConfig::metrics`]).
+    pub metrics: Option<Arc<MetricsSink>>,
+    /// Whether this point's simulator runs force the coherence sanitizer
+    /// on ([`SweepConfig::sanitize`]).
+    pub sanitize: bool,
+}
+
+impl PointCtx {
+    /// The context of the point `point`, submitted at `index`, of
+    /// `experiment`'s sweep under `cfg`.
+    fn new(experiment: &str, cfg: &SweepConfig, index: usize, point: &SweepPoint) -> Self {
+        Self {
+            experiment: experiment.to_owned(),
+            label: point.label(),
+            seed: point.seed(experiment),
+            refs_per_proc: cfg.refs_per_proc,
+            index,
+            metrics: cfg.metrics.clone(),
+            sanitize: cfg.sanitize,
+        }
+    }
 }
 
 /// Wall-time record for one completed sweep point; lands in the meta twin,
@@ -352,11 +400,7 @@ impl SweepCtx {
                     return (r, true);
                 }
             }
-            // Label this worker's telemetry so exported timelines sort
-            // into a jobs-count-independent order.
-            ringsim_obs::set_run_label(Some(&format!("{}/{}", pctx.experiment, pctx.label)));
             let r = work(pctx, p);
-            ringsim_obs::set_run_label(None);
             if use_cache {
                 cache::write(&entry, &r);
             }
@@ -365,14 +409,8 @@ impl SweepCtx {
             }
             (r, false)
         };
-        let (results, mut stats) = engine::run_points(
-            self.experiment,
-            self.cfg.jobs,
-            self.cfg.refs_per_proc,
-            points,
-            key,
-            wrapped,
-        );
+        let (results, mut stats) =
+            engine::run_points(self.experiment, &self.cfg, points, key, wrapped);
         let mut out = Vec::with_capacity(results.len());
         for ((r, cached), stat) in results.into_iter().zip(&mut stats) {
             stat.cached = cached;
@@ -420,24 +458,15 @@ impl SweepCtx {
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let sp = key(p);
-                let label = sp.label();
-                let seed = sp.seed(self.experiment);
+                let pctx = PointCtx::new(self.experiment, &self.cfg, i, &key(p));
                 let entry = cache::entry_path(
                     self.cfg.cache_root(),
                     self.experiment,
                     map_call,
                     self.cfg.refs_per_proc,
-                    &label,
-                    seed,
+                    &pctx.label,
+                    pctx.seed,
                 );
-                let pctx = PointCtx {
-                    experiment: self.experiment.to_owned(),
-                    label,
-                    seed,
-                    refs_per_proc: self.cfg.refs_per_proc,
-                    index: i,
-                };
                 (pctx, entry)
             })
             .collect();
@@ -462,9 +491,7 @@ impl SweepCtx {
                     PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached: true };
                 return (r, true, stat);
             }
-            ringsim_obs::set_run_label(Some(&format!("{}/{}", pctx.experiment, pctx.label)));
             let r = work(pctx, &points[i]);
-            ringsim_obs::set_run_label(None);
             cache::write(entry, &r);
             if announce {
                 if let Some(pf) = progress {

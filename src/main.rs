@@ -359,9 +359,6 @@ fn sim_cmd(args: &[String]) -> CliResult {
         })
         .cloned()
         .collect();
-    if bare.iter().any(|a| a == "--sanitize") {
-        ringsim::core::set_sanitize_mode(ringsim::core::SanitizeMode::On);
-    }
     let mut flags = parse_flags(&args)?;
     // `sim` is the observability quick-start entry point, so it works bare:
     // benchmark defaults to mp3d, `--ring` / `--bus` / `--hier` pick the
@@ -401,7 +398,10 @@ fn sim_cmd(args: &[String]) -> CliResult {
     }
     let mut sim = kind.build(&sim_spec)?;
     let want_obs = flags.contains_key("trace-out") || flags.contains_key("metrics");
-    let opts = RunOptions { obs: want_obs.then(ringsim::obs::ObsConfig::default) };
+    let opts = RunOptions {
+        obs: want_obs.then(ringsim::obs::ObsConfig::default),
+        sanitize: bare.iter().any(|a| a == "--sanitize"),
+    };
     let outcome = sim.run(&opts);
     let (report, recorder) = (outcome.report, outcome.obs);
     println!("{} on {}, {procs} processors at {mips} MIPS", bench.name(), kind.name());
@@ -421,6 +421,11 @@ fn sim_cmd(args: &[String]) -> CliResult {
         let rec = recorder.as_ref().expect("recorder attached when --trace-out given");
         std::fs::write(path, rec.trace.to_chrome_json())?;
         let dropped = if rec.trace.dropped() > 0 {
+            eprintln!(
+                "warning: trace buffer full: {} oldest event(s) dropped — {path} is truncated \
+                 (raise the recorder's trace capacity)",
+                rec.trace.dropped()
+            );
             format!(", {} dropped", rec.trace.dropped())
         } else {
             String::new()
@@ -448,7 +453,7 @@ fn sim_cmd(args: &[String]) -> CliResult {
 /// `--metrics <path>` rebuilds the per-class latency histograms and prints
 /// them as a table (or CSV with the bare `--csv` flag).
 fn stats_cmd(args: &[String]) -> CliResult {
-    use ringsim::obs::{hist_from_json, json, MetricsSummary};
+    use ringsim::obs::{hist_from_json, parse_json, JsonValue, MetricsSummary};
 
     let (csv, args): (Vec<_>, Vec<_>) = args.iter().cloned().partition(|a| a == "--csv");
     let csv = !csv.is_empty();
@@ -458,23 +463,23 @@ fn stats_cmd(args: &[String]) -> CliResult {
     }
     if let Some(path) = flags.get("trace") {
         let text = std::fs::read_to_string(path)?;
-        let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
         let events = doc
             .get("traceEvents")
-            .and_then(json::JsonValue::as_array)
+            .and_then(JsonValue::as_array)
             .ok_or_else(|| format!("{path}: missing `traceEvents` array"))?;
         let mut spans = 0u64;
         let mut instants = 0u64;
         for (i, ev) in events.iter().enumerate() {
             let ph = ev
                 .get("ph")
-                .and_then(json::JsonValue::as_str)
+                .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("{path}: event {i} missing `ph`"))?;
             ev.get("ts")
-                .and_then(json::JsonValue::as_f64)
+                .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("{path}: event {i} missing numeric `ts`"))?;
             ev.get("pid")
-                .and_then(json::JsonValue::as_u64)
+                .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("{path}: event {i} missing `pid`"))?;
             match ph {
                 "X" => spans += 1,
@@ -482,7 +487,7 @@ fn stats_cmd(args: &[String]) -> CliResult {
                 _ => {}
             }
         }
-        let dropped = doc.get("droppedEvents").and_then(json::JsonValue::as_u64).unwrap_or(0);
+        let dropped = doc.get("droppedEvents").and_then(JsonValue::as_u64).unwrap_or(0);
         println!(
             "{path}: valid Chrome trace — {} events ({spans} spans, {instants} instants, {dropped} dropped)",
             events.len()
@@ -496,10 +501,10 @@ fn stats_cmd(args: &[String]) -> CliResult {
     }
     if let Some(path) = flags.get("metrics") {
         let text = std::fs::read_to_string(path)?;
-        let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        let doc = parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
         let summary = doc.get("summary").unwrap_or(&doc);
         let mut rebuilt = MetricsSummary {
-            runs: summary.get("runs").and_then(json::JsonValue::as_u64).unwrap_or(0),
+            runs: summary.get("runs").and_then(JsonValue::as_u64).unwrap_or(0),
             ..Default::default()
         };
         for (name, slot) in [
@@ -538,9 +543,9 @@ fn stats_cmd(args: &[String]) -> CliResult {
                 );
             }
         }
-        if let Some(timelines) = doc.get("timelines").and_then(json::JsonValue::as_array) {
+        if let Some(timelines) = doc.get("timelines").and_then(JsonValue::as_array) {
             for tl in timelines {
-                if tl.get("name").and_then(json::JsonValue::as_str) == Some("bridges") {
+                if tl.get("name").and_then(JsonValue::as_str) == Some("bridges") {
                     print_bridge_stats(path, tl, csv)?;
                 }
             }
@@ -557,8 +562,8 @@ const DEFLECTION_WARN_RATE: f64 = 0.10;
 /// timeline (columns `L{level}R{ring}_{occ|defl|xfer}`): occupancy p95 over
 /// the sampled rows plus the final cumulative deflection/transfer counters.
 /// Warns loudly when a bridge deflected more than 10% of its arbitrations.
-fn print_bridge_stats(path: &str, tl: &ringsim::obs::json::JsonValue, csv: bool) -> CliResult {
-    use ringsim::obs::json::JsonValue;
+fn print_bridge_stats(path: &str, tl: &ringsim::obs::JsonValue, csv: bool) -> CliResult {
+    use ringsim::obs::JsonValue;
 
     let columns: Vec<&str> = tl
         .get("columns")

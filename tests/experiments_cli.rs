@@ -92,3 +92,42 @@ fn shared_characterisations_leave_artifacts_unchanged() {
 
     std::fs::remove_dir_all(&base).expect("remove the output directories");
 }
+
+#[test]
+fn metrics_document_does_not_depend_on_jobs() {
+    use ringsim::obs::{parse_json, JsonValue};
+
+    let base =
+        std::env::temp_dir().join(format!("ringsim-experiments-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let run = |jobs: &str| {
+        let dir = base.join(format!("jobs{jobs}"));
+        let metrics = dir.join("metrics.json");
+        let out = run_experiments(&[
+            "--only",
+            "validate",
+            "--refs",
+            "1000",
+            "--jobs",
+            jobs,
+            "--out",
+            dir.to_str().expect("utf-8 temp path"),
+            "--metrics",
+            metrics.to_str().expect("utf-8 temp path"),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        assert!(!stderr.contains("trace buffer full"), "{stderr}");
+        let meta = std::fs::read_to_string(dir.join("validate.meta.json")).expect("meta twin");
+        let points =
+            parse_json(&meta).expect("meta JSON").get("points").and_then(JsonValue::as_u64);
+        (std::fs::read(&metrics).expect("metrics document"), points.expect("point count"))
+    };
+    let (serial, points) = run("1");
+    let (parallel, _) = run("2");
+    assert!(serial == parallel, "--metrics output differs between --jobs 1 and --jobs 2");
+    let doc = parse_json(std::str::from_utf8(&serial).expect("utf-8")).expect("metrics JSON");
+    let runs = doc.get("summary").and_then(|s| s.get("runs")).and_then(JsonValue::as_u64);
+    assert_eq!(runs, Some(points), "one folded run per validate point");
+    std::fs::remove_dir_all(&base).expect("remove the output directories");
+}

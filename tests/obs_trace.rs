@@ -2,8 +2,10 @@
 //! metrics: the trace must *explain* the numbers in the report, and
 //! attaching telemetry must not change any simulation result.
 
-use ringsim::core::{BusSystem, BusSystemConfig, RingSystem, SystemConfig};
-use ringsim::obs::{json, ObsConfig, Recorder};
+use ringsim::core::{
+    BusSystem, BusSystemConfig, RingSystem, RunOptions, SimReport, Simulator, SystemConfig,
+};
+use ringsim::obs::{parse_json, JsonValue, ObsConfig, Recorder};
 use ringsim::proto::ProtocolKind;
 use ringsim::trace::{Workload, WorkloadSpec};
 
@@ -15,10 +17,16 @@ fn big_trace() -> ObsConfig {
     ObsConfig { trace_capacity: 1 << 22, ..Default::default() }
 }
 
+/// Runs `sim` with telemetry `cfg`, returning the report and the recorder.
+fn traced(sim: &mut dyn Simulator, cfg: ObsConfig) -> (SimReport, Recorder) {
+    let outcome = sim.run(&RunOptions::new().with_obs(cfg));
+    (outcome.report, outcome.obs.expect("recorder requested"))
+}
+
 /// Acceptance check: every measured miss appears as one top-level `"miss"`
 /// span, and the spans' durations sum (within floating-point rounding) to
 /// the run's reported total miss latency.
-fn assert_spans_explain_report(rec: &Recorder, report: &ringsim::core::SimReport) {
+fn assert_spans_explain_report(rec: &Recorder, report: &SimReport) {
     assert_eq!(rec.trace.dropped(), 0, "trace buffer overflowed");
     let miss_spans: Vec<_> =
         rec.trace.events().filter(|e| e.cat == "txn" && e.name == "miss").collect();
@@ -40,9 +48,7 @@ fn assert_spans_explain_report(rec: &Recorder, report: &ringsim::core::SimReport
 fn ring_trace_spans_sum_to_reported_miss_latency() {
     let cfg = SystemConfig::ring_500mhz(ProtocolKind::Snooping, 4);
     let mut sys = RingSystem::new(cfg, workload(4, 3_000)).unwrap();
-    sys.attach_obs(big_trace());
-    let report = sys.run();
-    let rec = sys.take_obs().unwrap();
+    let (report, rec) = traced(&mut sys, big_trace());
     assert_spans_explain_report(&rec, &report);
 }
 
@@ -50,9 +56,7 @@ fn ring_trace_spans_sum_to_reported_miss_latency() {
 fn directory_trace_spans_sum_to_reported_miss_latency() {
     let cfg = SystemConfig::ring_500mhz(ProtocolKind::Directory, 4);
     let mut sys = RingSystem::new(cfg, workload(4, 3_000)).unwrap();
-    sys.attach_obs(big_trace());
-    let report = sys.run();
-    let rec = sys.take_obs().unwrap();
+    let (report, rec) = traced(&mut sys, big_trace());
     assert_spans_explain_report(&rec, &report);
 }
 
@@ -60,9 +64,7 @@ fn directory_trace_spans_sum_to_reported_miss_latency() {
 fn bus_trace_spans_sum_to_reported_miss_latency() {
     let cfg = BusSystemConfig::bus_100mhz(4);
     let mut sys = BusSystem::new(cfg, workload(4, 3_000)).unwrap();
-    sys.attach_obs(big_trace());
-    let report = sys.run();
-    let rec = sys.take_obs().unwrap();
+    let (report, rec) = traced(&mut sys, big_trace());
     assert_spans_explain_report(&rec, &report);
 }
 
@@ -70,19 +72,17 @@ fn bus_trace_spans_sum_to_reported_miss_latency() {
 fn chrome_trace_has_required_fields() {
     let cfg = SystemConfig::ring_500mhz(ProtocolKind::Snooping, 4);
     let mut sys = RingSystem::new(cfg, workload(4, 1_000)).unwrap();
-    sys.attach_obs(big_trace());
-    let _ = sys.run();
-    let rec = sys.take_obs().unwrap();
-    let doc = json::parse(&rec.trace.to_chrome_json()).unwrap();
-    let events = doc.get("traceEvents").and_then(json::JsonValue::as_array).unwrap();
+    let (_, rec) = traced(&mut sys, big_trace());
+    let doc = parse_json(&rec.trace.to_chrome_json()).unwrap();
+    let events = doc.get("traceEvents").and_then(JsonValue::as_array).unwrap();
     assert!(!events.is_empty());
     for ev in events {
-        let ph = ev.get("ph").and_then(json::JsonValue::as_str).expect("ph field");
+        let ph = ev.get("ph").and_then(JsonValue::as_str).expect("ph field");
         assert!(matches!(ph, "X" | "i" | "M"), "unexpected phase {ph}");
-        assert!(ev.get("ts").and_then(json::JsonValue::as_f64).is_some(), "ts field");
-        assert!(ev.get("pid").and_then(json::JsonValue::as_u64).is_some(), "pid field");
+        assert!(ev.get("ts").and_then(JsonValue::as_f64).is_some(), "ts field");
+        assert!(ev.get("pid").and_then(JsonValue::as_u64).is_some(), "pid field");
         if ph == "X" {
-            assert!(ev.get("dur").and_then(json::JsonValue::as_f64).is_some(), "dur field");
+            assert!(ev.get("dur").and_then(JsonValue::as_f64).is_some(), "dur field");
         }
     }
 }
@@ -91,9 +91,7 @@ fn chrome_trace_has_required_fields() {
 fn gauge_timelines_are_sampled() {
     let cfg = SystemConfig::ring_500mhz(ProtocolKind::Snooping, 4);
     let mut sys = RingSystem::new(cfg, workload(4, 2_000)).unwrap();
-    sys.attach_obs(ObsConfig::default());
-    let _ = sys.run();
-    let rec = sys.take_obs().unwrap();
+    let (_, rec) = traced(&mut sys, ObsConfig::default());
     let ring_tl = rec.timelines.iter().find(|t| t.name == "ring").expect("ring timeline");
     assert!(!ring_tl.rows.is_empty());
     // Occupancy gauges are fractions.
@@ -110,16 +108,13 @@ fn telemetry_does_not_change_results() {
         RingSystem::new(SystemConfig::ring_500mhz(ProtocolKind::Directory, 4), workload(4, 2_000))
             .unwrap()
             .run();
-    let mut traced =
+    let mut traced_sys =
         RingSystem::new(SystemConfig::ring_500mhz(ProtocolKind::Directory, 4), workload(4, 2_000))
             .unwrap();
-    traced.attach_obs(ObsConfig::default());
-    let traced_report = traced.run();
-    assert_eq!(plain, traced_report);
+    assert_eq!(plain, traced(&mut traced_sys, ObsConfig::default()).0);
 
     let plain = BusSystem::new(BusSystemConfig::bus_100mhz(4), workload(4, 2_000)).unwrap().run();
-    let mut traced = BusSystem::new(BusSystemConfig::bus_100mhz(4), workload(4, 2_000)).unwrap();
-    traced.attach_obs(ObsConfig::default());
-    let traced_report = traced.run();
-    assert_eq!(plain, traced_report);
+    let mut traced_sys =
+        BusSystem::new(BusSystemConfig::bus_100mhz(4), workload(4, 2_000)).unwrap();
+    assert_eq!(plain, traced(&mut traced_sys, ObsConfig::default()).0);
 }

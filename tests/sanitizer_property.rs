@@ -2,8 +2,9 @@
 //!
 //! The sanitizer re-checks the single-writer/multiple-reader invariant (and
 //! the bus/hier-net conservation laws) at every transaction-retire boundary.
-//! These tests force it on — release builds included — and drive all three
-//! interconnects across workload seeds; any violation panics inside the run.
+//! These tests force it on through `RunOptions::sanitize` — release builds
+//! included — and drive all three interconnects across workload seeds; any
+//! violation panics inside the run.
 //!
 //! The complementary direction — that the checks *do* fire on a broken
 //! protocol — is covered by the injected-fault model-checker tests in
@@ -13,8 +14,8 @@
 use proptest::prelude::*;
 
 use ringsim::core::{
-    set_sanitize_mode, BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem,
-    SanitizeMode, SystemConfig,
+    BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions, SimReport,
+    Simulator, SystemConfig,
 };
 use ringsim::proto::ProtocolKind;
 use ringsim::ring::RingTopology;
@@ -29,25 +30,29 @@ fn workload(procs: usize, refs: u64, seed: u64) -> Workload {
     Workload::new(spec).unwrap()
 }
 
+/// Runs `sim` with the sanitizer forced on.
+fn sanitized(mut sim: impl Simulator) -> SimReport {
+    sim.run(&RunOptions { sanitize: true, ..RunOptions::default() }).report
+}
+
 #[test]
 fn sanitizer_is_quiet_on_all_interconnects() {
-    set_sanitize_mode(SanitizeMode::On);
     for procs in [4, 8] {
         for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
             let cfg = SystemConfig::ring_500mhz(protocol, procs);
-            let report = RingSystem::new(cfg, workload(procs, 2_000, 7)).unwrap().run();
+            let report = sanitized(RingSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
             assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
         }
         let cfg = BusSystemConfig::bus_100mhz(procs);
-        let report = BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap().run();
+        let report = sanitized(BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
         assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
     }
     // The hierarchy simulator has no caches; its sanitizer check is the
     // transaction conservation law.
     let mut cfg = HierNetConfig::new(RingTopology::two_level(4, 2).unwrap());
     cfg.txns_per_node = 200;
-    let report = HierNetSim::new(cfg).unwrap().run();
-    assert!(report.latency.mean() > 0.0);
+    let report = sanitized(HierNetSim::new(cfg).unwrap());
+    assert!(report.miss_latency.mean() > 0.0);
 }
 
 proptest! {
@@ -55,15 +60,14 @@ proptest! {
     /// both ring protocols and the bus, alternating 4 and 8 nodes.
     #[test]
     fn sanitizer_never_fires_across_seeds(seed in 0u64..10_000) {
-        set_sanitize_mode(SanitizeMode::On);
         let procs = if seed % 2 == 0 { 4 } else { 8 };
         for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
             let cfg = SystemConfig::ring_500mhz(protocol, procs);
-            let report = RingSystem::new(cfg, workload(procs, 400, seed)).unwrap().run();
+            let report = sanitized(RingSystem::new(cfg, workload(procs, 400, seed)).unwrap());
             prop_assert!(report.proc_util > 0.0);
         }
         let cfg = BusSystemConfig::bus_100mhz(procs);
-        let report = BusSystem::new(cfg, workload(procs, 400, seed)).unwrap().run();
+        let report = sanitized(BusSystem::new(cfg, workload(procs, 400, seed)).unwrap());
         prop_assert!(report.proc_util > 0.0);
     }
 }
