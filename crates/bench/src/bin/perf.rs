@@ -170,9 +170,7 @@ fn run(opts: &Options) -> Result<(), String> {
             eprintln!("schema ok: {}", path.display());
         }
         let fresh = measure_all(true, &opts.only, None, &mut HashMap::new())?;
-        for file in &committed {
-            perf::regression_check(file, &fresh, opts.max_regress)?;
-        }
+        perf::regression_check_groups(&committed, &fresh, opts.max_regress)?;
         eprintln!("no regressions beyond {:.0}%", opts.max_regress * 100.0);
         return Ok(());
     }

@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use ringsim_core::{HierTopology, RunOptions, SimKind, SimReport, SimSpec, Simulator};
 use ringsim_trace::{Workload, WorkloadSpec};
-use ringsim_types::Time;
+use ringsim_types::{fnv1a, Time};
 
 /// Schema tag stamped into (and required of) every baseline file.
 pub const BENCH_SCHEMA: &str = "ringsim/bench-baseline/v1";
@@ -432,6 +432,33 @@ pub fn regression_check(
     }
 }
 
+/// [`regression_check`] over every committed group: all regressed groups
+/// are reported together, each under its name, instead of stopping at
+/// the first.
+///
+/// # Errors
+///
+/// Returns one report section per regressed group.
+pub fn regression_check_groups(
+    committed: &[BenchFile],
+    fresh: &[Measurement],
+    max_regress: f64,
+) -> Result<(), String> {
+    let failures: Vec<String> = committed
+        .iter()
+        .filter_map(|file| {
+            regression_check(file, fresh, max_regress)
+                .err()
+                .map(|e| format!("group `{}`: {e}", file.group))
+        })
+        .collect();
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("\n"))
+    }
+}
+
 /// Canonical digest of a report: FNV-1a over its JSON serialisation.
 /// Two runs produce the same digest exactly when their reports are
 /// byte-identical after serialisation — the contract the committed
@@ -444,17 +471,6 @@ pub fn regression_check(
 pub fn report_digest(report: &SimReport) -> String {
     let json = serde_json::to_string(report).expect("report serialises");
     format!("{:016x}", fnv1a(json.as_bytes()))
-}
-
-/// 64-bit FNV-1a over `bytes` — same hash the sweep cache keys use, good
-/// enough to detect config drift.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -551,5 +567,32 @@ mod tests {
         assert!(regression_check(&committed[0], &measurements, 0.25).is_ok());
         let err = regression_check(&committed[0], &slow, 0.25).unwrap_err();
         assert!(err.contains("regressions"), "{err}");
+    }
+
+    #[test]
+    fn regression_check_groups_names_every_regressed_group() {
+        let measurements: Vec<Measurement> = scenarios()
+            .iter()
+            .map(|s| Measurement { scenario: *s, median_ns: 1_000, sim_cycles: 10 })
+            .collect();
+        let committed = assemble(&measurements, &HashMap::new());
+        assert!(committed.len() >= 3, "expected several groups");
+        let slow_groups = [&committed[0].group, &committed[2].group];
+        let fresh: Vec<Measurement> = measurements
+            .iter()
+            .map(|m| {
+                let slow = committed
+                    .iter()
+                    .filter(|f| slow_groups.contains(&&f.group))
+                    .any(|f| f.entries.iter().any(|e| e.name == m.scenario.name()));
+                Measurement { median_ns: if slow { 2_000 } else { 1_000 }, ..m.clone() }
+            })
+            .collect();
+        assert!(regression_check_groups(&committed, &measurements, 0.5).is_ok());
+        let err = regression_check_groups(&committed, &fresh, 0.5).unwrap_err();
+        for group in slow_groups {
+            assert!(err.contains(&format!("group `{group}`")), "{group} missing from: {err}");
+        }
+        assert!(!err.contains(&format!("group `{}`", committed[1].group)), "{err}");
     }
 }

@@ -92,14 +92,14 @@ fn check_state(model: &Model, s: &State) -> Result<(), String> {
                     .map_err(|e| format!("{block}: {e}"))?;
             }
             ProtocolKind::Directory => {
-                let entry = s.dir.entry(block);
+                let entry = s.engine.dir.entry(block);
                 // The owner pointer is stale while a MemUpdate or WriteBack
                 // from the (old) owner travels to — or queues at — the home;
                 // those messages account for the dirty data meanwhile.
                 let wb_pending: Vec<bool> = (0..model.nodes)
                     .map(|i| {
                         s.wb_buffer[i][b]
-                            || s.net.iter().chain(s.queue[b].iter()).any(|m| {
+                            || s.net.iter().chain(s.engine.queued(block)).any(|m| {
                                 matches!(
                                     m.kind,
                                     ringsim_proto::MsgKind::MemUpdate

@@ -1,8 +1,15 @@
 //! The abstract protocol machine explored by the checker.
 //!
 //! The *state* is built from the very objects the timed simulator uses —
-//! [`Cache`], [`Directory`], [`HomeMemory`], [`RingMessage`] — and every
-//! transition consults the shared tables in [`ringsim_proto::transitions`].
+//! [`Cache`], [`HomeMemory`], [`RingMessage`] and, for the two ring
+//! protocols, the [`RingEngine`] with its `Directory`, home contexts and
+//! queues. Every ring-protocol effect comes from
+//! [`ringsim_proto::ring_engine`], the engine `RingSystem` drives too: this
+//! module only schedules the engine's steps, through [`Host`], the model's
+//! `RingHost`. The fault fixtures override that host's hooks. The atomic
+//! protocols (SCI, MESI, Dragon) are served here in one step each, from
+//! their guarded rule sets.
+//!
 //! What the model abstracts away is *time*: slot rotation, latencies and
 //! retry backoffs are replaced by a nondeterministic scheduler that explores
 //! every ordering of the remaining atomic steps (issuing a reference,
@@ -17,45 +24,40 @@
 //!   probe's visit to `j`, both of which the scheduler explores as separate
 //!   interleavings.
 //! * **Folded home access.** The directory home's lock acquisition and its
-//!   subsequent memory/directory access are one step: the entry is locked
-//!   for the whole window, so no same-block event can interleave.
+//!   subsequent memory/directory access are one step (the host acts on an
+//!   admitted request at once): the entry is locked for the whole window,
+//!   so no same-block event can interleave.
+//! * **Immediate local delivery.** A message a node sends itself arrives in
+//!   the same step — except a write-back, which travels so the snooping
+//!   home's dirty bit keeps answering until it lands.
 //! * **Per-class FIFO network.** Messages with the same source,
 //!   destination, slot class, and block arrive in insertion order (slots of
 //!   one class preserve order on the ring); everything else reorders
 //!   freely.
 //! * **No conflict misses.** Caches are sized so every model block maps to
 //!   its own line; replacements are modelled by explicit eviction steps,
-//!   which drive the same victim/write-back code paths that
-//!   `fill`-displacement does in the simulator.
+//!   which drive the engine's victim handling just as `fill` displacement
+//!   does in the simulator.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ringsim_cache::{Cache, CacheConfig, LineState};
 use ringsim_proto::guarded::{self, FireCounts};
-use ringsim_proto::sci::{SciAction, SciList, SciRequest};
-use ringsim_proto::transitions::{
-    self, BusOp, DirAction, DirRequest, DragonAction, HomeSnoopAction, MesiAction, SnoopAction,
+use ringsim_proto::ring_engine::{
+    self, HomeStage, HomeTxn, ProbeReturn, RingEngine, RingHost, SnoopIssue, TxnKind,
 };
-use ringsim_proto::{Directory, HomeMemory, MsgKind, ProtocolKind, RingMessage};
+use ringsim_proto::sci::{SciAction, SciList, SciRequest};
+use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
+use ringsim_proto::{HomeMemory, MsgKind, ProtocolKind, RingMessage};
 use ringsim_types::{BlockAddr, NodeId};
 
 use crate::Fault;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TxnKind {
-    Read,
-    Write,
-    Upgrade,
-}
-
-impl TxnKind {
-    fn name(self) -> &'static str {
-        match self {
-            TxnKind::Read => "read miss",
-            TxnKind::Write => "write miss",
-            TxnKind::Upgrade => "upgrade",
-        }
+fn kind_name(kind: TxnKind) -> &'static str {
+    match kind {
+        TxnKind::Read => "read miss",
+        TxnKind::Write => "write miss",
+        TxnKind::Upgrade => "upgrade",
     }
 }
 
@@ -69,47 +71,22 @@ pub(crate) enum Phase {
     WaitRemote,
 }
 
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Txn {
-    pub block: BlockAddr,
-    pub kind: TxnKind,
-    pub phase: Phase,
-    pub poisoned: bool,
-    pub self_owner: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage {
-    AwaitInval,
-    AwaitUpdate,
-}
-
-/// Mirror of the simulator's `HomeTxn`: the locked request's context while
-/// the home waits for its multicast or memory update to return.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Active {
-    pub req: RingMessage,
-    pub stage: Stage,
-    pub converted: bool,
-}
+/// A transaction in flight; the engine's fields plus the scheduler phase.
+pub(crate) type Txn = ring_engine::Txn<Phase>;
 
 /// One reachable protocol state.
 #[derive(Debug, Clone)]
 pub(crate) struct State {
     pub caches: Vec<Cache>,
     pub mem: HomeMemory,
-    pub dir: Directory,
+    /// The ring protocols' engine: directory, home contexts and queues,
+    /// parked forwards.
+    pub engine: RingEngine,
     pub txns: Vec<Option<Txn>>,
     /// Directory mode: dirty-victim write-back in flight, per `[node][block]`.
     pub wb_buffer: Vec<Vec<bool>>,
     /// In-flight messages, insertion-ordered (FIFO within a class lane).
     pub net: Vec<RingMessage>,
-    /// Per-block locked home transaction, mirror of `home_txns`.
-    pub active: Vec<Option<Active>>,
-    /// Per-block pending queue at the home, mirror of `home_pending`.
-    pub queue: Vec<VecDeque<RingMessage>>,
-    /// Forwards parked behind the target's own fill, per node.
-    pub pending_fwds: Vec<Vec<RingMessage>>,
     /// SCI mode: per-block sharing list (head first) plus dirty bit.
     pub sci: Vec<SciList>,
     /// MESI/Dragon mode: clean-exclusive (E) marker per `[node][block]` —
@@ -253,7 +230,7 @@ pub(crate) fn txn_code(t: &Txn) -> u8 {
         TxnKind::Write => 1,
         TxnKind::Upgrade => 2,
     };
-    let phase = match t.phase {
+    let phase = match t.ext {
         Phase::NeedProbe => 0u8,
         Phase::WaitLocal => 1,
         Phase::WaitRemote => 2,
@@ -328,13 +305,10 @@ impl Model {
                 .map(|_| Cache::new(self.cache_config()).expect("valid model cache"))
                 .collect(),
             mem: HomeMemory::new(),
-            dir: Directory::new(self.nodes),
+            engine: RingEngine::new(self.protocol, self.nodes),
             txns: vec![None; self.nodes],
             wb_buffer: vec![vec![false; self.blocks]; self.nodes],
             net: Vec::new(),
-            active: vec![None; self.blocks],
-            queue: vec![VecDeque::new(); self.blocks],
-            pending_fwds: vec![Vec::new(); self.nodes],
             sci: vec![SciList::default(); self.blocks],
             excl: vec![vec![false; self.blocks]; self.nodes],
             sm: vec![None; self.blocks],
@@ -354,10 +328,22 @@ impl Model {
     pub(crate) fn is_quiescent(&self, s: &State) -> bool {
         s.txns.iter().all(Option::is_none)
             && s.net.is_empty()
-            && s.active.iter().all(Option::is_none)
-            && s.queue.iter().all(VecDeque::is_empty)
+            && self.blocks().all(|b| s.engine.context(b).is_none() && s.engine.queued(b).is_empty())
             && s.wb_buffer.iter().flatten().all(|&b| !b)
-            && s.pending_fwds.iter().all(Vec::is_empty)
+            && self.node_ids().all(|n| s.engine.parked(n).is_empty())
+    }
+
+    fn blocks(&self) -> impl Iterator<Item = BlockAddr> {
+        (0..self.blocks as u64).map(BlockAddr::new)
+    }
+
+    fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        NodeId::all(self.nodes)
+    }
+
+    /// Forwards parked at any node, node by node.
+    pub(crate) fn parked<'s>(&self, s: &'s State) -> impl Iterator<Item = &'s RingMessage> {
+        self.node_ids().flat_map(|n| s.engine.parked(n))
     }
 
     /// Whether nothing at all is outstanding for `block` — the precondition
@@ -366,10 +352,10 @@ impl Model {
         let b = block.raw() as usize;
         s.txns.iter().all(|t| t.as_ref().is_none_or(|t| t.block != block))
             && s.net.iter().all(|m| m.block != block)
-            && s.active[b].is_none()
-            && s.queue[b].is_empty()
+            && s.engine.context(block).is_none()
+            && s.engine.queued(block).is_empty()
             && s.wb_buffer.iter().all(|w| !w[b])
-            && s.pending_fwds.iter().flatten().all(|m| m.block != block)
+            && self.parked(s).all(|m| m.block != block)
     }
 
     // ------------------------------------------------------------ moves
@@ -397,7 +383,7 @@ impl Model {
                         }
                     }
                 }
-                Some(t) => match t.phase {
+                Some(t) => match t.ext {
                     Phase::NeedProbe => moves.push(Move::Circulate { node: i }),
                     Phase::WaitLocal => moves.push(Move::LocalComplete { node: i }),
                     Phase::WaitRemote => {}
@@ -417,8 +403,8 @@ impl Model {
                         && (s.wb_buffer[i][b]
                             || s.net
                                 .iter()
-                                .chain(s.queue[b].iter())
-                                .chain(s.pending_fwds.iter().flatten())
+                                .chain(s.engine.queued(block))
+                                .chain(self.parked(s))
                                 .any(|m| {
                                     m.kind == MsgKind::WriteBack
                                         && m.block == block
@@ -464,15 +450,7 @@ impl Model {
         s.caches[j].snoop_invalidate(block);
     }
 
-    /// Directory ownership grant — disabled wholesale by `ForgetOwner`.
-    fn set_owner(&self, s: &mut State, block: BlockAddr, node: NodeId) {
-        if self.fault == Fault::ForgetOwner {
-            return;
-        }
-        s.dir.set_owner(block, node);
-    }
-
-    /// Snooping home claims the dirty bit — disabled by `ForgetOwner`.
+    /// The home claims the dirty bit — disabled by `ForgetOwner`.
     fn claim_dirty(&self, s: &mut State, block: BlockAddr) {
         if self.fault == Fault::ForgetOwner {
             return;
@@ -480,20 +458,9 @@ impl Model {
         s.mem.set_dirty(block);
     }
 
-    fn poison_pending_read(&self, s: &mut State, j: usize, block: BlockAddr) {
-        if let Some(t) = &mut s.txns[j] {
-            if t.block == block && t.kind == TxnKind::Read {
-                t.poisoned = true;
-            }
-        }
-    }
-
-    fn unpoison(&self, s: &mut State, requester: NodeId, block: BlockAddr) {
-        if let Some(t) = &mut s.txns[requester.index()] {
-            if t.block == block {
-                t.poisoned = false;
-            }
-        }
+    /// The ring-protocol engine's view of `s`.
+    fn host<'a>(&'a self, s: &'a mut State) -> Host<'a> {
+        Host { model: self, s }
     }
 
     // ------------------------------------------------------ basic moves
@@ -539,35 +506,23 @@ impl Model {
             (state, _) => unreachable!("issue on a hitting access ({state:?})"),
         };
         let mut txn =
-            Txn { block, kind, phase: Phase::WaitRemote, poisoned: false, self_owner: false };
-        let label = format!("P{i} issues a {} on {block}", kind.name());
+            Txn { block, kind, poisoned: false, self_owner: false, ext: Phase::WaitRemote };
+        let label = format!("P{i} issues a {} on {block}", kind_name(kind));
         match self.protocol {
             ProtocolKind::Snooping => {
-                let local_clean = home == me && !s.mem.is_dirty(block);
-                match kind {
-                    TxnKind::Read if local_clean => txn.phase = Phase::WaitLocal,
-                    TxnKind::Read => txn.phase = Phase::NeedProbe,
-                    TxnKind::Write | TxnKind::Upgrade => {
-                        if local_clean {
-                            txn.self_owner = true;
-                            s.mem.set_dirty(block);
-                        }
-                        txn.phase = Phase::NeedProbe;
-                    }
-                }
                 s.txns[i] = Some(txn);
+                let phase = match ring_engine::snoop_issue(&mut self.host(s), me) {
+                    SnoopIssue::LocalRead => Phase::WaitLocal,
+                    SnoopIssue::Probe(_) => Phase::NeedProbe,
+                };
+                s.txns[i].as_mut().expect("issued").ext = phase;
                 label
             }
             ProtocolKind::Directory => {
-                let mk = match kind {
-                    TxnKind::Read => MsgKind::DirRead,
-                    TxnKind::Write => MsgKind::DirWrite,
-                    TxnKind::Upgrade => MsgKind::DirUpgrade,
-                };
                 s.txns[i] = Some(txn);
-                let req = RingMessage::new(mk, block, me, home);
+                let req = RingMessage::new(kind.dir_request(), block, me, home);
                 if home == me {
-                    let outcome = self.home_receive(s, req);
+                    let outcome = receive_label(ring_engine::receive(&mut self.host(s), req));
                     format!("{label} ({outcome} at its own home)")
                 } else {
                     s.net.push(req);
@@ -577,7 +532,7 @@ impl Model {
             ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
                 // Atomic-transaction protocols: the request sits pending
                 // until a Circulate move serves it in one indivisible step.
-                txn.phase = Phase::NeedProbe;
+                txn.ext = Phase::NeedProbe;
                 s.txns[i] = Some(txn);
                 label
             }
@@ -592,34 +547,12 @@ impl Model {
         format!("P{i} evicts {block} ({})", if dirty { "dirty" } else { "clean" })
     }
 
-    /// Victim handling shared by Evict and `fill` displacement — mirrors
-    /// `RingSystem::fill`.
+    /// Victim handling shared by Evict and `fill` displacement.
     fn handle_victim(&self, s: &mut State, i: usize, victim: BlockAddr, vstate: LineState) {
         let me = NodeId::new(i);
-        let vhome = self.home_of(victim);
         match self.protocol {
-            ProtocolKind::Snooping => {
-                if vstate.is_dirty() {
-                    if vhome == me {
-                        s.mem.clear_dirty(victim);
-                    } else {
-                        s.net.push(RingMessage::new(MsgKind::WriteBack, victim, me, vhome));
-                    }
-                }
-            }
-            ProtocolKind::Directory => {
-                if vstate.is_dirty() {
-                    s.wb_buffer[i][victim.raw() as usize] = true;
-                    let wb = RingMessage::new(MsgKind::WriteBack, victim, me, vhome);
-                    if vhome == me {
-                        self.home_receive(s, wb);
-                    } else {
-                        s.net.push(wb);
-                    }
-                } else if vstate.is_valid() {
-                    // Zero-cost replacement hint, as in the simulator.
-                    s.dir.remove_sharer(victim, me);
-                }
+            ProtocolKind::Snooping | ProtocolKind::Directory => {
+                ring_engine::victim(&mut self.host(s), me, victim, vstate);
             }
             ProtocolKind::Sci => {
                 if vstate.is_valid() {
@@ -680,7 +613,7 @@ impl Model {
 
     fn do_local_complete(&self, s: &mut State, i: usize) -> String {
         let t = s.txns[i].expect("local completion without txn");
-        debug_assert_eq!(t.phase, Phase::WaitLocal);
+        debug_assert_eq!(t.ext, Phase::WaitLocal);
         if !t.poisoned {
             self.fill(s, i, t.block, LineState::Rs);
         }
@@ -699,111 +632,28 @@ impl Model {
             return self.do_serve(s, i);
         }
         let t = s.txns[i].expect("circulate without txn");
-        debug_assert_eq!(t.phase, Phase::NeedProbe);
+        debug_assert_eq!(t.ext, Phase::NeedProbe);
         let block = t.block;
         let me = NodeId::new(i);
-        let home = self.home_of(block);
-        // A retry goes back through `issue_txn` in the simulator, which
-        // re-samples the local-clean condition — without this a home-node
-        // requester whose probe nobody can acknowledge would retry forever
-        // (its own write-back clears the dirty bit between attempts).
-        if home == me && !s.mem.is_dirty(block) {
-            match t.kind {
-                TxnKind::Read => {
-                    if let Some(u) = &mut s.txns[i] {
-                        u.phase = Phase::WaitLocal;
-                    }
-                    return format!(
-                        "P{i}'s retried read of {block} re-issues on the local clean path"
-                    );
-                }
-                TxnKind::Write | TxnKind::Upgrade => {
-                    if let Some(u) = &mut s.txns[i] {
-                        u.self_owner = true;
-                    }
-                    s.mem.set_dirty(block);
-                }
+        // A retry re-samples the local-clean condition, as the simulator's
+        // re-issue does — without this a home-node requester whose probe
+        // nobody can acknowledge would retry forever (its own write-back
+        // clears the dirty bit between attempts).
+        let probe = match ring_engine::snoop_issue(&mut self.host(s), me) {
+            SnoopIssue::LocalRead => {
+                s.txns[i].as_mut().expect("circulating").ext = Phase::WaitLocal;
+                return format!("P{i}'s retried read of {block} re-issues on the local clean path");
             }
-        }
-        let t = s.txns[i].expect("circulate without txn");
-        let probe = match t.kind {
-            TxnKind::Read => MsgKind::SnoopRead,
-            TxnKind::Write => MsgKind::SnoopWrite,
-            TxnKind::Upgrade => MsgKind::SnoopUpgrade,
+            SnoopIssue::Probe(probe) => probe,
         };
-        let mut acked = t.self_owner;
-        for step in 1..self.nodes {
-            let j = (i + step) % self.nodes;
-            // A node with its own transaction in flight on this block does
-            // not participate (home side included); a passing write still
-            // poisons its pending read.
-            if let Some(u) = &s.txns[j] {
-                if u.block == block {
-                    if probe != MsgKind::SnoopRead {
-                        self.poison_pending_read(s, j, block);
-                    }
-                    continue;
-                }
-            }
-            let state = s.caches[j].state_of(block);
-            let data =
-                RingMessage::for_requester(MsgKind::BlockData, block, NodeId::new(j), me, me);
-            match guarded::snooper_action(state, probe, self.fire_counts()) {
-                SnoopAction::SupplyDowngrade => {
-                    s.caches[j].snoop_downgrade(block);
-                    acked = true;
-                    s.net.push(data.with_from_dirty(true));
-                    // The write-back stays in flight even when the owner is
-                    // the home: the dirty bit keeps arbitrating Silent until
-                    // the WriteBack lands, exactly as in the simulator.
-                    let wb = RingMessage::new(MsgKind::WriteBack, block, NodeId::new(j), home);
-                    s.net.push(wb);
-                }
-                SnoopAction::SupplyInvalidate => {
-                    s.caches[j].snoop_invalidate(block);
-                    acked = true;
-                    s.net.push(data.with_from_dirty(true));
-                }
-                SnoopAction::Invalidate => self.invalidate_at(s, j, block),
-                SnoopAction::Ignore => {}
-            }
-            if j == home.index() {
-                match guarded::home_snoop_action(s.mem.is_dirty(block), probe, self.fire_counts()) {
-                    HomeSnoopAction::Supply => {
-                        acked = true;
-                        s.net.push(data.with_from_dirty(false));
-                    }
-                    HomeSnoopAction::SupplyClaim => {
-                        acked = true;
-                        s.net.push(data.with_from_dirty(false));
-                        self.claim_dirty(s, block);
-                    }
-                    HomeSnoopAction::AckClaim => {
-                        acked = true;
-                        self.claim_dirty(s, block);
-                    }
-                    HomeSnoopAction::Silent => {}
-                }
-            }
-        }
-        // probe_returned
-        if !acked {
-            let converts = t.kind == TxnKind::Upgrade;
-            if converts {
-                // The requester's line is stale: drop it and retry as a
-                // write miss.
-                if let Some(u) = &mut s.txns[i] {
-                    u.kind = TxnKind::Write;
-                }
-                s.caches[i].snoop_invalidate(block);
-            }
-            return format!(
+        let acked = self.circulate(s, RingMessage::new(probe, block, me, me));
+        match ring_engine::probe_returned(&mut self.host(s), me, block, acked) {
+            ProbeReturn::Stale => unreachable!("the circulating transaction is current"),
+            ProbeReturn::Retry { converted } => format!(
                 "P{i}'s {probe} probe for {block} circulates unacknowledged ({})",
-                if converts { "upgrade converts to a write miss" } else { "will retry" }
-            );
-        }
-        match t.kind {
-            TxnKind::Upgrade => {
+                if converted { "upgrade converts to a write miss" } else { "will retry" }
+            ),
+            ProbeReturn::Promote => {
                 if !s.caches[i].promote(block) {
                     // Only fault injection can remove the line mid-upgrade;
                     // fill so the invariant layer reports the damage.
@@ -812,18 +662,30 @@ impl Model {
                 self.finish_txn(s, i);
                 format!("P{i}'s upgrade probe for {block} circulates; copies invalidated, line promoted")
             }
-            TxnKind::Write if t.self_owner => {
+            ProbeReturn::SelfOwnedWrite => {
                 self.fill(s, i, block, LineState::We);
                 self.finish_txn(s, i);
                 format!("P{i}'s write probe for {block} circulates; local memory supplies")
             }
-            TxnKind::Read | TxnKind::Write => {
-                if let Some(u) = &mut s.txns[i] {
-                    u.phase = Phase::WaitRemote;
-                }
+            ProbeReturn::AwaitData => {
+                s.txns[i].as_mut().expect("circulating").ext = Phase::WaitRemote;
                 format!("P{i}'s {probe} probe for {block} circulates, acknowledged")
             }
         }
+    }
+
+    /// A probe (or the directory's multicast) visits every other node in
+    /// ring order in one step — see the module docs. Returns whether any
+    /// visit acknowledged it.
+    fn circulate(&self, s: &mut State, msg: RingMessage) -> bool {
+        let home = self.home_of(msg.block);
+        let mut h = self.host(s);
+        let mut acked = false;
+        for step in 1..self.nodes {
+            let node = NodeId::new((msg.src.index() + step) % self.nodes);
+            acked |= ring_engine::snoop_at(&mut h, node, home, &msg).acked();
+        }
+        acked
     }
 
     // -------------------------------------- atomic transaction protocols
@@ -833,7 +695,7 @@ impl Model {
     /// (SCI). See [`Model::is_atomic`].
     fn do_serve(&self, s: &mut State, i: usize) -> String {
         let t = s.txns[i].expect("serve without txn");
-        debug_assert_eq!(t.phase, Phase::NeedProbe);
+        debug_assert_eq!(t.ext, Phase::NeedProbe);
         match self.protocol {
             ProtocolKind::Sci => self.serve_sci(s, i, t),
             ProtocolKind::Mesi => self.serve_mesi(s, i, t),
@@ -925,7 +787,7 @@ impl Model {
             SciAction::Splice => unreachable!("rollouts are served at eviction, not as requests"),
         };
         self.finish_txn(s, i);
-        format!("home {home} serves P{i}'s {} on {block}; {note}", kind.name())
+        format!("home {home} serves P{i}'s {} on {block}; {note}", kind_name(kind))
     }
 
     fn serve_mesi(&self, s: &mut State, i: usize, t: Txn) -> String {
@@ -1017,7 +879,7 @@ impl Model {
             }
         };
         self.finish_txn(s, i);
-        format!("bus grants P{i}'s {} on {block}; {note}", kind.name())
+        format!("bus grants P{i}'s {} on {block}; {note}", kind_name(kind))
     }
 
     fn serve_dragon(&self, s: &mut State, i: usize, t: Txn) -> String {
@@ -1103,50 +965,49 @@ impl Model {
             }
         };
         self.finish_txn(s, i);
-        format!("bus grants P{i}'s {} on {block}; {note}", kind.name())
+        format!("bus grants P{i}'s {} on {block}; {note}", kind_name(kind))
     }
 
     // ------------------------------------------------------- deliveries
 
-    /// Routes a message that reached its destination — mirror of
-    /// `RingSystem::deliver`.
+    /// Routes a message that reached its destination, as the simulator's
+    /// `deliver` does.
     fn deliver(&self, s: &mut State, msg: RingMessage) -> String {
+        let mut h = self.host(s);
         match msg.kind {
             MsgKind::SnoopRead | MsgKind::SnoopWrite | MsgKind::SnoopUpgrade => {
                 unreachable!("snoop probes circulate atomically, never via the network")
             }
             MsgKind::DirRead | MsgKind::DirWrite | MsgKind::DirUpgrade => {
-                let outcome = self.home_receive(s, msg);
-                format!("{msg} arrives ({outcome})")
+                format!("{msg} arrives ({})", receive_label(ring_engine::receive(&mut h, msg)))
             }
-            MsgKind::DirFwdRead | MsgKind::DirFwdWrite => self.forward_arrived(s, msg),
-            MsgKind::DirInval => self.inval_circulates(s, msg),
+            MsgKind::DirFwdRead | MsgKind::DirFwdWrite => {
+                if ring_engine::forward_arrived(&mut h, msg) {
+                    format!("{msg} arrives and is served")
+                } else {
+                    format!("{msg} arrives; parked behind the target's own fill")
+                }
+            }
+            MsgKind::DirInval => {
+                // The multicast circulates the full ring and returns to the
+                // home — atomic, like snoop probes (see module docs).
+                self.circulate(s, msg);
+                ring_engine::inval_returned(&mut self.host(s), msg);
+                format!(
+                    "{msg} circulates and returns; sharers invalidated, {} becomes owner",
+                    msg.requester
+                )
+            }
             MsgKind::DirAck => self.ack_received(s, msg),
             MsgKind::BlockData => self.data_received(s, msg),
-            MsgKind::WriteBack => match self.protocol {
-                ProtocolKind::Snooping => {
-                    s.mem.clear_dirty(msg.block);
-                    format!("{msg} arrives; memory clean again")
-                }
-                ProtocolKind::Directory => {
-                    let outcome = self.home_receive(s, msg);
-                    format!("{msg} arrives ({outcome})")
-                }
-                ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                    unreachable!("atomic protocols fold write-backs into the serving step")
-                }
+            MsgKind::WriteBack => match ring_engine::write_back_arrived(&mut h, msg) {
+                None => format!("{msg} arrives; memory clean again"),
+                Some(admit) => format!("{msg} arrives ({})", receive_label(admit)),
             },
-            MsgKind::MemUpdate => self.update_received(s, msg),
-        }
-    }
-
-    /// Sends a reply; local replies (home == requester) deliver immediately,
-    /// as the simulator's `enqueue_msg` does.
-    fn emit(&self, s: &mut State, msg: RingMessage) {
-        if msg.dst == msg.src && !msg.kind.returns_to_source() {
-            self.deliver(s, msg);
-        } else {
-            s.net.push(msg);
+            MsgKind::MemUpdate => {
+                ring_engine::update_received(&mut h, msg);
+                format!("{msg} arrives; directory refreshed, entry unlocked")
+            }
         }
     }
 
@@ -1194,335 +1055,7 @@ impl Model {
 
     fn finish_txn(&self, s: &mut State, i: usize) {
         let t = s.txns[i].take().expect("finishing absent txn");
-        let fwds = std::mem::take(&mut s.pending_fwds[i]);
-        for fwd in fwds {
-            if fwd.block == t.block {
-                self.serve_forward(s, i, fwd);
-            } else {
-                s.pending_fwds[i].push(fwd);
-            }
-        }
-    }
-
-    // ------------------------------------------------ directory home side
-
-    fn home_receive(&self, s: &mut State, msg: RingMessage) -> &'static str {
-        debug_assert_eq!(self.protocol, ProtocolKind::Directory);
-        let block = msg.block;
-        if s.dir.try_lock(block) {
-            self.home_act(s, msg);
-            "served"
-        } else {
-            s.queue[block.raw() as usize].push_back(msg);
-            "queued behind the busy entry"
-        }
-    }
-
-    fn unlock_and_drain(&self, s: &mut State, block: BlockAddr) {
-        s.dir.unlock(block);
-        s.active[block.raw() as usize] = None;
-        if let Some(next) = s.queue[block.raw() as usize].pop_front() {
-            self.home_receive(s, next);
-        }
-    }
-
-    fn home_act(&self, s: &mut State, req: RingMessage) {
-        let block = req.block;
-        match req.kind {
-            MsgKind::WriteBack => {
-                // The buffer entry is the liveness token: a write-back whose
-                // entry was reclaimed by the evictor's own re-miss is stale
-                // and must not touch the directory (see `RingSystem`).
-                let evictor = req.src;
-                let live = s.wb_buffer[evictor.index()][block.raw() as usize];
-                s.wb_buffer[evictor.index()][block.raw() as usize] = false;
-                let entry = s.dir.entry(block);
-                if live && entry.owner == Some(evictor) {
-                    s.dir.remove_sharer(block, evictor);
-                }
-                self.unlock_and_drain(s, block);
-            }
-            MsgKind::DirRead => {
-                self.unpoison(s, req.requester, block);
-                self.home_read(s, req);
-            }
-            MsgKind::DirWrite => {
-                self.unpoison(s, req.requester, block);
-                self.home_write(s, req, false);
-            }
-            MsgKind::DirUpgrade => {
-                self.unpoison(s, req.requester, block);
-                let entry = s.dir.entry(block);
-                if transitions::upgrade_must_convert(&entry, req.requester) {
-                    self.home_write(s, req, true);
-                } else {
-                    self.home_upgrade(s, req);
-                }
-            }
-            _ => unreachable!("home_act on non-request {:?}", req.kind),
-        }
-    }
-
-    fn reclaim_own_writeback(&self, s: &mut State, block: BlockAddr, requester: NodeId) {
-        let entry = s.dir.entry(block);
-        if transitions::must_reclaim_writeback(&entry, requester) {
-            debug_assert!(
-                self.fault != Fault::None || s.wb_buffer[requester.index()][block.raw() as usize],
-                "directory owner misses without a write-back in flight"
-            );
-            s.dir.remove_sharer(block, requester);
-            s.wb_buffer[requester.index()][block.raw() as usize] = false;
-        }
-    }
-
-    fn home_self_invalidate(
-        &self,
-        s: &mut State,
-        home: NodeId,
-        requester: NodeId,
-        block: BlockAddr,
-    ) {
-        if home != requester {
-            self.invalidate_at(s, home.index(), block);
-            self.poison_pending_read(s, home.index(), block);
-        }
-    }
-
-    fn home_read(&self, s: &mut State, req: RingMessage) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        self.reclaim_own_writeback(s, block, requester);
-        let entry = s.dir.entry(block);
-        match guarded::dir_action(&entry, requester, DirRequest::Read, self.fire_counts()) {
-            DirAction::ForwardRead { owner } => {
-                // Presence recorded at grant time, as in the simulator: the
-                // requester can fill and evict before the MemUpdate returns.
-                s.dir.add_sharer(block, requester);
-                s.active[block.raw() as usize] =
-                    Some(Active { req, stage: Stage::AwaitUpdate, converted: false });
-                self.emit(
-                    s,
-                    RingMessage::for_requester(MsgKind::DirFwdRead, block, home, owner, requester),
-                );
-            }
-            DirAction::GrantData => {
-                s.dir.add_sharer(block, requester);
-                self.emit(
-                    s,
-                    RingMessage::for_requester(
-                        MsgKind::BlockData,
-                        block,
-                        home,
-                        requester,
-                        requester,
-                    ),
-                );
-                self.unlock_and_drain(s, block);
-            }
-            DirAction::ForwardWrite { .. } | DirAction::InvalidateSharers | DirAction::GrantAck => {
-                unreachable!("read request dispatched to a write action")
-            }
-        }
-    }
-
-    fn home_write(&self, s: &mut State, req: RingMessage, converted: bool) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        self.reclaim_own_writeback(s, block, requester);
-        let entry = s.dir.entry(block);
-        match guarded::dir_action(&entry, requester, DirRequest::Write, self.fire_counts()) {
-            DirAction::ForwardWrite { owner } => {
-                s.active[block.raw() as usize] =
-                    Some(Active { req, stage: Stage::AwaitUpdate, converted });
-                self.emit(
-                    s,
-                    RingMessage::for_requester(MsgKind::DirFwdWrite, block, home, owner, requester),
-                );
-            }
-            DirAction::InvalidateSharers => {
-                self.home_self_invalidate(s, home, requester, block);
-                s.active[block.raw() as usize] =
-                    Some(Active { req, stage: Stage::AwaitInval, converted });
-                s.net.push(RingMessage::for_requester(
-                    MsgKind::DirInval,
-                    block,
-                    home,
-                    home,
-                    requester,
-                ));
-            }
-            DirAction::GrantData => {
-                self.set_owner(s, block, requester);
-                self.emit(
-                    s,
-                    RingMessage::for_requester(
-                        MsgKind::BlockData,
-                        block,
-                        home,
-                        requester,
-                        requester,
-                    ),
-                );
-                self.unlock_and_drain(s, block);
-            }
-            DirAction::ForwardRead { .. } | DirAction::GrantAck => {
-                unreachable!("write request dispatched to a read/upgrade action")
-            }
-        }
-    }
-
-    fn home_upgrade(&self, s: &mut State, req: RingMessage) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        let entry = s.dir.entry(block);
-        match guarded::dir_action(&entry, requester, DirRequest::Upgrade, self.fire_counts()) {
-            DirAction::InvalidateSharers => {
-                self.home_self_invalidate(s, home, requester, block);
-                s.active[block.raw() as usize] =
-                    Some(Active { req, stage: Stage::AwaitInval, converted: false });
-                s.net.push(RingMessage::for_requester(
-                    MsgKind::DirInval,
-                    block,
-                    home,
-                    home,
-                    requester,
-                ));
-            }
-            DirAction::GrantAck => {
-                self.set_owner(s, block, requester);
-                self.emit(
-                    s,
-                    RingMessage::for_requester(MsgKind::DirAck, block, home, requester, requester),
-                );
-                self.unlock_and_drain(s, block);
-            }
-            DirAction::ForwardRead { .. }
-            | DirAction::ForwardWrite { .. }
-            | DirAction::GrantData => {
-                unreachable!("well-formed upgrade dispatched to a miss action")
-            }
-        }
-    }
-
-    /// The multicast invalidation circulates the full ring and returns to
-    /// the home — atomic, like snoop probes (see module docs).
-    fn inval_circulates(&self, s: &mut State, msg: RingMessage) -> String {
-        let block = msg.block;
-        let home = msg.src;
-        for j in 0..self.nodes {
-            if j == msg.requester.index() || j == home.index() {
-                continue; // requester is exempt; the home invalidated at send
-            }
-            match guarded::snooper_action(
-                s.caches[j].state_of(block),
-                MsgKind::DirInval,
-                self.fire_counts(),
-            ) {
-                SnoopAction::Invalidate => self.invalidate_at(s, j, block),
-                SnoopAction::Ignore => {}
-                SnoopAction::SupplyInvalidate | SnoopAction::SupplyDowngrade => {
-                    unreachable!("multicast invalidation never asks a cache for data")
-                }
-            }
-            self.poison_pending_read(s, j, block);
-        }
-        // inval_returned
-        let act = s.active[block.raw() as usize].expect("inval context");
-        debug_assert_eq!(act.stage, Stage::AwaitInval);
-        let requester = act.req.requester;
-        self.set_owner(s, block, requester);
-        let reply_kind = match act.req.kind {
-            MsgKind::DirUpgrade if !act.converted => MsgKind::DirAck,
-            _ => MsgKind::BlockData,
-        };
-        self.emit(s, RingMessage::for_requester(reply_kind, block, home, requester, requester));
-        self.unlock_and_drain(s, block);
-        format!("{msg} circulates and returns; sharers invalidated, {requester} becomes owner")
-    }
-
-    fn forward_arrived(&self, s: &mut State, msg: RingMessage) -> String {
-        let d = msg.dst.index();
-        let has_txn = s.txns[d].as_ref().is_some_and(|t| t.block == msg.block);
-        let buffered = s.wb_buffer[d][msg.block.raw() as usize];
-        // A forward can always be served from the write-back buffer, even
-        // while the target's own re-miss on the block is in flight — parking
-        // it would deadlock the home against the target's queued request
-        // (found by this checker; `ParkBusyForwards` reinstates the bug).
-        let park = match self.fault {
-            Fault::ParkBusyForwards => has_txn,
-            Fault::None | Fault::SkipInvalidate | Fault::ForgetOwner | Fault::BreakListLink => {
-                has_txn && !buffered
-            }
-        };
-        if park {
-            s.pending_fwds[d].push(msg);
-            format!("{msg} arrives; parked behind the target's own fill")
-        } else {
-            self.serve_forward(s, d, msg);
-            format!("{msg} arrives and is served")
-        }
-    }
-
-    fn serve_forward(&self, s: &mut State, d: usize, fwd: RingMessage) {
-        let block = fwd.block;
-        let home = fwd.src;
-        let me = NodeId::new(d);
-        let state = s.caches[d].state_of(block);
-        debug_assert!(
-            state == LineState::We || s.wb_buffer[d][block.raw() as usize],
-            "forward to a node without the data: {fwd} (state {state:?})"
-        );
-        if state != LineState::We {
-            // Serving from the write-back buffer consumes the entry, killing
-            // the still-circulating WriteBack (see `RingSystem`).
-            s.wb_buffer[d][block.raw() as usize] = false;
-        }
-        let retained = match fwd.kind {
-            MsgKind::DirFwdRead => {
-                if state == LineState::We {
-                    s.caches[d].snoop_downgrade(block);
-                    true
-                } else {
-                    false
-                }
-            }
-            MsgKind::DirFwdWrite => {
-                if state == LineState::We {
-                    s.caches[d].snoop_invalidate(block);
-                }
-                false
-            }
-            _ => unreachable!("serve_forward on non-forward"),
-        };
-        self.emit(
-            s,
-            RingMessage::for_requester(MsgKind::BlockData, block, me, fwd.requester, fwd.requester)
-                .with_from_dirty(true),
-        );
-        self.emit(s, RingMessage::new(MsgKind::MemUpdate, block, me, home).with_retained(retained));
-    }
-
-    fn update_received(&self, s: &mut State, msg: RingMessage) -> String {
-        let block = msg.block;
-        let act = s.active[block.raw() as usize].expect("update context");
-        debug_assert_eq!(act.stage, Stage::AwaitUpdate);
-        let requester = act.req.requester;
-        let d = msg.src;
-        match act.req.kind {
-            MsgKind::DirRead => {
-                // The requester's presence bit was set at forward time.
-                s.dir.clear_owner(block);
-                if !msg.retained {
-                    s.dir.remove_sharer(block, d);
-                }
-            }
-            _ => self.set_owner(s, block, requester),
-        }
-        self.unlock_and_drain(s, block);
-        format!("{msg} arrives; directory refreshed, entry unlocked")
+        ring_engine::release_forwards(&mut self.host(s), NodeId::new(i), t.block);
     }
 
     // --------------------------------------------------------- encoding
@@ -1572,7 +1105,7 @@ impl Model {
         for &old_b in &inv_block[..self.blocks] {
             let block = BlockAddr::new(old_b as u64);
             out.push(u8::from(s.mem.is_dirty(block)));
-            let entry = s.dir.entry(block);
+            let entry = s.engine.dir.entry(block);
             let mut sharers = 0u8;
             for (j, &new_j) in node_map.iter().enumerate() {
                 if entry.sharers & (1 << j) != 0 {
@@ -1581,7 +1114,7 @@ impl Model {
             }
             out.push(sharers);
             out.push(entry.owner.map_or(0xFF, |o| node_map[o.index()] as u8));
-            out.push(u8::from(s.dir.is_locked(block)));
+            out.push(u8::from(s.engine.context(block).is_some()));
         }
         for &old_i in &inv_node[..self.nodes] {
             match &s.txns[old_i] {
@@ -1601,12 +1134,12 @@ impl Model {
             out.push(bits);
         }
         for &old_b in &inv_block[..self.blocks] {
-            match &s.active[old_b] {
+            match s.engine.context(BlockAddr::new(old_b as u64)) {
                 None => out.push(0xFF),
                 Some(a) => {
-                    let stage = match a.stage {
-                        Stage::AwaitInval => 0u8,
-                        Stage::AwaitUpdate => 1,
+                    let stage = match a.stage.expect("the checker acts on admission") {
+                        HomeStage::AwaitInval => 0u8,
+                        HomeStage::AwaitUpdate => 1,
                     };
                     out.push(stage | (u8::from(a.converted) << 1));
                     encode_msg_under(out, &a.req, node_map, block_map);
@@ -1614,14 +1147,14 @@ impl Model {
             }
         }
         for &old_b in &inv_block[..self.blocks] {
-            let q = &s.queue[old_b];
+            let q = s.engine.queued(BlockAddr::new(old_b as u64));
             out.push(q.len() as u8);
             for m in q {
                 encode_msg_under(out, m, node_map, block_map);
             }
         }
         for &old_i in &inv_node[..self.nodes] {
-            let fwds = &s.pending_fwds[old_i];
+            let fwds = s.engine.parked(NodeId::new(old_i));
             let mut sorted: Vec<&RingMessage> = fwds.iter().collect();
             sorted.sort_by_key(|m| (block_map[m.block.raw() as usize], kind_code(m.kind)));
             out.push(sorted.len() as u8);
@@ -1693,17 +1226,15 @@ impl Model {
             let sharers = take(&mut pos);
             let owner = take(&mut pos);
             if owner != 0xFF {
-                s.dir.set_owner(block, NodeId::new(owner as usize));
+                s.engine.dir.set_owner(block, NodeId::new(owner as usize));
             }
             for j in 0..self.nodes {
                 if sharers & (1 << j) != 0 && owner != j as u8 {
-                    s.dir.add_sharer(block, NodeId::new(j));
+                    s.engine.dir.add_sharer(block, NodeId::new(j));
                 }
             }
-            if take(&mut pos) != 0 {
-                let locked = s.dir.try_lock(block);
-                debug_assert!(locked);
-            }
+            // The lock is the home context, decoded below.
+            take(&mut pos);
         }
         for i in 0..self.nodes {
             let flags = take(&mut pos);
@@ -1718,13 +1249,13 @@ impl Model {
                     1 => TxnKind::Write,
                     _ => TxnKind::Upgrade,
                 },
-                phase: match (flags >> 2) & 0b11 {
+                poisoned: flags & (1 << 4) != 0,
+                self_owner: flags & (1 << 5) != 0,
+                ext: match (flags >> 2) & 0b11 {
                     0 => Phase::NeedProbe,
                     1 => Phase::WaitLocal,
                     _ => Phase::WaitRemote,
                 },
-                poisoned: flags & (1 << 4) != 0,
-                self_owner: flags & (1 << 5) != 0,
             });
         }
         for i in 0..self.nodes {
@@ -1733,29 +1264,29 @@ impl Model {
                 s.wb_buffer[i][b] = bits & (1 << b) != 0;
             }
         }
-        for b in 0..self.blocks {
-            let flags = take(&mut pos);
-            if flags == 0xFF {
-                continue;
-            }
-            let req = decode_msg(bytes, &mut pos);
-            s.active[b] = Some(Active {
-                req,
-                stage: if flags & 1 == 0 { Stage::AwaitInval } else { Stage::AwaitUpdate },
-                converted: flags & 2 != 0,
-            });
-        }
-        for b in 0..self.blocks {
+        let contexts: Vec<Option<HomeTxn>> = (0..self.blocks)
+            .map(|_| {
+                let flags = take(&mut pos);
+                (flags != 0xFF).then(|| HomeTxn {
+                    req: decode_msg(bytes, &mut pos),
+                    stage: Some(if flags & 1 == 0 {
+                        HomeStage::AwaitInval
+                    } else {
+                        HomeStage::AwaitUpdate
+                    }),
+                    converted: flags & 2 != 0,
+                })
+            })
+            .collect();
+        for (block, context) in self.blocks().zip(contexts) {
             let len = take(&mut pos);
-            for _ in 0..len {
-                s.queue[b].push_back(decode_msg(bytes, &mut pos));
-            }
+            let queued = (0..len).map(|_| decode_msg(bytes, &mut pos)).collect();
+            s.engine.restore_home(block, context, queued);
         }
-        for i in 0..self.nodes {
+        for node in self.node_ids() {
             let len = take(&mut pos);
-            for _ in 0..len {
-                s.pending_fwds[i].push(decode_msg(bytes, &mut pos));
-            }
+            let fwds = (0..len).map(|_| decode_msg(bytes, &mut pos)).collect();
+            s.engine.restore_parked(node, fwds);
         }
         for b in 0..self.blocks {
             let header = take(&mut pos);
@@ -1797,12 +1328,12 @@ impl Model {
                     format!("memory {}", if s.mem.is_dirty(block) { "dirty" } else { "clean" })
                 }
                 ProtocolKind::Directory => {
-                    let e = s.dir.entry(block);
+                    let e = s.engine.dir.entry(block);
                     format!(
                         "dir sharers {:#b} owner {} {}",
                         e.sharers,
                         e.owner.map_or_else(|| "-".to_owned(), |o| o.to_string()),
-                        if s.dir.is_locked(block) { "[locked]" } else { "" }
+                        if s.engine.context(block).is_some() { "[locked]" } else { "" }
                     )
                 }
                 ProtocolKind::Sci => {
@@ -1840,9 +1371,9 @@ impl Model {
             if let Some(t) = t {
                 lines.push(format!(
                     "  P{i} txn: {} on {} ({:?}{}{})",
-                    t.kind.name(),
+                    kind_name(t.kind),
                     t.block,
-                    t.phase,
+                    t.ext,
                     if t.poisoned { ", poisoned" } else { "" },
                     if t.self_owner { ", self-owner" } else { "" },
                 ));
@@ -1851,16 +1382,107 @@ impl Model {
         for m in &s.net {
             lines.push(format!("  in flight: {m}"));
         }
-        for (b, q) in s.queue.iter().enumerate() {
-            for m in q {
-                lines.push(format!("  queued at home of B{b:#x}: {m}"));
+        for block in self.blocks() {
+            for m in s.engine.queued(block) {
+                lines.push(format!("  queued at home of {block}: {m}"));
             }
         }
-        for (i, fwds) in s.pending_fwds.iter().enumerate() {
-            for m in fwds {
-                lines.push(format!("  parked at P{i}: {m}"));
+        for node in self.node_ids() {
+            for m in s.engine.parked(node) {
+                lines.push(format!("  parked at {node}: {m}"));
             }
         }
         lines
+    }
+}
+
+/// Formats [`ring_engine::receive`]'s outcome for a step label.
+fn receive_label(admit: ring_engine::Admit) -> &'static str {
+    match admit {
+        ring_engine::Admit::Act => "served",
+        ring_engine::Admit::Queued => "queued behind the busy entry",
+    }
+}
+
+/// The model state as the ring engine's host. Messages to self deliver at
+/// once and an admitted request acts at once (see the module docs); the
+/// fault mutations hook the engine's effects here.
+struct Host<'a> {
+    model: &'a Model,
+    s: &'a mut State,
+}
+
+impl RingHost for Host<'_> {
+    type Caches = [Cache];
+    type TxnExt = Phase;
+
+    fn engine(&mut self) -> &mut RingEngine {
+        &mut self.s.engine
+    }
+
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.s.caches
+    }
+
+    fn memory(&mut self) -> &mut HomeMemory {
+        &mut self.s.mem
+    }
+
+    fn home_of(&self, block: BlockAddr) -> NodeId {
+        self.model.home_of(block)
+    }
+
+    fn txn(&mut self, node: NodeId) -> Option<&mut Txn> {
+        self.s.txns[node.index()].as_mut()
+    }
+
+    fn buffered(&self, node: NodeId, block: BlockAddr) -> bool {
+        self.s.wb_buffer[node.index()][block.raw() as usize]
+    }
+
+    fn set_buffered(&mut self, node: NodeId, block: BlockAddr, buffered: bool) {
+        self.s.wb_buffer[node.index()][block.raw() as usize] = buffered;
+    }
+
+    /// A write-back always travels, even to its own home: the snooping
+    /// home's dirty bit keeps answering Silent until it lands, as the
+    /// simulator's delayed local delivery does (a victim's local
+    /// write-back never gets here, the engine hands it over at once).
+    fn send(&mut self, msg: RingMessage) {
+        if msg.dst == msg.src && !msg.kind.returns_to_source() && msg.kind != MsgKind::WriteBack {
+            self.model.deliver(self.s, msg);
+        } else {
+            self.s.net.push(msg);
+        }
+    }
+
+    fn home_ready(&mut self, req: RingMessage) {
+        ring_engine::act(self, req.block);
+    }
+
+    fn counts(&self) -> Option<&FireCounts> {
+        self.model.fire_counts()
+    }
+
+    fn invalidate_sharer(&mut self, node: NodeId, block: BlockAddr) {
+        self.model.invalidate_at(self.s, node.index(), block);
+    }
+
+    /// `ForgetOwner` drops every directory ownership grant.
+    fn set_owner(&mut self, block: BlockAddr, node: NodeId) {
+        if self.model.fault != Fault::ForgetOwner {
+            self.s.engine.dir.set_owner(block, node);
+        }
+    }
+
+    fn claim_dirty(&mut self, block: BlockAddr) {
+        self.model.claim_dirty(self.s, block);
+    }
+
+    /// `ParkBusyForwards` parks a forward behind the target's own fill
+    /// even when the write-back buffer could serve it — the deadlock this
+    /// checker found.
+    fn parks_forward(&self, buffered: bool) -> bool {
+        self.model.fault == Fault::ParkBusyForwards || !buffered
     }
 }

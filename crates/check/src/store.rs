@@ -18,11 +18,7 @@ use std::hash::{BuildHasher, Hasher};
 /// `splitmix64`-style finalizer so that near-identical encodings (states
 /// differing in one byte) still spread over the whole space.
 pub(crate) fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = ringsim_types::fnv1a(bytes);
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;

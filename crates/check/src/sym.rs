@@ -148,19 +148,14 @@ impl Symmetry {
             for m in &s.net {
                 mark(m);
             }
-            for q in &s.queue {
-                for m in q {
-                    mark(m);
+            for b in 0..model.blocks {
+                let block = BlockAddr::new(b as u64);
+                s.engine.queued(block).iter().for_each(&mut mark);
+                if let Some(a) = s.engine.context(block) {
+                    mark(&a.req);
                 }
             }
-            for a in s.active.iter().flatten() {
-                mark(&a.req);
-            }
-            for row in &s.pending_fwds {
-                for m in row {
-                    mark(m);
-                }
-            }
+            model.parked(s).for_each(&mut mark);
         }
 
         let mut best: Option<Vec<u8>> = None;
@@ -234,7 +229,7 @@ impl Symmetry {
         let mut per_block: Vec<(usize, [u8; 4])> = (0..blocks)
             .map(|b| {
                 let block = BlockAddr::new(b as u64);
-                let entry = s.dir.entry(block);
+                let entry = s.engine.dir.entry(block);
                 let me = ringsim_types::NodeId::new(i);
                 (
                     bm[b],
@@ -277,18 +272,19 @@ impl Symmetry {
         for m in &s.net {
             push_ref(0, 0, m);
         }
-        for (b, q) in s.queue.iter().enumerate() {
-            for (pos, m) in q.iter().enumerate() {
-                push_ref(1, (bm[b] << 4 | pos.min(15)) as u8, m);
+        for (b, &new_b) in bm.iter().enumerate().take(blocks) {
+            let block = BlockAddr::new(b as u64);
+            for (pos, m) in s.engine.queued(block).iter().enumerate() {
+                push_ref(1, (new_b << 4 | pos.min(15)) as u8, m);
             }
         }
-        for (b, a) in s.active.iter().enumerate() {
-            if let Some(a) = a {
-                push_ref(2, bm[b] as u8, &a.req);
+        for (b, &new_b) in bm.iter().enumerate().take(blocks) {
+            if let Some(a) = s.engine.context(BlockAddr::new(b as u64)) {
+                push_ref(2, new_b as u8, &a.req);
             }
         }
-        for (j, row) in s.pending_fwds.iter().enumerate() {
-            for m in row {
+        for j in 0..model.nodes {
+            for m in s.engine.parked(ringsim_types::NodeId::new(j)) {
                 push_ref(3, abs(j), m);
             }
         }

@@ -17,9 +17,10 @@ use ringsim_proto::guarded;
 use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
 use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
 use ringsim_types::stats::RunningMean;
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
+use ringsim_types::{
+    AccessKind, BlockAddr, CoherenceEvents, ConfigError, FnvMap, NodeId, Region, Time,
+};
 
-use crate::collections::FnvMap;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
@@ -687,11 +688,13 @@ impl BusSystem {
             None => (None, Time::ZERO),
         };
 
-        // --- classification (mirrors the reference interpreter's buckets)
+        // --- classification (mirrors the reference interpreter's buckets;
+        // the ring geometry keeps event counts comparable across
+        // interconnects, latency on a bus does not depend on it)
         if measuring {
             match (t.kind, owner) {
                 (TxnKind::Read, Some(d)) => {
-                    if dirty_on_path(me, home, d, self.cfg.nodes()) {
+                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
                         self.events.read_dirty_2 += 1;
                     } else {
                         self.events.read_dirty_1 += 1;
@@ -705,7 +708,7 @@ impl BusSystem {
                     }
                 }
                 (_, Some(d)) => {
-                    if dirty_on_path(me, home, d, self.cfg.nodes()) {
+                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
                         self.events.write_dirty_2 += 1;
                     } else {
                         self.events.write_dirty_1 += 1;
@@ -997,15 +1000,6 @@ impl BusSystem {
             per_node,
         }
     }
-}
-
-/// Geometry classification kept for cross-interconnect comparability of
-/// event counts (latency on a bus does not depend on it).
-fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -> bool {
-    if home == requester || dirty == home {
-        return false;
-    }
-    requester.hops_to(dirty, nodes) < requester.hops_to(home, nodes)
 }
 
 /// A run records per-transaction trace events plus a `"bus"` gauge

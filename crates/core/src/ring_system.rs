@@ -22,49 +22,41 @@
 //!   "poisoned": the blocked load still completes (it is ordered before the
 //!   write) but the line is not cached.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use ringsim_cache::{AccessClass, CacheBank, LineState};
 use ringsim_obs::{LatencyHistogram, Obs};
-use ringsim_proto::guarded;
-use ringsim_proto::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
-use ringsim_proto::{Directory, HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
+use ringsim_proto::ring_engine::{
+    self, Admit, Eviction, HomeStep, ProbeReturn, RingEngine, RingHost, SnoopIssue, TxnKind,
+};
+use ringsim_proto::transitions::{DirAction, DirRequest, HomeSnoopAction, SnoopAction};
+use ringsim_proto::{HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
 use ringsim_ring::{SlotId, SlotKind, SlotRing};
 use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
 
-use crate::collections::{FnvMap, RingBuf};
+use crate::collections::RingBuf;
 use crate::config::SystemConfig;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnKind {
-    Read,
-    Write,
-    Upgrade,
-}
-
+/// The simulator's own fields of an in-flight transaction.
 #[derive(Debug, Clone, Copy)]
-struct Txn {
-    block: BlockAddr,
-    kind: TxnKind,
+pub struct Timing {
     region: Region,
     start: Time,
-    /// Data/permission comes from local memory (home == self, block clean).
-    self_owner: bool,
     /// Fully local transaction (no ring use at all): local clean read.
     local_path: bool,
     /// Local memory read finishes at this time (self-owner writes).
     local_data_ready: Time,
-    /// A write/invalidate overtook this read fill; complete without caching.
-    poisoned: bool,
     /// Remote copies invalidated on behalf of this transaction (snooping).
     invalidated: u64,
     retries: u32,
 }
+
+type Txn = ring_engine::Txn<Timing>;
 
 #[derive(Debug)]
 struct Node {
@@ -84,8 +76,6 @@ struct Node {
     /// Dirty blocks evicted but not yet acknowledged by the home
     /// (directory mode): forwards are served from here.
     wb_buffer: HashSet<u64>,
-    /// Forwards that arrived while this node's own fill was in flight.
-    pending_fwds: Vec<RingMessage>,
     misses: u64,
     miss_lat: LatencyHistogram,
 }
@@ -102,22 +92,6 @@ enum Event {
     HomeAct { block: u64 },
     /// Snooping: re-issue a nacked transaction.
     Retry { node: usize },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HomeStage {
-    AwaitInval,
-    AwaitUpdate,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HomeTxn {
-    req: RingMessage,
-    stage: Option<HomeStage>,
-    /// The request was a `DirUpgrade` whose line had been invalidated in
-    /// flight: it is served as a write miss, so the eventual reply must
-    /// carry data (`BlockData`), never a bare `DirAck`.
-    converted: bool,
 }
 
 /// The assembled timed simulator for one ring-based system and one
@@ -157,10 +131,12 @@ pub struct RingSystem {
     space: AddressSpace,
     // Snooping memory state.
     mem: HomeMemory,
-    // Directory state.
-    dir: Directory,
-    home_txns: FnvMap<u64, HomeTxn>,
-    home_pending: FnvMap<u64, VecDeque<RingMessage>>,
+    /// The protocol engine: directory, home contexts and queues, parked
+    /// forwards.
+    engine: RingEngine,
+    /// Messages the engine sent during its current step, scheduled by the
+    /// caller with the step's timing.
+    outbox: Vec<RingMessage>,
     queue: crate::EventQueue<Event>,
     // Metrics.
     miss_lat: RunningMean,
@@ -237,7 +213,6 @@ impl RingSystem {
                 probe_q: RingBuf::new(),
                 block_q: RingBuf::new(),
                 wb_buffer: HashSet::new(),
-                pending_fwds: Vec::new(),
                 misses: 0,
                 miss_lat: LatencyHistogram::new(),
             })
@@ -247,6 +222,7 @@ impl RingSystem {
         let slot_home = vec![NodeId::new(0); ring.layout().slot_count()];
         Ok(Self {
             caches: CacheBank::new(cfg.cache, n)?,
+            engine: RingEngine::new(cfg.protocol, n),
             slot_home,
             queued_probe: 0,
             queued_block: 0,
@@ -255,9 +231,7 @@ impl RingSystem {
             nodes,
             space,
             mem: HomeMemory::new(),
-            dir: Directory::new(n),
-            home_txns: FnvMap::default(),
-            home_pending: FnvMap::default(),
+            outbox: Vec::new(),
             queue: crate::EventQueue::new(),
             miss_lat: RunningMean::default(),
             miss_hist: LatencyHistogram::new(),
@@ -282,10 +256,6 @@ impl RingSystem {
 
     fn schedule(&mut self, at: Time, ev: Event) {
         self.queue.schedule(at, ev);
-    }
-
-    fn home_of(&self, block: BlockAddr) -> NodeId {
-        self.space.home_of_block(block)
     }
 
     /// When a memory access started at `now` at `home` completes. With bank
@@ -347,7 +317,7 @@ impl RingSystem {
                     self.ring.in_flight() as f64 / self.ring.layout().slot_count().max(1) as f64,
                     self.ring.in_flight_probe() as f64 / self.ring.probe_slots().max(1) as f64,
                     self.ring.in_flight_block() as f64 / self.ring.block_slots().max(1) as f64,
-                    self.home_pending.values().map(VecDeque::len).sum::<usize>() as f64,
+                    self.engine.queued_total() as f64,
                     self.nodes.iter().map(|n| n.probe_q.len() + n.block_q.len()).sum::<usize>()
                         as f64,
                 ];
@@ -384,8 +354,8 @@ impl RingSystem {
                         "P{i}: txn {:?} on {} since {} retries {} (probe_q {}, block_q {})",
                         t.kind,
                         t.block,
-                        t.start,
-                        t.retries,
+                        t.ext.start,
+                        t.ext.retries,
                         n.probe_q.len(),
                         n.block_q.len()
                     )
@@ -470,14 +440,16 @@ impl RingSystem {
                     self.nodes[i].txn = Some(Txn {
                         block,
                         kind,
-                        region: r.region,
-                        start,
-                        self_owner: false,
-                        local_path: false,
-                        local_data_ready: Time::ZERO,
                         poisoned: false,
-                        invalidated: 0,
-                        retries: 0,
+                        self_owner: false,
+                        ext: Timing {
+                            region: r.region,
+                            start,
+                            local_path: false,
+                            local_data_ready: Time::ZERO,
+                            invalidated: 0,
+                            retries: 0,
+                        },
                     });
                     let op = match kind {
                         TxnKind::Read => "read",
@@ -506,65 +478,36 @@ impl RingSystem {
     fn issue_txn(&mut self, i: usize, now: Time) {
         let me = NodeId::new(i);
         let (block, kind) = {
-            let t = self.nodes[i].txn.as_ref().expect("issue without txn");
+            let t = self.nodes[i].txn.as_mut().expect("issue without txn");
+            t.self_owner = false;
+            t.ext.local_path = false;
             (t.block, t.kind)
         };
-        let home = self.home_of(block);
         match self.cfg.protocol {
-            ProtocolKind::Snooping => {
-                let local_clean = home == me && !self.mem.is_dirty(block);
-                let t = self.nodes[i].txn.as_mut().expect("txn");
-                t.self_owner = false;
-                t.local_path = false;
-                match kind {
-                    TxnKind::Read if local_clean => {
-                        t.local_path = true;
-                        let done = self.mem_done(i, now);
-                        self.schedule(done, Event::Complete { node: i });
-                    }
-                    TxnKind::Read => {
-                        let probe = RingMessage::new(MsgKind::SnoopRead, block, me, me);
-                        self.send_no_earlier(i, probe, now);
-                    }
-                    TxnKind::Write => {
-                        if local_clean {
-                            t.self_owner = true;
-                            t.local_data_ready = Time::ZERO; // set below
-                            self.mem.set_dirty(block);
-                        }
-                        if self.nodes[i].txn.as_ref().is_some_and(|t| t.self_owner) {
-                            let ready = self.mem_done(i, now);
-                            if let Some(t) = self.nodes[i].txn.as_mut() {
-                                t.local_data_ready = ready;
-                            }
-                        }
-                        let probe = RingMessage::new(MsgKind::SnoopWrite, block, me, me);
-                        self.send_no_earlier(i, probe, now);
-                    }
-                    TxnKind::Upgrade => {
-                        if local_clean {
-                            t.self_owner = true;
-                            self.mem.set_dirty(block);
-                        }
-                        let probe = RingMessage::new(MsgKind::SnoopUpgrade, block, me, me);
-                        self.send_no_earlier(i, probe, now);
-                    }
+            ProtocolKind::Snooping => match ring_engine::snoop_issue(self, me) {
+                SnoopIssue::LocalRead => {
+                    self.txn_timing(i).local_path = true;
+                    let done = self.mem_done(i, now);
+                    self.schedule(done, Event::Complete { node: i });
                 }
-            }
+                SnoopIssue::Probe(probe) => {
+                    if kind == TxnKind::Write && self.nodes[i].txn.is_some_and(|t| t.self_owner) {
+                        let ready = self.mem_done(i, now);
+                        self.txn_timing(i).local_data_ready = ready;
+                    }
+                    self.send_no_earlier(i, RingMessage::new(probe, block, me, me), now);
+                }
+            },
             ProtocolKind::Directory => {
-                let mk = match kind {
-                    TxnKind::Read => MsgKind::DirRead,
-                    TxnKind::Write => MsgKind::DirWrite,
-                    TxnKind::Upgrade => MsgKind::DirUpgrade,
-                };
-                let req = RingMessage::new(mk, block, me, home);
+                let home = self.home_of(block);
+                let req = RingMessage::new(kind.dir_request(), block, me, home);
                 if home == me {
                     if now > self.ring.now() {
                         // Deliver to our own home side once the reference
                         // actually issues.
                         self.schedule(now, Event::Send { node: i, msg: req });
                     } else {
-                        self.home_receive(req, now);
+                        self.home_receive(req);
                     }
                 } else {
                     self.send_no_earlier(i, req, now);
@@ -574,6 +517,10 @@ impl RingSystem {
                 unreachable!("rejected by SystemConfig::validate")
             }
         }
+    }
+
+    fn txn_timing(&mut self, i: usize) -> &mut Timing {
+        &mut self.nodes[i].txn.as_mut().expect("transaction in flight").ext
     }
 
     // ------------------------------------------------------------- events
@@ -702,154 +649,67 @@ impl RingSystem {
         }
     }
 
-    /// A message passes node `me` without being removed: snooping actions.
-    /// Only snooping probes and other nodes' multicast invalidations are
-    /// snooped; every other message passes untouched.
+    /// A message passes node `me` without being removed: the engine's
+    /// snoop visit, timed here. The owner's replies leave after the supply
+    /// latency, the home memory's after its access.
     fn snoop(&mut self, me: NodeId, slot: SlotId, msg: RingMessage) {
-        let i = me.index();
-        match msg.kind {
-            MsgKind::SnoopRead | MsgKind::SnoopWrite | MsgKind::SnoopUpgrade => {
-                self.snoop_probe(me, slot, msg);
-            }
-            MsgKind::DirInval if msg.requester != me => {
-                let state = self.caches.state_of(i, msg.block);
-                // An `Inv` line ignores every message (the table's
-                // `snooper_action(Inv, _)` is `Ignore`): no rule to evaluate.
-                if state == LineState::Inv {
-                    self.poison_pending_read(i, msg.block);
-                    return;
-                }
-                match guarded::snooper_action(state, msg.kind, None) {
-                    SnoopAction::Invalidate => {
-                        // Presence bits are updated wholesale when the
-                        // multicast returns to the home.
-                        self.caches.snoop_invalidate(i, msg.block);
-                    }
-                    SnoopAction::Ignore => {}
-                    SnoopAction::SupplyInvalidate | SnoopAction::SupplyDowngrade => {
-                        unreachable!("multicast invalidation never asks a cache for data")
-                    }
-                }
-                self.poison_pending_read(i, msg.block);
-            }
-            _ => {}
-        }
-    }
-
-    fn poison_pending_read(&mut self, i: usize, block: BlockAddr) {
-        if let Some(t) = self.nodes[i].txn.as_mut() {
-            if t.block == block && t.kind == TxnKind::Read {
-                t.poisoned = true;
-            }
-        }
-    }
-
-    /// The home is ordering `requester`'s transaction on `block` *now*: a
-    /// poison mark left by a multicast that completed before this
-    /// serialisation point is stale (the fill is ordered after that write
-    /// and may be cached). Only an invalidation arriving after this moment
-    /// may poison the fill.
-    fn unpoison(&mut self, requester: NodeId, block: BlockAddr) {
-        if let Some(t) = self.nodes[requester.index()].txn.as_mut() {
-            if t.block == block {
-                t.poisoned = false;
-            }
-        }
-    }
-
-    fn snoop_probe(&mut self, me: NodeId, slot: SlotId, msg: RingMessage) {
-        let i = me.index();
-        debug_assert_ne!(msg.src, me, "source does not snoop its own probe");
-        let block = msg.block;
-        // A node with its own transaction in flight on this block does not
-        // participate: conflicts resolve through the home's dirty bit and
-        // the requester's retry.
-        if let Some(t) = &self.nodes[i].txn {
-            if t.block == block {
-                if msg.kind != MsgKind::SnoopRead && t.kind == TxnKind::Read {
-                    self.poison_pending_read(i, block);
-                }
-                return;
-            }
-        }
-        let state = self.caches.state_of(i, block);
-        let home = self.slot_home[slot.index()];
-        debug_assert_eq!(home, self.home_of(block), "stale memoised home");
-        // Neither side acts: an `Inv` line ignores every probe (the table's
-        // `snooper_action(Inv, _)` is `Ignore`), and only the home's memory
-        // answers. Most probe passes end here, before any reply is built or
-        // rule evaluated.
-        if state == LineState::Inv && me != home {
+        // Most passes carry data or directory traffic, which nobody snoops.
+        if !msg.kind.is_snoop_probe() && msg.kind != MsgKind::DirInval {
             return;
         }
-        let supply = self.cfg.supply_latency;
-        let mem = self.cfg.mem_latency;
+        let i = me.index();
+        let home = self.slot_home[slot.index()];
+        let visit = ring_engine::snoop_at(self, me, home, &msg);
+        if visit.acked() {
+            if let Some(m) = self.ring.peek_mut(slot) {
+                m.acked = true;
+            }
+        }
+        if visit.cache == SnoopAction::Invalidate {
+            if let Some(t) = self.nodes[msg.requester.index()].txn.as_mut() {
+                if t.block == msg.block {
+                    t.ext.invalidated += 1;
+                }
+            }
+        }
+        if self.outbox.is_empty() {
+            return;
+        }
         let now = self.ring.now();
-        let data_reply =
-            RingMessage::for_requester(MsgKind::BlockData, block, me, msg.requester, msg.requester);
-        // Cache side: the pure table decides, this function adds timing.
-        match guarded::snooper_action(state, msg.kind, None) {
-            SnoopAction::SupplyDowngrade => {
-                // Dirty owner: downgrade, ack, supply, refresh memory.
-                self.caches.snoop_downgrade(i, block);
-                if let Some(m) = self.ring.peek_mut(slot) {
-                    m.acked = true;
-                }
-                let data = data_reply.with_from_dirty(true);
-                self.schedule(now + supply, Event::Send { node: i, msg: data });
-                let wb = RingMessage::new(MsgKind::WriteBack, block, me, home);
-                self.schedule(now + supply, Event::Send { node: i, msg: wb });
-            }
-            SnoopAction::SupplyInvalidate => {
-                // Dirty owner: supply and relinquish.
-                self.caches.snoop_invalidate(i, block);
-                if let Some(m) = self.ring.peek_mut(slot) {
-                    m.acked = true;
-                }
-                let data = data_reply.with_from_dirty(true);
-                self.schedule(now + supply, Event::Send { node: i, msg: data });
-            }
-            SnoopAction::Invalidate => {
-                self.caches.snoop_invalidate(i, block);
-                self.credit_invalidation(msg.requester, block);
-            }
-            SnoopAction::Ignore => {}
+        for k in 0..self.outbox.len() {
+            let reply = self.outbox[k];
+            let at = if reply.from_dirty || reply.kind == MsgKind::WriteBack {
+                now + self.cfg.supply_latency
+            } else if visit.home == HomeSnoopAction::Supply {
+                self.mem_done(i, now)
+            } else {
+                now + self.cfg.mem_latency
+            };
+            self.schedule(at, Event::Send { node: i, msg: reply });
         }
-        // Home side: the dirty bit arbitrates whether memory answers. If
-        // dirty, the (old or pending) owner responds instead.
-        if me == home {
-            match guarded::home_snoop_action(self.mem.is_dirty(block), msg.kind, None) {
-                HomeSnoopAction::Supply => {
-                    if let Some(m) = self.ring.peek_mut(slot) {
-                        m.acked = true;
-                    }
-                    let done = self.mem_done(i, now);
-                    self.schedule(done, Event::Send { node: i, msg: data_reply });
-                }
-                HomeSnoopAction::SupplyClaim => {
-                    if let Some(m) = self.ring.peek_mut(slot) {
-                        m.acked = true;
-                    }
-                    self.schedule(now + mem, Event::Send { node: i, msg: data_reply });
-                    self.mem.set_dirty(block);
-                }
-                HomeSnoopAction::AckClaim => {
-                    if let Some(m) = self.ring.peek_mut(slot) {
-                        m.acked = true;
-                    }
-                    self.mem.set_dirty(block);
-                }
-                HomeSnoopAction::Silent => {}
-            }
-        }
+        self.outbox.clear();
     }
 
-    fn credit_invalidation(&mut self, requester: NodeId, block: BlockAddr) {
-        if let Some(t) = self.nodes[requester.index()].txn.as_mut() {
-            if t.block == block {
-                t.invalidated += 1;
+    /// Schedules every message the engine just sent for `at`.
+    fn flush_at(&mut self, at: Time) {
+        for k in 0..self.outbox.len() {
+            let msg = self.outbox[k];
+            self.schedule(at, Event::Send { node: msg.src.index(), msg });
+        }
+        self.outbox.clear();
+    }
+
+    /// Schedules the replies of the forwards the engine just served: the
+    /// dirty node supplies after the supply latency.
+    fn flush_forwards(&mut self, now: Time) {
+        let at = now + self.cfg.supply_latency;
+        for k in 0..self.outbox.len() {
+            let msg = self.outbox[k];
+            if msg.kind == MsgKind::BlockData {
+                self.obs.txn_mark(msg.requester.index(), "forward", at);
             }
         }
+        self.flush_at(at);
     }
 
     // ----------------------------------------------------------- delivery
@@ -859,85 +719,58 @@ impl RingSystem {
             MsgKind::SnoopRead | MsgKind::SnoopWrite | MsgKind::SnoopUpgrade => {
                 self.probe_returned(i, msg, now);
             }
-            MsgKind::DirRead | MsgKind::DirWrite | MsgKind::DirUpgrade => {
-                self.home_receive(msg, now);
-            }
+            MsgKind::DirRead | MsgKind::DirWrite | MsgKind::DirUpgrade => self.home_receive(msg),
             MsgKind::DirFwdRead | MsgKind::DirFwdWrite => {
-                // A forward can always be served from the write-back buffer,
-                // even while the target's own re-miss on the block is in
-                // flight — parking it would deadlock the home (which holds
-                // the lock for the forwarded requester) against the target's
-                // queued request.
-                let pending = self.nodes[i].txn.as_ref().is_some_and(|t| t.block == msg.block)
-                    && !self.nodes[i].wb_buffer.contains(&msg.block.raw());
-                if pending {
-                    self.nodes[i].pending_fwds.push(msg);
-                } else {
-                    self.serve_forward(i, msg, now);
+                if ring_engine::forward_arrived(self, msg) {
+                    self.flush_forwards(now);
                 }
             }
-            MsgKind::DirInval => self.inval_returned(msg, now),
+            MsgKind::DirInval => {
+                ring_engine::inval_returned(self, msg);
+                self.flush_at(now);
+            }
             MsgKind::DirAck => self.ack_received(i, msg, now),
             MsgKind::BlockData => self.data_received(i, msg, now),
-            MsgKind::WriteBack => match self.cfg.protocol {
-                ProtocolKind::Snooping => self.mem.clear_dirty(msg.block),
-                ProtocolKind::Directory => self.home_receive(msg, now),
-                ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                    unreachable!("rejected by SystemConfig::validate")
+            MsgKind::WriteBack => {
+                if ring_engine::write_back_arrived(self, msg) == Some(Admit::Queued) {
+                    self.retries += 1;
                 }
-            },
-            MsgKind::MemUpdate => self.update_received(msg, now),
+            }
+            MsgKind::MemUpdate => ring_engine::update_received(self, msg),
         }
     }
 
     /// A snooping probe returned to its requester.
     fn probe_returned(&mut self, i: usize, msg: RingMessage, now: Time) {
-        let Some(t) = self.nodes[i].txn else { return };
-        if t.block != msg.block {
-            return; // stale return from a superseded attempt
-        }
-        let acked = msg.acked || t.self_owner;
-        if !acked {
-            self.retries += 1;
-            self.obs.instant(i, "retry", now);
-            let convert = t.kind == TxnKind::Upgrade;
-            {
-                let t = self.nodes[i].txn.as_mut().expect("txn");
-                t.retries += 1;
-                if convert {
-                    t.kind = TxnKind::Write;
-                }
+        match ring_engine::probe_returned(self, NodeId::new(i), msg.block, msg.acked) {
+            ProbeReturn::Stale => {} // a superseded attempt
+            ProbeReturn::Retry { .. } => {
+                self.retries += 1;
+                self.obs.instant(i, "retry", now);
+                self.txn_timing(i).retries += 1;
+                let backoff = self.cfg.ring.clock_period * self.cfg.retry_backoff_cycles;
+                self.schedule(now + backoff, Event::Retry { node: i });
             }
-            if convert {
-                // The requester's line is stale: drop it before retrying as
-                // a write miss.
-                self.caches.snoop_invalidate(i, msg.block);
-            }
-            let backoff = self.cfg.ring.clock_period * self.cfg.retry_backoff_cycles;
-            self.schedule(now + backoff, Event::Retry { node: i });
-            return;
-        }
-        self.obs.txn_mark(i, "probe", now);
-        match t.kind {
-            TxnKind::Upgrade => {
+            ProbeReturn::Promote => {
+                self.obs.txn_mark(i, "probe", now);
                 // Ack observed in the following probe slot of the same type.
-                let delay = if t.self_owner {
+                let self_owner = self.nodes[i].txn.is_some_and(|t| t.self_owner);
+                let delay = if self_owner {
                     Time::ZERO
                 } else {
                     self.cfg.ring.clock_period * self.cfg.ring.frame_stages() as u64
                 };
-                let ok = self.caches.promote(i, t.block);
+                let ok = self.caches.promote(i, msg.block);
                 debug_assert!(ok, "acked upgrade failed to promote");
-                let done = now + delay;
-                self.finish_txn_at(i, done, None);
+                self.finish_txn_at(i, now + delay, None);
             }
-            TxnKind::Write if t.self_owner => {
-                let done = now.max(t.local_data_ready);
+            ProbeReturn::SelfOwnedWrite => {
+                self.obs.txn_mark(i, "probe", now);
+                let done = now.max(self.txn_timing(i).local_data_ready);
                 self.schedule(done, Event::Complete { node: i });
             }
-            _ => {
-                // Data will arrive in a block message.
-            }
+            // Data will arrive in a block message.
+            ProbeReturn::AwaitData => self.obs.txn_mark(i, "probe", now),
         }
     }
 
@@ -974,7 +807,7 @@ impl RingSystem {
             ok,
             "directory granted an upgrade for an absent line: node {i}, {msg}, state {:?}, dir {:?}",
             self.caches.state_of(i, t.block),
-            self.dir.entry(t.block),
+            self.engine.dir.entry(t.block),
         );
         self.finish_txn_at(i, now, Some(msg));
     }
@@ -983,39 +816,14 @@ impl RingSystem {
     fn fill(&mut self, i: usize, block: BlockAddr, state: LineState, now: Time) {
         let me = NodeId::new(i);
         if let Some((victim, vstate)) = self.caches.fill(i, block, state) {
-            let vhome = self.home_of(victim);
-            match self.cfg.protocol {
-                ProtocolKind::Snooping => {
-                    if vstate.is_dirty() {
-                        if vhome == me {
-                            self.mem.clear_dirty(victim);
-                        } else {
-                            let wb = RingMessage::new(MsgKind::WriteBack, victim, me, vhome);
-                            self.enqueue_msg(i, wb, now);
-                        }
-                        self.count_writeback(i, vhome == me);
-                    }
+            if let Eviction::WriteBack { queued } = ring_engine::victim(self, me, victim, vstate) {
+                self.retries += u64::from(queued);
+                for k in 0..self.outbox.len() {
+                    let wb = self.outbox[k];
+                    self.enqueue_msg(i, wb, now);
                 }
-                ProtocolKind::Directory => {
-                    if vstate.is_dirty() {
-                        self.nodes[i].wb_buffer.insert(victim.raw());
-                        let wb = RingMessage::new(MsgKind::WriteBack, victim, me, vhome);
-                        if vhome == me {
-                            self.home_receive(wb, now);
-                        } else {
-                            self.enqueue_msg(i, wb, now);
-                        }
-                        self.count_writeback(i, vhome == me);
-                    } else {
-                        // Clean replacement: presence bits refreshed with a
-                        // zero-cost replacement hint (idealisation noted in
-                        // DESIGN.md).
-                        self.dir.remove_sharer(victim, me);
-                    }
-                }
-                ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                    unreachable!("rejected by SystemConfig::validate")
-                }
+                self.outbox.clear();
+                self.count_writeback(i, self.home_of(victim) == me);
             }
         }
     }
@@ -1034,21 +842,15 @@ impl RingSystem {
     fn finish_txn_at(&mut self, i: usize, done: Time, reply: Option<RingMessage>) {
         let t = self.nodes[i].txn.take().expect("finishing absent txn");
         // Serve any forwards that waited for this fill (directory mode).
-        let fwds = std::mem::take(&mut self.nodes[i].pending_fwds);
-        for fwd in fwds {
-            if fwd.block == t.block {
-                self.serve_forward(i, fwd, done);
-            } else {
-                self.nodes[i].pending_fwds.push(fwd);
-            }
-        }
+        ring_engine::release_forwards(self, NodeId::new(i), t.block);
+        self.flush_forwards(done);
         if self.sanitize {
             self.sanitize_retired_block(t.block);
         }
         let node = &mut self.nodes[i];
         node.ready_at = node.ready_at.max(done);
         self.last_progress_cycle = self.ring.cycle();
-        let latency = done.saturating_sub(t.start);
+        let latency = done.saturating_sub(t.ext.start);
         if node.measuring {
             let is_upgrade_final = t.kind == TxnKind::Upgrade;
             let class;
@@ -1066,7 +868,7 @@ impl RingSystem {
                 // home (directory mode serves local misses without the
                 // ring).
                 let me = NodeId::new(i);
-                if t.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
+                if t.ext.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
                     self.class_lat.local.record_time(latency);
                     class = "local";
                 } else if reply.is_some_and(|m| m.from_dirty) {
@@ -1097,12 +899,12 @@ impl RingSystem {
         let home = self.home_of(block);
         let local = home == me;
         let ev = &mut self.events;
-        match t.region {
+        match t.ext.region {
             Region::Private => {
                 if t.kind != TxnKind::Upgrade {
                     ev.private_misses += 1;
                 }
-                if t.kind == TxnKind::Upgrade && t.invalidated == 0 {
+                if t.kind == TxnKind::Upgrade && t.ext.invalidated == 0 {
                     if local {
                         ev.upgrade_nosharers_local += 1;
                     } else {
@@ -1117,7 +919,7 @@ impl RingSystem {
         match t.kind {
             TxnKind::Read => match dirty_src {
                 Some(d) => {
-                    if dirty_on_path(me, home, d, self.cfg.nodes()) {
+                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
                         ev.read_dirty_2 += 1;
                     } else {
                         ev.read_dirty_1 += 1;
@@ -1133,430 +935,109 @@ impl RingSystem {
             },
             TxnKind::Write => match dirty_src {
                 Some(d) => {
-                    if dirty_on_path(me, home, d, self.cfg.nodes()) {
+                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
                         ev.write_dirty_2 += 1;
                     } else {
                         ev.write_dirty_1 += 1;
                     }
                 }
                 None => {
-                    match (t.invalidated > 0, local) {
+                    match (t.ext.invalidated > 0, local) {
                         (false, true) => ev.write_nosharers_local += 1,
                         (false, false) => ev.write_nosharers_remote += 1,
                         (true, true) => ev.write_sharers_local += 1,
                         (true, false) => ev.write_sharers_remote += 1,
                     }
-                    ev.invalidated_copies += t.invalidated;
+                    ev.invalidated_copies += t.ext.invalidated;
                 }
             },
             TxnKind::Upgrade => {
-                match (t.invalidated > 0, local) {
+                match (t.ext.invalidated > 0, local) {
                     (false, true) => ev.upgrade_nosharers_local += 1,
                     (false, false) => ev.upgrade_nosharers_remote += 1,
                     (true, true) => ev.upgrade_sharers_local += 1,
                     (true, false) => ev.upgrade_sharers_remote += 1,
                 }
-                ev.invalidated_copies += t.invalidated;
+                ev.invalidated_copies += t.ext.invalidated;
             }
         }
     }
 
     // ------------------------------------------------ directory home side
 
-    fn home_receive(&mut self, msg: RingMessage, now: Time) {
-        debug_assert_eq!(self.cfg.protocol, ProtocolKind::Directory);
-        let block = msg.block;
-        if self.dir.try_lock(block) {
-            self.home_txns.insert(block.raw(), HomeTxn { req: msg, stage: None, converted: false });
-            let home = msg.dst.index();
-            let done = self.mem_done(home, now);
-            self.schedule(done, Event::HomeAct { block: block.raw() });
-        } else {
-            self.home_pending.entry(block.raw()).or_default().push_back(msg);
+    fn home_receive(&mut self, msg: RingMessage) {
+        if ring_engine::receive(self, msg) == Admit::Queued {
             self.retries += 1;
         }
     }
 
-    fn unlock_and_drain(&mut self, block: BlockAddr, now: Time) {
-        self.dir.unlock(block);
-        self.home_txns.remove(&block.raw());
-        if let Some(queue) = self.home_pending.get_mut(&block.raw()) {
-            if let Some(next) = queue.pop_front() {
-                if queue.is_empty() {
-                    self.home_pending.remove(&block.raw());
-                }
-                self.home_receive(next, now);
-            } else {
-                self.home_pending.remove(&block.raw());
-            }
-        }
-    }
-
+    /// The home's memory access for `block`'s locked request completed:
+    /// the engine dispatches it, replies leave now, and measured requests
+    /// are classified (Fig. 5 buckets).
     fn home_act(&mut self, block: BlockAddr, now: Time) {
-        let ht = *self.home_txns.get(&block.raw()).expect("home txn present");
-        let req = ht.req;
-        let home = req.dst;
-        debug_assert_eq!(home, self.home_of(block));
-        if matches!(req.kind, MsgKind::DirRead | MsgKind::DirWrite | MsgKind::DirUpgrade) {
-            self.obs.txn_mark(req.requester.index(), "home", now);
-        }
-        match req.kind {
-            MsgKind::WriteBack => {
-                let evictor = req.src;
-                // The buffer entry is the liveness token for an in-flight
-                // write-back: `reclaim_own_writeback` clears it when the
-                // evictor's own re-miss overtakes the message, and the home
-                // must then drop the stale arrival — by the time it lands the
-                // block may already be granted back to the evictor, and
-                // clearing the entry would orphan that copy.
-                let live = self.nodes[evictor.index()].wb_buffer.remove(&block.raw());
-                let entry = self.dir.entry(block);
-                if live && entry.owner == Some(evictor) {
-                    self.dir.remove_sharer(block, evictor);
-                }
-                self.unlock_and_drain(block, now);
-            }
-            MsgKind::DirRead => {
-                self.unpoison(req.requester, block);
-                self.home_read(req, now);
-            }
-            MsgKind::DirWrite => {
-                self.unpoison(req.requester, block);
-                self.home_write(req, now, false);
-            }
-            MsgKind::DirUpgrade => {
-                self.unpoison(req.requester, block);
-                let entry = self.dir.entry(block);
-                if transitions::upgrade_must_convert(&entry, req.requester) {
-                    // The upgrader's line was invalidated while the request
-                    // waited: serve it as a write miss instead.
-                    self.home_write(req, now, true);
-                } else {
-                    debug_assert!(entry.owner.is_none(), "upgrader coexists with an owner");
-                    self.home_upgrade(req, now);
-                }
-            }
-            _ => unreachable!("home_act on non-request {:?}", req.kind),
-        }
-    }
-
-    fn measuring_requester(&self, req: &RingMessage) -> bool {
-        self.nodes[req.requester.index()].measuring
-    }
-
-    fn requester_region(&self, req: &RingMessage) -> Region {
-        self.nodes[req.requester.index()].txn.as_ref().map_or(Region::Shared, |t| t.region)
-    }
-
-    /// The home is about to multicast an invalidation: it also invalidates
-    /// its own cached copy (it observes its own probe immediately) unless it
-    /// is the exempt requester.
-    fn home_self_invalidate(&mut self, home: NodeId, requester: NodeId, block: BlockAddr) {
-        if home != requester {
-            self.caches.snoop_invalidate(home.index(), block);
-            self.poison_pending_read(home.index(), block);
-        }
-    }
-
-    /// If the directory says the requester itself owns the block, its
-    /// write-back must be in flight: the home pulls it in place (clearing
-    /// the evictor's buffer models the acknowledgment) so the request can
-    /// proceed against clean memory.
-    fn reclaim_own_writeback(&mut self, block: BlockAddr, requester: NodeId) {
-        let entry = self.dir.entry(block);
-        if transitions::must_reclaim_writeback(&entry, requester) {
-            debug_assert!(
-                self.nodes[requester.index()].wb_buffer.contains(&block.raw()),
-                "directory owner misses without a write-back in flight"
-            );
-            self.dir.remove_sharer(block, requester);
-            self.nodes[requester.index()].wb_buffer.remove(&block.raw());
-        }
-    }
-
-    fn home_read(&mut self, req: RingMessage, now: Time) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        self.reclaim_own_writeback(block, requester);
-        let entry = self.dir.entry(block);
-        let measuring = self.measuring_requester(&req);
-        let region = self.requester_region(&req);
-        let local = home == requester;
-        match guarded::dir_action(&entry, requester, DirRequest::Read, None) {
-            DirAction::ForwardRead { owner: d } => {
-                debug_assert_ne!(d, requester, "requester misses on a block it owns");
-                if measuring {
-                    if region == Region::Private {
-                        self.events.private_misses += 1;
-                    } else if dirty_on_path(requester, home, d, self.cfg.nodes()) {
-                        self.events.read_dirty_2 += 1;
-                    } else {
-                        self.events.read_dirty_1 += 1;
-                    }
-                }
-                let fwd =
-                    RingMessage::for_requester(MsgKind::DirFwdRead, block, home, d, requester);
-                // Record the requester now, not when the MemUpdate returns:
-                // the requester can fill (data comes straight from the owner)
-                // and evict again before the update reaches the home, and its
-                // replacement hint must find the presence bit to clear.
-                self.dir.add_sharer(block, requester);
-                self.home_txns.insert(
-                    block.raw(),
-                    HomeTxn { req, stage: Some(HomeStage::AwaitUpdate), converted: false },
-                );
-                self.schedule(now, Event::Send { node: home.index(), msg: fwd });
-            }
-            DirAction::GrantData => {
-                if measuring {
-                    if region == Region::Private {
-                        self.events.private_misses += 1;
-                    } else if local {
-                        self.events.read_clean_local += 1;
-                    } else {
-                        self.events.read_clean_remote += 1;
-                    }
-                }
-                self.dir.add_sharer(block, requester);
-                let data = RingMessage::for_requester(
-                    MsgKind::BlockData,
-                    block,
-                    home,
-                    requester,
-                    requester,
-                );
-                self.schedule(now, Event::Send { node: home.index(), msg: data });
-                self.unlock_and_drain(block, now);
-            }
-            DirAction::ForwardWrite { .. } | DirAction::InvalidateSharers | DirAction::GrantAck => {
-                unreachable!("read request dispatched to a write action")
-            }
-        }
-    }
-
-    fn home_write(&mut self, req: RingMessage, now: Time, converted_upgrade: bool) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        self.reclaim_own_writeback(block, requester);
-        let entry = self.dir.entry(block);
-        let measuring = self.measuring_requester(&req);
-        let region = self.requester_region(&req);
-        let local = home == requester;
-        let others = entry.other_sharers(requester);
-        match guarded::dir_action(&entry, requester, DirRequest::Write, None) {
-            DirAction::ForwardWrite { owner: d } => {
-                debug_assert_ne!(d, requester);
-                if measuring {
-                    if region == Region::Private {
-                        self.events.private_misses += 1;
-                    } else if dirty_on_path(requester, home, d, self.cfg.nodes()) {
-                        self.events.write_dirty_2 += 1;
-                    } else {
-                        self.events.write_dirty_1 += 1;
-                    }
-                }
-                let fwd =
-                    RingMessage::for_requester(MsgKind::DirFwdWrite, block, home, d, requester);
-                self.home_txns.insert(
-                    block.raw(),
-                    HomeTxn {
-                        req,
-                        stage: Some(HomeStage::AwaitUpdate),
-                        converted: converted_upgrade,
-                    },
-                );
-                self.schedule(now, Event::Send { node: home.index(), msg: fwd });
-            }
-            action @ (DirAction::InvalidateSharers | DirAction::GrantData) => {
-                if measuring {
-                    if region == Region::Private {
-                        if !converted_upgrade {
-                            self.events.private_misses += 1;
-                        }
-                    } else {
-                        match (others != 0, local) {
-                            (false, true) => self.events.write_nosharers_local += 1,
-                            (false, false) => self.events.write_nosharers_remote += 1,
-                            (true, true) => self.events.write_sharers_local += 1,
-                            (true, false) => self.events.write_sharers_remote += 1,
-                        }
-                        self.events.invalidated_copies += others.count_ones() as u64;
-                    }
-                }
-                if action == DirAction::InvalidateSharers {
-                    self.home_self_invalidate(home, requester, block);
-                    let inval =
-                        RingMessage::for_requester(MsgKind::DirInval, block, home, home, requester);
-                    self.home_txns.insert(
-                        block.raw(),
-                        HomeTxn {
-                            req,
-                            stage: Some(HomeStage::AwaitInval),
-                            converted: converted_upgrade,
-                        },
-                    );
-                    self.schedule(now, Event::Send { node: home.index(), msg: inval });
-                } else {
-                    self.dir.set_owner(block, requester);
-                    let data = RingMessage::for_requester(
-                        MsgKind::BlockData,
-                        block,
-                        home,
-                        requester,
-                        requester,
-                    );
-                    self.schedule(now, Event::Send { node: home.index(), msg: data });
-                    self.unlock_and_drain(block, now);
-                }
-            }
-            DirAction::ForwardRead { .. } | DirAction::GrantAck => {
-                unreachable!("write request dispatched to a read/upgrade action")
-            }
-        }
-    }
-
-    fn home_upgrade(&mut self, req: RingMessage, now: Time) {
-        let block = req.block;
-        let home = req.dst;
-        let requester = req.requester;
-        let entry = self.dir.entry(block);
-        let others = entry.other_sharers(requester);
-        let measuring = self.measuring_requester(&req);
-        let region = self.requester_region(&req);
-        let local = home == requester;
-        if measuring && region == Region::Shared {
-            match (others != 0, local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
-            }
-            self.events.invalidated_copies += others.count_ones() as u64;
-        } else if measuring && region == Region::Private && others == 0 {
-            if local {
-                self.events.upgrade_nosharers_local += 1;
-            } else {
-                self.events.upgrade_nosharers_remote += 1;
-            }
-        }
-        match guarded::dir_action(&entry, requester, DirRequest::Upgrade, None) {
-            DirAction::InvalidateSharers => {
-                self.home_self_invalidate(home, requester, block);
-                let inval =
-                    RingMessage::for_requester(MsgKind::DirInval, block, home, home, requester);
-                self.home_txns.insert(
-                    block.raw(),
-                    HomeTxn { req, stage: Some(HomeStage::AwaitInval), converted: false },
-                );
-                self.schedule(now, Event::Send { node: home.index(), msg: inval });
-            }
-            DirAction::GrantAck => {
-                self.dir.set_owner(block, requester);
-                let ack =
-                    RingMessage::for_requester(MsgKind::DirAck, block, home, requester, requester);
-                self.schedule(now, Event::Send { node: home.index(), msg: ack });
-                self.unlock_and_drain(block, now);
-            }
-            DirAction::ForwardRead { .. }
-            | DirAction::ForwardWrite { .. }
-            | DirAction::GrantData => {
-                unreachable!("well-formed upgrade dispatched to a miss action")
-            }
-        }
-    }
-
-    /// The multicast invalidation returned to the home: reply to the
-    /// requester and commit.
-    fn inval_returned(&mut self, msg: RingMessage, now: Time) {
-        let block = msg.block;
-        let ht = *self.home_txns.get(&block.raw()).expect("inval context");
-        debug_assert_eq!(ht.stage, Some(HomeStage::AwaitInval));
-        let req = ht.req;
-        let home = req.dst;
-        let requester = req.requester;
-        self.dir.set_owner(block, requester);
-        let reply_kind = match req.kind {
-            // A converted upgrade is served as a write miss: the requester's
-            // line is gone, so the reply must carry the block.
-            MsgKind::DirUpgrade if !ht.converted => MsgKind::DirAck,
-            _ => MsgKind::BlockData,
+        let step = ring_engine::act(self, block);
+        self.flush_at(now);
+        let HomeStep::Request { requester, req, converted, action, others } = step else {
+            return;
         };
-        let reply = RingMessage::for_requester(reply_kind, block, home, requester, requester);
-        self.schedule(now, Event::Send { node: home.index(), msg: reply });
-        self.unlock_and_drain(block, now);
-    }
-
-    /// The dirty node's memory/directory refresh arrived at the home.
-    fn update_received(&mut self, msg: RingMessage, now: Time) {
-        let block = msg.block;
-        let ht = *self.home_txns.get(&block.raw()).expect("update context");
-        debug_assert_eq!(ht.stage, Some(HomeStage::AwaitUpdate));
-        let req = ht.req;
-        let requester = req.requester;
-        let d = msg.src;
-        match req.kind {
-            MsgKind::DirRead => {
-                // The requester's presence bit was set when the forward was
-                // launched (see `home_read`); only the old owner's status
-                // needs settling here.
-                self.dir.clear_owner(block);
-                if !msg.retained {
-                    self.dir.remove_sharer(block, d);
-                }
-            }
-            _ => {
-                self.dir.set_owner(block, requester);
-            }
+        self.obs.txn_mark(requester.index(), "home", now);
+        let node = &self.nodes[requester.index()];
+        if !node.measuring {
+            return;
         }
-        self.unlock_and_drain(block, now);
-    }
-
-    /// A forward reached the (current or former) dirty node: supply data.
-    fn serve_forward(&mut self, i: usize, fwd: RingMessage, now: Time) {
-        let me = NodeId::new(i);
-        let block = fwd.block;
-        let home = fwd.src;
-        let state = self.caches.state_of(i, block);
-        let buffered = self.nodes[i].wb_buffer.contains(&block.raw());
-        debug_assert!(
-            state == LineState::We || buffered,
-            "forward to a node without the data: {fwd} (state {state:?})"
-        );
-        if state != LineState::We {
-            // Serving from the write-back buffer hands the data over; the
-            // buffered entry — and with it the still-circulating WriteBack
-            // message — is consumed, or the stale arrival could clear a
-            // later re-grant of the block (its buffer bit is the liveness
-            // token the home checks).
-            self.nodes[i].wb_buffer.remove(&block.raw());
-        }
-        let retained = match fwd.kind {
-            MsgKind::DirFwdRead => {
-                if state == LineState::We {
-                    self.caches.snoop_downgrade(i, block);
-                    true
-                } else {
-                    false
-                }
-            }
-            MsgKind::DirFwdWrite => {
-                if state == LineState::We {
-                    self.caches.snoop_invalidate(i, block);
-                }
-                false
-            }
-            _ => unreachable!("serve_forward on non-forward"),
+        let private = node.txn.is_some_and(|t| t.ext.region == Region::Private);
+        let home = self.home_of(block);
+        let local = home == requester;
+        let n = self.cfg.nodes();
+        let ev = &mut self.events;
+        let sharers = |ev: &mut CoherenceEvents, upgrade: bool| {
+            let counter = match (upgrade, others != 0, local) {
+                (false, false, true) => &mut ev.write_nosharers_local,
+                (false, false, false) => &mut ev.write_nosharers_remote,
+                (false, true, true) => &mut ev.write_sharers_local,
+                (false, true, false) => &mut ev.write_sharers_remote,
+                (true, false, true) => &mut ev.upgrade_nosharers_local,
+                (true, false, false) => &mut ev.upgrade_nosharers_remote,
+                (true, true, true) => &mut ev.upgrade_sharers_local,
+                (true, true, false) => &mut ev.upgrade_sharers_remote,
+            };
+            *counter += 1;
+            ev.invalidated_copies += u64::from(others.count_ones());
         };
-        let data =
-            RingMessage::for_requester(MsgKind::BlockData, block, me, fwd.requester, fwd.requester)
-                .with_from_dirty(true);
-        let update = RingMessage::new(MsgKind::MemUpdate, block, me, home).with_retained(retained);
-        let at = now + self.cfg.supply_latency;
-        self.obs.txn_mark(fwd.requester.index(), "forward", at);
-        self.schedule(at, Event::Send { node: i, msg: data });
-        self.schedule(at, Event::Send { node: i, msg: update });
+        match (req, action) {
+            (DirRequest::Read | DirRequest::Write, _) if private && !converted => {
+                ev.private_misses += 1;
+            }
+            (DirRequest::Read, DirAction::ForwardRead { owner }) => {
+                if requester.dirty_on_path(home, owner, n) {
+                    ev.read_dirty_2 += 1;
+                } else {
+                    ev.read_dirty_1 += 1;
+                }
+            }
+            (DirRequest::Read, _) if local => ev.read_clean_local += 1,
+            (DirRequest::Read, _) => ev.read_clean_remote += 1,
+            (DirRequest::Write, DirAction::ForwardWrite { owner }) => {
+                if private {
+                    ev.private_misses += 1;
+                } else if requester.dirty_on_path(home, owner, n) {
+                    ev.write_dirty_2 += 1;
+                } else {
+                    ev.write_dirty_1 += 1;
+                }
+            }
+            (DirRequest::Write, _) if private => {}
+            (DirRequest::Write, _) => sharers(ev, false),
+            (DirRequest::Upgrade, _) if !private => sharers(ev, true),
+            (DirRequest::Upgrade, _) if others == 0 => {
+                if local {
+                    ev.upgrade_nosharers_local += 1;
+                } else {
+                    ev.upgrade_nosharers_remote += 1;
+                }
+            }
+            (DirRequest::Upgrade, _) => {}
+        }
     }
 
     // ------------------------------------------------------------ report
@@ -1675,15 +1156,6 @@ impl RingSystem {
     }
 }
 
-/// `true` when the dirty node lies on the requester→home segment of the
-/// ring, forcing a second traversal (paper Figure 2b).
-fn dirty_on_path(requester: NodeId, home: NodeId, dirty: NodeId, nodes: usize) -> bool {
-    if home == requester || dirty == home {
-        return false;
-    }
-    requester.hops_to(dirty, nodes) < requester.hops_to(home, nodes)
-}
-
 /// A run records per-transaction trace events plus a `"ring"` gauge
 /// timeline (slot/probe/block occupancy, home queue depth, transmit queue
 /// depth) when `opts.obs` asks for them.
@@ -1699,6 +1171,56 @@ impl Simulator for RingSystem {
         }
         let report = RingSystem::run(self);
         RunOutcome { report, obs: std::mem::take(&mut self.obs).into_recorder() }
+    }
+}
+
+/// The simulator as the engine's host: the engine's messages collect in
+/// the outbox, which each caller schedules with its step's timing, and an
+/// admitted home request acts once the home's memory access completes.
+impl RingHost for RingSystem {
+    type Caches = CacheBank;
+    type TxnExt = Timing;
+
+    fn engine(&mut self) -> &mut RingEngine {
+        &mut self.engine
+    }
+
+    fn caches(&mut self) -> &mut CacheBank {
+        &mut self.caches
+    }
+
+    fn memory(&mut self) -> &mut HomeMemory {
+        &mut self.mem
+    }
+
+    fn home_of(&self, block: BlockAddr) -> NodeId {
+        self.space.home_of_block(block)
+    }
+
+    fn txn(&mut self, node: NodeId) -> Option<&mut Txn> {
+        self.nodes[node.index()].txn.as_mut()
+    }
+
+    fn buffered(&self, node: NodeId, block: BlockAddr) -> bool {
+        self.nodes[node.index()].wb_buffer.contains(&block.raw())
+    }
+
+    fn set_buffered(&mut self, node: NodeId, block: BlockAddr, buffered: bool) {
+        let wb = &mut self.nodes[node.index()].wb_buffer;
+        if buffered {
+            wb.insert(block.raw());
+        } else {
+            wb.remove(&block.raw());
+        }
+    }
+
+    fn send(&mut self, msg: RingMessage) {
+        self.outbox.push(msg);
+    }
+
+    fn home_ready(&mut self, req: RingMessage) {
+        let done = self.mem_done(req.dst.index(), self.ring.now());
+        self.schedule(done, Event::HomeAct { block: req.block.raw() });
     }
 }
 

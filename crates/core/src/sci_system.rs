@@ -32,10 +32,9 @@ use ringsim_ring::RingConfig;
 use ringsim_trace::{NodeStream, Workload, BLOCK_BYTES};
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{
-    AccessKind, BlockAddr, CoherenceEvents, ConfigError, MemRef, NodeId, Region, Time,
+    AccessKind, BlockAddr, CoherenceEvents, ConfigError, FnvMap, MemRef, NodeId, Region, Time,
 };
 
-use crate::collections::FnvMap;
 use crate::report::{ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};

@@ -60,9 +60,9 @@ impl DirEntry {
     }
 }
 
-/// The full-map directory of the whole system, plus the busy/pending queue
-/// that the timed simulator uses to serialise transactions that touch the
-/// same block.
+/// The full-map directory of the whole system. Per-block serialisation
+/// (the home's lock and pending queue) lives in
+/// [`RingEngine`](crate::ring_engine::RingEngine).
 ///
 /// Entries are stored sparsely: a block nobody ever cached has an implicit
 /// all-clear entry. The directory is *logically* distributed across the home
@@ -88,9 +88,6 @@ impl DirEntry {
 pub struct Directory {
     nodes: usize,
     entries: HashMap<u64, DirEntry>,
-    /// Blocks with a transaction in flight at the home; fields are managed
-    /// by the timed simulator.
-    busy: HashMap<u64, bool>,
 }
 
 impl Directory {
@@ -102,7 +99,7 @@ impl Directory {
     #[must_use]
     pub fn new(nodes: usize) -> Self {
         assert!((1..=64).contains(&nodes), "full map supports 1..=64 nodes");
-        Self { nodes, entries: HashMap::new(), busy: HashMap::new() }
+        Self { nodes, entries: HashMap::new() }
     }
 
     /// The entry for `block` (all-clear if never cached).
@@ -148,35 +145,6 @@ impl Directory {
         if let Some(e) = self.entries.get_mut(&block.raw()) {
             e.owner = None;
         }
-    }
-
-    /// Marks the home-side entry busy. Returns `false` if it was already
-    /// busy (the caller must queue the request).
-    pub fn try_lock(&mut self, block: BlockAddr) -> bool {
-        let b = self.busy.entry(block.raw()).or_insert(false);
-        if *b {
-            false
-        } else {
-            *b = true;
-            true
-        }
-    }
-
-    /// Whether the entry is busy.
-    #[must_use]
-    pub fn is_locked(&self, block: BlockAddr) -> bool {
-        self.busy.get(&block.raw()).copied().unwrap_or(false)
-    }
-
-    /// Releases a busy entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the entry was not busy (lock/unlock mismatch is a protocol
-    /// bug).
-    pub fn unlock(&mut self, block: BlockAddr) {
-        let b = self.busy.remove(&block.raw());
-        assert_eq!(b, Some(true), "unlock of non-busy entry {block}");
     }
 
     /// Number of tracked (non-default) entries.
@@ -231,25 +199,6 @@ mod tests {
         assert_eq!(e.owner, None);
         assert!(e.is_uncached());
         assert_eq!(d.tracked_blocks(), 0, "default entries are reclaimed");
-    }
-
-    #[test]
-    fn lock_unlock_cycle() {
-        let mut d = Directory::new(4);
-        let b = BlockAddr::new(9);
-        assert!(d.try_lock(b));
-        assert!(!d.try_lock(b));
-        assert!(d.is_locked(b));
-        d.unlock(b);
-        assert!(!d.is_locked(b));
-        assert!(d.try_lock(b));
-    }
-
-    #[test]
-    #[should_panic(expected = "unlock of non-busy")]
-    fn unlock_requires_lock() {
-        let mut d = Directory::new(4);
-        d.unlock(BlockAddr::new(1));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! context struct — in the style of guarded-action protocol languages
 //! (cf. *Modeling a Cache Coherence Protocol with the Guarded Action
 //! Language*). The timed simulators and the `ringsim-check` model checker
-//! both call the dispatch functions here ([`snooper_action`],
-//! [`home_snoop_action`], [`dir_action`], ...), the checker with
-//! [`FireCounts`] and the simulators with `None`, so the rules are the
-//! single source of truth for both.
+//! both reach the dispatch functions here ([`snooper_action`],
+//! [`home_snoop_action`], [`dir_action`], ...) — for the ring protocols
+//! only through [`crate::ring_engine`], which both drive — the checker
+//! with [`FireCounts`] and the simulators with `None`, so the rules are
+//! the single source of truth for both.
 //!
 //! The declarative form buys two kinds of static analysis:
 //!

@@ -7,16 +7,17 @@
 //! * [`HomeMemory`] — the memory-side state of the snooping protocol: one
 //!   dirty bit per block (paper §3.1),
 //! * [`Directory`] — the full-map directory: presence bits + dirty bit per
-//!   block, with a busy/pending queue used by the timed simulator to
-//!   serialise conflicting transactions (paper §3.2),
+//!   block (paper §3.2),
 //! * [`table1`] — untimed traversal accountants for the full-map and the
 //!   SCI-like linked-list directory, which regenerate Table 1,
 //! * [`guarded`] — the declarative guarded-action rule sets both protocols'
 //!   transition tables are expressed in, with a totality/determinism lint
 //!   and per-rule fire counts (dead-rule detection),
-//! * [`transitions`] — the pure transition tables consulted by both the
-//!   timed simulators and the `ringsim-check` model checker (thin wrappers
-//!   over [`guarded`]),
+//! * [`transitions`] — the actions the rules return and the directory's
+//!   admission predicates,
+//! * [`ring_engine`] — the untimed engine of the two ring protocols: every
+//!   per-block state update the rules imply, driven by both the timed
+//!   `RingSystem` and the `ringsim-check` model checker,
 //! * [`invariants`] — the coherence-invariant evaluators shared by the
 //!   runtime sanitizer and the model checker.
 //!
@@ -32,6 +33,7 @@ pub mod guarded;
 pub mod invariants;
 mod memory;
 mod msg;
+pub mod ring_engine;
 pub mod sci;
 pub mod table1;
 pub mod transitions;

@@ -5,11 +5,12 @@
 //! dispatches a request — are declared once, as the guarded rule sets in
 //! [`crate::guarded`], total over ([`ringsim_cache::LineState`],
 //! [`MsgKind`]) and [`DirEntry`]. This module holds the actions those rules
-//! return and the directory's admission predicates. The timed simulator in `ringsim-core`
-//! evaluates the rules and adds timing (slots, latencies, retries); the
-//! model checker in `ringsim-check` evaluates the very same rules through
-//! an abstract scheduler. A transition bug therefore cannot hide in one
-//! consumer: the checker exercises exactly the code the simulator runs.
+//! return and the directory's admission predicates. For the ring
+//! protocols, [`crate::ring_engine`] evaluates the rules and applies their
+//! effects; the timed simulator in `ringsim-core` adds timing (slots,
+//! latencies, retries) and the model checker in `ringsim-check` an abstract
+//! scheduler. A transition bug therefore cannot hide in one consumer: the
+//! checker exercises exactly the code the simulator runs.
 //!
 //! Every `match` in this module and in `guarded` is intentionally
 //! total with **no wildcard arms** — `tests/lint_protocol_tables.rs`

@@ -36,6 +36,8 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use ringsim_types::fnv1a;
+
 /// Entry-format / key-derivation version; bump to orphan all old entries.
 const SCHEMA: u64 = 1;
 
@@ -61,18 +63,6 @@ pub(crate) fn entry_path(
 pub(crate) fn shared_path(cache_root: &Path, key: &str) -> PathBuf {
     let key = format!("v{SCHEMA}|shared|{key}");
     cache_root.join(".cache").join("shared").join(format!("{:016x}.json", fnv1a(key.as_bytes())))
-}
-
-/// FNV-1a over the key string (same family as `SweepPoint::seed`, but the
-/// two derivations are independent: seeds are locked, cache keys carry a
-/// bumpable schema version).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Reads a cached result; any IO or parse failure is a miss.

@@ -135,16 +135,6 @@ impl RefInterpreter {
         1 << node.index()
     }
 
-    /// `true` when the dirty node `d` lies on the requester→home ring path
-    /// (the "unfortunate" 2-traversal placement of Figure 2b).
-    fn dirty_on_path(&self, requester: NodeId, home: NodeId, dirty: NodeId) -> bool {
-        let n = self.space.nodes();
-        if home == requester || dirty == home {
-            return false;
-        }
-        requester.hops_to(dirty, n) < requester.hops_to(home, n)
-    }
-
     fn do_upgrade(&mut self, node: NodeId, block: BlockAddr) {
         let home = self.space.home_of_block(block);
         let info = self.blocks.entry(block.raw()).or_default();
@@ -182,7 +172,7 @@ impl RefInterpreter {
                 Region::Private => self.events.private_misses += 1,
                 Region::Shared => match (kind, info.owner) {
                     (AccessKind::Read, Some(d)) => {
-                        if self.dirty_on_path(node, home, d) {
+                        if node.dirty_on_path(home, d, self.space.nodes()) {
                             self.events.read_dirty_2 += 1;
                         } else {
                             self.events.read_dirty_1 += 1;
@@ -196,7 +186,7 @@ impl RefInterpreter {
                         }
                     }
                     (AccessKind::Write, Some(d)) => {
-                        if self.dirty_on_path(node, home, d) {
+                        if node.dirty_on_path(home, d, self.space.nodes()) {
                             self.events.write_dirty_2 += 1;
                         } else {
                             self.events.write_dirty_1 += 1;

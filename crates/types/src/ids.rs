@@ -87,6 +87,35 @@ impl NodeId {
         assert!(self.index() < n && to.index() < n, "node out of range for ring of {n}");
         (to.index() + n - self.index()) % n
     }
+
+    /// `true` when a miss by requester `self` on a block homed at `home`
+    /// and dirty at `dirty` needs two ring traversals: the dirty node lies
+    /// strictly between the requester and the home on the downstream path,
+    /// so the request reaches it before the home does (paper Figure 2b).
+    /// Never true for a local home or a dirty home.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ringsim_types::NodeId;
+    /// let (requester, home) = (NodeId::new(1), NodeId::new(5));
+    /// // P3 sits on the P1 → P5 path: the unfortunate placement.
+    /// assert!(requester.dirty_on_path(home, NodeId::new(3), 8));
+    /// // P6 lies past the home: one traversal suffices.
+    /// assert!(!requester.dirty_on_path(home, NodeId::new(6), 8));
+    /// assert!(!requester.dirty_on_path(requester, NodeId::new(3), 8));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if any node is not a valid node of an `n`-node ring.
+    #[must_use]
+    pub fn dirty_on_path(self, home: NodeId, dirty: NodeId, n: usize) -> bool {
+        if home == self || dirty == home {
+            return false;
+        }
+        self.hops_to(dirty, n) < self.hops_to(home, n)
+    }
 }
 
 impl fmt::Display for NodeId {

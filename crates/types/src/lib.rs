@@ -11,7 +11,9 @@
 //!   trace generator and the simulators,
 //! * [`rng`] — a small deterministic PRNG ([`rng::Xoshiro256`]) so that every
 //!   simulation is exactly reproducible across platforms,
-//! * [`stats`] — counters, running means and histograms used for metrics.
+//! * [`stats`] — counters, running means and histograms used for metrics,
+//! * [`fnv1a`] / [`FnvMap`] — the FNV-1a hash for digests and block-keyed
+//!   maps.
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@
 mod addr;
 mod error;
 mod events;
+mod hash;
 mod ids;
 mod mem;
 pub mod rng;
@@ -43,6 +46,7 @@ mod time;
 pub use addr::{Addr, BlockAddr, PageAddr};
 pub use error::ConfigError;
 pub use events::CoherenceEvents;
+pub use hash::{fnv1a, FnvBuildHasher, FnvHasher, FnvMap};
 pub use ids::NodeId;
 pub use mem::{AccessKind, MemRef, Region};
 pub use time::Time;

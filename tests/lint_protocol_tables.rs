@@ -16,6 +16,9 @@
 //!    (overlapping guards agree on the action), and liveness (no rule is
 //!    dead — every rule fires somewhere in a 4-node exhaustive run of the
 //!    protocol it belongs to).
+//! 4. **One engine**: a source scan proves that only the rule module, the
+//!    transition tables and the ring engine dispatch the ring protocols'
+//!    rules, so the model checker and the simulator share every effect.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -238,4 +241,67 @@ fn no_rule_is_dead_at_four_nodes() {
             dead.iter().map(|d| format!("{}/{}", d.ruleset, d.rule)).collect::<Vec<_>>()
         );
     }
+}
+
+/// The ring protocols' rules are dispatched only by
+/// `ringsim_proto::ring_engine`, which the timed simulator and the model
+/// checker both drive: a second caller would be a second copy of the
+/// protocol's effects, one the checker does not verify. Test code is
+/// exempt (everything from a file's `#[cfg(test)]` on).
+#[test]
+fn only_the_ring_engine_dispatches_ring_rules() {
+    const DISPATCH: [&str; 5] = [
+        "dir_action(",
+        "snooper_action(",
+        "home_snoop_action(",
+        "must_reclaim_writeback(",
+        "upgrade_must_convert(",
+    ];
+    const OWNERS: [&str; 3] = [
+        "crates/proto/src/guarded.rs",
+        "crates/proto/src/transitions.rs",
+        "crates/proto/src/ring_engine.rs",
+    ];
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    rust_files(&root.join("examples"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        rust_files(&krate.expect("crate entry").path().join("src"), &mut files);
+    }
+    assert!(files.len() > 50, "scan found only {} files", files.len());
+    let mut offenders = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).expect("under the root").to_string_lossy().into_owned();
+        if OWNERS.contains(&rel.as_str()) {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("readable source");
+        for (lineno, line) in src.lines().enumerate() {
+            if line.trim_start().starts_with("#[cfg(test)]") {
+                break;
+            }
+            let code = line.split("//").next().unwrap_or("");
+            for call in DISPATCH {
+                if code.contains(call) {
+                    offenders.push(format!("{rel}:{}: `{}`", lineno + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "ring-protocol rules dispatched outside the engine:\n{}",
+        offenders.join("\n")
+    );
 }
