@@ -1,8 +1,14 @@
-//! Timed topology sweep over the hierarchical slotted-ring engine: the
-//! same SPLASH workloads through a flat ring, the default two-level
-//! hierarchy, a three-level hierarchy, and a two-level hierarchy with
-//! finite deflecting bridges — all at equal processor counts, so the only
-//! variable is the topology tree (and the bridge discipline).
+//! Timed topology sweep over the hierarchical slotted-ring engine: a flat
+//! ring, the default two-level hierarchy, a three-level hierarchy, and a
+//! two-level hierarchy with finite deflecting bridges — all at equal
+//! processor counts, so the only variable is the topology tree (and the
+//! bridge discipline).
+//!
+//! The hierarchy engine drives its own closed-loop think/transact traffic
+//! and reads only the processor count, topology, reference budget and
+//! bridge buffer — never the workload or its seed. So each topology is
+//! simulated once and its row is repeated for every benchmark
+//! (`crates/core/tests/hier_workload_independence.rs` pins this).
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +28,10 @@ const CONFIGS: [(&str, SimKind, Option<HierTopology>); 4] = [
     ("deflect", SimKind::HierDeflect, None),
 ];
 
-#[derive(Debug, Serialize, Deserialize)]
+/// The benchmarks the table reports, in row order.
+const BENCHES: [Benchmark; 3] = [Benchmark::Mp3d, Benchmark::Water, Benchmark::Cholesky];
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Row {
     bench: String,
     procs: usize,
@@ -41,10 +50,16 @@ struct Row {
     sim_end_ns: f64,
 }
 
-fn run_point(pctx: &PointCtx, bench: Benchmark, procs: usize, label: &str) -> Row {
+/// Simulates one topology. The workload only carries the processor count
+/// and reference budget into the engine, so any paper spec serves; `bench`
+/// is left empty for the caller to fill per benchmark.
+fn run_point(
+    pctx: &PointCtx,
+    procs: usize,
+    (label, kind, topo): (&str, SimKind, Option<HierTopology>),
+) -> Row {
     let refs = pctx.refs_per_proc.min(MAX_REFS);
-    let (_, kind, topo) = *CONFIGS.iter().find(|(l, ..)| *l == label).expect("known config");
-    let spec = bench.spec(procs).expect("paper spec").with_refs(refs);
+    let spec = BENCHES[0].spec(procs).expect("paper spec").with_refs(refs);
     let workload = Workload::new(spec).expect("workload");
     let mut sim_spec = SimSpec::new(workload);
     if let Some(t) = topo {
@@ -53,7 +68,7 @@ fn run_point(pctx: &PointCtx, bench: Benchmark, procs: usize, label: &str) -> Ro
     let mut sim = kind.build(&sim_spec).expect("hier topology system");
     let report = crate::simulate(pctx, sim.as_mut());
     Row {
-        bench: bench.name().to_owned(),
+        bench: String::new(),
         procs,
         topology: label.to_owned(),
         proc_util: report.proc_util,
@@ -81,19 +96,17 @@ impl Experiment for TopologySweep {
 
     fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
         let procs = 16; // every SPLASH paper spec exists at 16 processors
-        let mut cases = Vec::new();
-        for bench in [Benchmark::Mp3d, Benchmark::Water, Benchmark::Cholesky] {
-            for (label, ..) in CONFIGS {
-                cases.push((bench, label));
-            }
-        }
-        let rows = ctx.map(
-            &cases,
-            |&(bench, label)| {
-                SweepPoint::new().bench(bench.name()).procs(procs).detail(format!("topo={label}"))
-            },
-            |pctx, &(bench, label)| run_point(pctx, bench, procs, label),
+        let per_topo = ctx.map(
+            &CONFIGS,
+            |&(label, ..)| SweepPoint::new().procs(procs).detail(format!("topo={label}")),
+            |pctx, &config| run_point(pctx, procs, config),
         );
+        let rows: Vec<Row> = BENCHES
+            .iter()
+            .flat_map(|bench| {
+                per_topo.iter().map(|row| Row { bench: bench.name().to_owned(), ..row.clone() })
+            })
+            .collect();
         println!("Ring topology sweep, timed at 500 MHz ({procs} procs)");
         println!("{:-<86}", "");
         println!(

@@ -49,10 +49,10 @@ pub mod worker;
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -142,7 +142,9 @@ pub struct ServerState {
     /// (summary only: `/metrics` exports no timelines).
     pub(crate) metrics: Arc<MetricsSink>,
     started: Instant,
-    draining: AtomicBool,
+    draining: Mutex<bool>,
+    /// Notified when `draining` flips, so the GC sweeper stops at once.
+    drain_wake: Condvar,
     http: Mutex<BTreeMap<&'static str, LatencyHistogram>>,
     gc_sweeps: AtomicU64,
     gc_deleted_runs: AtomicU64,
@@ -167,7 +169,8 @@ impl ServerState {
             pool,
             metrics,
             started: Instant::now(),
-            draining: AtomicBool::new(false),
+            draining: Mutex::new(false),
+            drain_wake: Condvar::new(),
             http: Mutex::new(http),
             gc_sweeps: AtomicU64::new(0),
             gc_deleted_runs: AtomicU64::new(0),
@@ -176,16 +179,17 @@ impl ServerState {
     }
 
     /// Flips into draining: the pool rejects new jobs, workers exit once
-    /// the queue is empty, and the accept loop stops when drained.
+    /// the queue is empty, and the GC sweeper stops.
     pub fn request_shutdown(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        *self.draining.lock().expect("drain lock") = true;
         self.pool.shutdown();
+        self.drain_wake.notify_all();
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        *self.draining.lock().expect("drain lock")
     }
 
     /// Milliseconds since the state was built.
@@ -243,7 +247,6 @@ impl Server {
     /// Propagates bind/configuration I/O errors.
     pub fn bind(cfg: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ServerState::new(cfg));
         let accept_state = Arc::clone(&state);
@@ -290,60 +293,80 @@ impl Server {
     /// then stops accepting and joins every service thread.
     pub fn join(mut self) {
         self.state.request_shutdown();
+        self.state.pool.join();
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            // The accept loop blocks in `accept`; one self-connect wakes it
+            // to see the drain. Refused means a client's connection already
+            // woke it and the listener has closed. On any other connect
+            // error the thread cannot be woken, so it is left, as on drop.
+            match TcpStream::connect(wake_addr(self.addr)) {
+                Err(e) if e.kind() != io::ErrorKind::ConnectionRefused => {}
+                _ => {
+                    let _ = h.join();
+                }
+            }
         }
         if let Some(h) = self.sweeper.take() {
             let _ = h.join();
         }
-        self.state.pool.join();
     }
+}
+
+/// Where to connect to reach a listener bound at `addr`: an unspecified
+/// bind address (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Retention sweeper: every `gc_interval`, scan `<out>/runs`, delete what
 /// the policy marks evictable, and fold the outcome into `/metrics`.
-/// Polls the drain flag at 250 ms so shutdown isn't held up by the
-/// interval.
+/// Sleeps on the drain condvar, so a drain wakes it at once.
 fn gc_loop(state: &Arc<ServerState>) {
     let runs_root = state.cfg.out_dir.join("runs");
     let policy = state.cfg.gc_policy();
     let interval = state.cfg.gc_interval;
-    let mut last_sweep = Instant::now();
     loop {
-        if state.draining() {
+        let draining = state.draining.lock().expect("drain lock");
+        let (draining, _) = state
+            .drain_wake
+            .wait_timeout_while(draining, interval, |draining| !*draining)
+            .expect("drain lock");
+        if *draining {
             return;
         }
-        if last_sweep.elapsed() >= interval {
-            last_sweep = Instant::now();
-            let outcome = gc::sweep_once(
-                &runs_root,
-                &policy,
-                |id| state.pool.is_active(id),
-                |id| state.pool.forget(id),
-            );
-            state.record_gc(outcome);
-        }
-        std::thread::sleep(Duration::from_millis(250));
+        drop(draining);
+        let outcome = gc::sweep_once(
+            &runs_root,
+            &policy,
+            |id| state.pool.is_active(id),
+            |id| state.pool.forget(id),
+        );
+        state.record_gc(outcome);
     }
 }
 
-/// Accept loop: non-blocking accept polled at 15 ms so drain completion is
-/// observed promptly; each connection is served on its own thread.
+/// Accept loop: blocks in `accept` and serves each connection on its own
+/// thread. Returns after the first accept that finds the service draining
+/// and drained; [`Server::join`] makes that accept with a self-connect.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let state = Arc::clone(state);
+                let conn_state = Arc::clone(state);
                 let _ = std::thread::Builder::new()
                     .name("http-conn".to_owned())
-                    .spawn(move || handle_connection(&state, stream));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    .spawn(move || handle_connection(&conn_state, stream));
                 if state.draining() && state.pool.drained() {
                     return;
                 }
-                std::thread::sleep(Duration::from_millis(15));
             }
+            // Back off on errors such as descriptor exhaustion rather than
+            // spin on them.
             Err(_) => std::thread::sleep(Duration::from_millis(15)),
         }
     }
@@ -353,7 +376,6 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 /// failures are dropped silently; parse failures get the mapped 400/413.
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     let timeout = state.cfg.request_timeout;
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));

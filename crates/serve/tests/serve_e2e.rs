@@ -306,7 +306,7 @@ fn two_servers_in_one_process_report_only_their_own_runs() {
         let addr = server.local_addr().to_string();
         let done = wait_done(&addr, id);
         let computed = u64_of(done.get("cache").expect("cache counts"), "misses");
-        assert_eq!(computed, 12, "topology_sweep computes 12 points cold");
+        assert_eq!(computed, 4, "topology_sweep computes one point per topology cold");
         let (status, body) = http(&addr, "GET", "/metrics", "");
         assert_eq!(status, 200);
         let metrics = json(&body);
@@ -316,4 +316,25 @@ fn two_servers_in_one_process_report_only_their_own_runs() {
         server.join();
         let _ = std::fs::remove_dir_all(&out_dir);
     }
+}
+
+/// The accept loop blocks in `accept`, so a join with no client traffic
+/// must wake it itself; a watchdog turns a hang into a failure.
+#[test]
+fn join_returns_on_an_idle_server() {
+    let out_dir = tmp("idle-join");
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        out_dir: out_dir.clone(),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(30)).expect("Server::join on an idle server hung");
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
