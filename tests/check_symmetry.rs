@@ -23,21 +23,26 @@ fn run(cfg: &CheckConfig) -> CheckReport {
 /// `reduction_factor_vs_unreduced_run` below for the 3-node config.
 #[test]
 fn golden_canonical_state_counts() {
-    // (protocol, nodes, evictions, states, transitions, depth)
+    // (protocol, nodes, blocks, evictions, states, transitions, depth)
     let golden = [
-        (ProtocolKind::Snooping, 3, true, 1279, 5244, 15), // unreduced: 2451
-        (ProtocolKind::Snooping, 4, true, 7169, 37468, 21), // unreduced: 37993
-        (ProtocolKind::Directory, 4, false, 17784, 50714, 32), // unreduced: 103994
+        (ProtocolKind::Snooping, 3, 1, true, 1279, 5244, 15), // unreduced: 2451
+        (ProtocolKind::Snooping, 4, 1, true, 7169, 37468, 21), // unreduced: 37993
+        (ProtocolKind::Directory, 4, 1, false, 17784, 50714, 32), // unreduced: 103994
+        (ProtocolKind::Mesi, 3, 2, true, 10283, 62294, 21),
+        (ProtocolKind::Mesi, 4, 1, true, 451, 2400, 14),
+        (ProtocolKind::Dragon, 3, 2, true, 17229, 114650, 15),
+        (ProtocolKind::Dragon, 4, 1, true, 511, 2891, 12),
     ];
-    for (protocol, nodes, evictions, states, transitions, depth) in golden {
-        let mut cfg = check(protocol, nodes, 1);
+    for (protocol, nodes, blocks, evictions, states, transitions, depth) in golden {
+        let mut cfg = check(protocol, nodes, blocks);
         cfg.evictions = evictions;
         let report = run(&cfg);
-        assert!(report.passed(), "{protocol} {nodes}n must be clean");
-        assert!(report.complete, "{protocol} {nodes}n must be exhaustive");
-        assert_eq!(report.states, states, "{protocol} {nodes}n canonical states");
-        assert_eq!(report.transitions, transitions, "{protocol} {nodes}n transitions");
-        assert_eq!(report.depth, depth, "{protocol} {nodes}n depth");
+        let at = format!("{protocol} {nodes}n/{blocks}b");
+        assert!(report.passed(), "{at} must be clean");
+        assert!(report.complete, "{at} must be exhaustive");
+        assert_eq!(report.states, states, "{at} canonical states");
+        assert_eq!(report.transitions, transitions, "{at} transitions");
+        assert_eq!(report.depth, depth, "{at} depth");
     }
 }
 
