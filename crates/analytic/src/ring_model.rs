@@ -39,7 +39,7 @@ impl RingModel {
     ///
     /// Only the paper's slotted-ring protocols are modelled:
     /// [`ProtocolKind::Snooping`] and [`ProtocolKind::Directory`]. Passing
-    /// any other kind makes [`RingModel::solve`] panic.
+    /// any other kind makes [`RingModel::evaluate`] panic.
     #[must_use]
     pub fn new(ring: RingConfig, protocol: ProtocolKind) -> Self {
         Self {

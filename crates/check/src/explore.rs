@@ -632,6 +632,14 @@ mod tests {
             let report = run(&c);
             assert!(report.violation.is_some(), "{protocol}: mutation must be caught");
         }
+        // On the bus the lost claim is the stale-memory note the engine's
+        // `claim_dirty` hook records.
+        for protocol in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
+            let mut c = cfg(protocol, 2, 1);
+            c.fault = Fault::ForgetOwner;
+            let v = run(&c).violation.expect("bus forget-owner mutation must be caught");
+            assert!(v.message.contains("memory claims to be clean"), "{protocol}: {}", v.message);
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Murphi-style exhaustive model checker for ringsim's coherence protocols.
 //!
 //! For small configurations the checker enumerates *every* reachable
-//! protocol state by breadth-first search over an abstract machine
-//! ([`mod@model`]'s docs explain the abstractions and why they are sound).
+//! protocol state by breadth-first search over an abstract machine (the
+//! `model` module's docs explain the abstractions and why they are sound).
 //! The machine is built from the same [`ringsim_cache::Cache`],
 //! [`ringsim_proto::Directory`] and [`ringsim_proto::HomeMemory`] objects the
-//! timed simulators use, and every transition consults the shared guarded
-//! rule sets in [`ringsim_proto::guarded`] — so the states explored here are
-//! the states the simulator can actually produce, not a re-implementation.
+//! timed simulators use, drives the same protocol engines
+//! ([`ringsim_proto::ring_engine`], [`ringsim_proto::bus_engine`]) and
+//! consults the shared guarded rule sets in [`ringsim_proto::guarded`] — so
+//! the states explored here are the states the simulator can actually
+//! produce, not a re-implementation.
 //!
 //! Three scaling levers keep exhaustive runs tractable past 4 nodes:
 //! symmetry reduction (only one representative per node/block-permutation
@@ -18,8 +20,8 @@
 //! ([`CheckConfig::jobs`]) whose deterministic merge keeps every report
 //! byte-identical regardless of worker count.
 //!
-//! [`CheckConfig::validate`] accepts 2..=8 nodes and 1..=4 blocks, but what
-//! is *practically* exhaustive differs sharply per protocol — the
+//! [`explore`] accepts 2..=8 nodes and 1..=4 blocks, but what is
+//! *practically* exhaustive differs sharply per protocol — the
 //! directory's home-side queues and write-back buffers multiply states far
 //! faster than the snooping dirty bit does. Measured complete state-space
 //! sizes (fault-free, with evictions):

@@ -1,14 +1,15 @@
 //! The abstract protocol machine explored by the checker.
 //!
-//! The *state* is built from the very objects the timed simulator uses —
+//! The *state* is built from the very objects the timed simulators use —
 //! [`Cache`], [`HomeMemory`], [`RingMessage`] and, for the two ring
 //! protocols, the [`RingEngine`] with its `Directory`, home contexts and
 //! queues. Every ring-protocol effect comes from
-//! [`ringsim_proto::ring_engine`], the engine `RingSystem` drives too: this
-//! module only schedules the engine's steps, through [`Host`], the model's
-//! `RingHost`. The fault fixtures override that host's hooks. The atomic
-//! protocols (SCI, MESI, Dragon) are served here in one step each, from
-//! their guarded rule sets.
+//! [`ringsim_proto::ring_engine`], the engine `RingSystem` drives too, and
+//! every MESI and Dragon effect from [`ringsim_proto::bus_engine`], the
+//! engine `BusSystem` drives: this module only schedules the engines'
+//! steps, through [`Host`], the model's `RingHost` and `BusHost`. The fault
+//! fixtures override that host's hooks. SCI is served here in one step per
+//! list operation, from its guarded rule set.
 //!
 //! What the model abstracts away is *time*: slot rotation, latencies and
 //! retry backoffs are replaced by a nondeterministic scheduler that explores
@@ -42,12 +43,13 @@
 use std::sync::Arc;
 
 use ringsim_cache::{Cache, CacheConfig, LineState};
+use ringsim_proto::bus_engine::{self, BusAction, BusHost};
 use ringsim_proto::guarded::{self, FireCounts};
 use ringsim_proto::ring_engine::{
     self, HomeStage, HomeTxn, ProbeReturn, RingEngine, RingHost, SnoopIssue, TxnKind,
 };
 use ringsim_proto::sci::{SciAction, SciList, SciRequest};
-use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
+use ringsim_proto::transitions::{DragonAction as D, MesiAction as M};
 use ringsim_proto::{HomeMemory, MsgKind, ProtocolKind, RingMessage};
 use ringsim_types::{BlockAddr, NodeId};
 
@@ -458,7 +460,7 @@ impl Model {
         s.mem.set_dirty(block);
     }
 
-    /// The ring-protocol engine's view of `s`.
+    /// The protocol engines' view of `s`.
     fn host<'a>(&'a self, s: &'a mut State) -> Host<'a> {
         Host { model: self, s }
     }
@@ -472,31 +474,9 @@ impl Model {
         if s.caches[i].state_of(block) == LineState::We {
             // Only enumerated for MESI/Dragon on a clean-exclusive line: the
             // write hit promotes E to M without any bus traffic.
-            debug_assert!(write && s.excl[i][b]);
-            match self.protocol {
-                ProtocolKind::Mesi => {
-                    let a = guarded::mesi_action(
-                        BusOp::WriteExclusiveHit,
-                        false,
-                        false,
-                        self.fire_counts(),
-                    );
-                    debug_assert_eq!(a, MesiAction::PromoteSilently);
-                }
-                ProtocolKind::Dragon => {
-                    let a = guarded::dragon_action(
-                        BusOp::WriteExclusiveHit,
-                        false,
-                        false,
-                        self.fire_counts(),
-                    );
-                    debug_assert_eq!(a, DragonAction::PromoteSilently);
-                }
-                _ => unreachable!("silent promotion outside MESI/Dragon"),
-            }
-            s.excl[i][b] = false;
-            // Memory is stale from here on; `ForgetOwner` loses the note.
-            self.claim_dirty(s, block);
+            debug_assert!(write);
+            let promoted = bus_engine::write_hit(&mut self.host(s), me, block);
+            debug_assert!(promoted, "write hit issued on a modified line");
             return format!("P{i} writes {block} in clean-exclusive; silent promotion to modified");
         }
         let kind = match (s.caches[i].state_of(block), write) {
@@ -571,19 +551,9 @@ impl Model {
                 // nothing stays in flight.
             }
             ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                let b = victim.raw() as usize;
-                if vstate.is_dirty() && !s.excl[i][b] {
-                    // A modified victim writes back in the same bus
-                    // transaction as the replacement (atomic bus).
-                    s.mem.clear_dirty(victim);
-                }
-                s.excl[i][b] = false;
-                if s.sm[b] == Some(me) {
-                    // The Sm owner's write-back refreshes memory; remaining
-                    // Sc copies stay valid and clean.
-                    s.mem.clear_dirty(victim);
-                    s.sm[b] = None;
-                }
+                // A write-back goes in the same bus transaction as the
+                // replacement (atomic bus).
+                bus_engine::retire(&mut self.host(s), me, victim, vstate);
             }
         }
     }
@@ -698,28 +668,17 @@ impl Model {
         debug_assert_eq!(t.ext, Phase::NeedProbe);
         match self.protocol {
             ProtocolKind::Sci => self.serve_sci(s, i, t),
-            ProtocolKind::Mesi => self.serve_mesi(s, i, t),
-            ProtocolKind::Dragon => self.serve_dragon(s, i, t),
+            ProtocolKind::Mesi | ProtocolKind::Dragon => {
+                let block = t.block;
+                let g = bus_engine::grant(&mut self.host(s), NodeId::new(i), block, t.kind);
+                if let Some(state) = g.fill {
+                    self.fill(s, i, block, state);
+                }
+                self.finish_txn(s, i);
+                let note = grant_note(g.action);
+                format!("bus grants P{i}'s {} on {block}; {note}", kind_name(g.kind))
+            }
             _ => unreachable!("serve on a message-passing protocol"),
-        }
-    }
-
-    /// An upgrade whose line vanished while the request was pending must go
-    /// back to memory as a full write miss (`upgrade_must_convert`'s bus
-    /// analogue).
-    fn demote_stale_upgrade(&self, s: &State, i: usize, t: &Txn) -> TxnKind {
-        if t.kind == TxnKind::Upgrade && !s.caches[i].state_of(t.block).is_valid() {
-            TxnKind::Write
-        } else {
-            t.kind
-        }
-    }
-
-    /// Clears the clean-exclusive marker once the line is no longer `We` —
-    /// keeps `excl` meaningful even when a fault skips an invalidation.
-    fn sync_excl(&self, s: &mut State, j: usize, block: BlockAddr) {
-        if s.caches[j].state_of(block) != LineState::We {
-            s.excl[j][block.raw() as usize] = false;
         }
     }
 
@@ -728,7 +687,7 @@ impl Model {
         let b = block.raw() as usize;
         let me = NodeId::new(i);
         let home = self.home_of(block);
-        let kind = self.demote_stale_upgrade(s, i, &t);
+        let kind = t.kind.served_as(s.caches[i].state_of(block));
         let req = match kind {
             TxnKind::Read => SciRequest::Read,
             TxnKind::Write => SciRequest::Write,
@@ -788,184 +747,6 @@ impl Model {
         };
         self.finish_txn(s, i);
         format!("home {home} serves P{i}'s {} on {block}; {note}", kind_name(kind))
-    }
-
-    fn serve_mesi(&self, s: &mut State, i: usize, t: Txn) -> String {
-        let block = t.block;
-        let b = block.raw() as usize;
-        let kind = self.demote_stale_upgrade(s, i, &t);
-        let others: Vec<usize> =
-            (0..self.nodes).filter(|&j| j != i && s.caches[j].state_of(block).is_valid()).collect();
-        // "Owner" means a modified copy; a clean-exclusive (E) copy lets
-        // memory supply and merely downgrades.
-        let owner = others
-            .iter()
-            .copied()
-            .find(|&j| s.caches[j].state_of(block) == LineState::We && !s.excl[j][b]);
-        let op = match kind {
-            TxnKind::Read => BusOp::ReadMiss,
-            TxnKind::Write => BusOp::WriteMiss,
-            TxnKind::Upgrade => BusOp::WriteSharedHit,
-        };
-        let action =
-            guarded::mesi_action(op, !others.is_empty(), owner.is_some(), self.fire_counts());
-        let note = match action {
-            MesiAction::FillExclusive => {
-                self.fill(s, i, block, LineState::We);
-                s.excl[i][b] = true;
-                "memory supplies; fills clean-exclusive"
-            }
-            MesiAction::FillShared => {
-                for &j in &others {
-                    if s.caches[j].state_of(block) == LineState::We {
-                        s.caches[j].snoop_downgrade(block);
-                    }
-                    self.sync_excl(s, j, block);
-                }
-                self.fill(s, i, block, LineState::Rs);
-                "memory supplies; fills shared"
-            }
-            MesiAction::OwnerSuppliesShared => {
-                let j = owner.expect("owner-supplies without owner");
-                s.caches[j].snoop_downgrade(block);
-                // The owner's flush refreshes memory as it supplies.
-                s.mem.clear_dirty(block);
-                self.fill(s, i, block, LineState::Rs);
-                "owner supplies and downgrades; memory refreshed"
-            }
-            MesiAction::OwnerSuppliesModified => {
-                let j = owner.expect("owner-supplies without owner");
-                self.invalidate_at(s, j, block);
-                self.sync_excl(s, j, block);
-                self.fill(s, i, block, LineState::We);
-                // Dirty data moves cache to cache; memory stays stale.
-                self.claim_dirty(s, block);
-                "owner supplies modified data and invalidates itself"
-            }
-            MesiAction::InvalidateAndFillModified => {
-                for &j in &others {
-                    self.invalidate_at(s, j, block);
-                    self.sync_excl(s, j, block);
-                }
-                self.fill(s, i, block, LineState::We);
-                self.claim_dirty(s, block);
-                "sharers invalidated; fills modified"
-            }
-            MesiAction::FillModified => {
-                self.fill(s, i, block, LineState::We);
-                self.claim_dirty(s, block);
-                "memory supplies; fills modified"
-            }
-            MesiAction::InvalidateAndPromote => {
-                for &j in &others {
-                    self.invalidate_at(s, j, block);
-                    self.sync_excl(s, j, block);
-                }
-                if !s.caches[i].promote(block) {
-                    self.fill(s, i, block, LineState::We);
-                }
-                self.claim_dirty(s, block);
-                "sharers invalidated; line promoted"
-            }
-            MesiAction::Promote => {
-                if !s.caches[i].promote(block) {
-                    self.fill(s, i, block, LineState::We);
-                }
-                self.claim_dirty(s, block);
-                "last copy; line promoted in place"
-            }
-            MesiAction::PromoteSilently => {
-                unreachable!("exclusive write hits never reach the bus")
-            }
-        };
-        self.finish_txn(s, i);
-        format!("bus grants P{i}'s {} on {block}; {note}", kind_name(kind))
-    }
-
-    fn serve_dragon(&self, s: &mut State, i: usize, t: Txn) -> String {
-        let block = t.block;
-        let b = block.raw() as usize;
-        let me = NodeId::new(i);
-        let kind = self.demote_stale_upgrade(s, i, &t);
-        let others: Vec<usize> =
-            (0..self.nodes).filter(|&j| j != i && s.caches[j].state_of(block).is_valid()).collect();
-        // The owner — responsible for supplying dirty data — is either a
-        // modified copy or the block's Sm (shared-modified) holder.
-        let m_owner = others
-            .iter()
-            .copied()
-            .find(|&j| s.caches[j].state_of(block) == LineState::We && !s.excl[j][b]);
-        let has_owner =
-            m_owner.is_some() || s.sm[b].is_some_and(|o| o != me && others.contains(&o.index()));
-        let op = match kind {
-            TxnKind::Read => BusOp::ReadMiss,
-            TxnKind::Write => BusOp::WriteMiss,
-            TxnKind::Upgrade => BusOp::WriteSharedHit,
-        };
-        let action = guarded::dragon_action(op, !others.is_empty(), has_owner, self.fire_counts());
-        let note = match action {
-            DragonAction::FillExclusive => {
-                self.fill(s, i, block, LineState::We);
-                s.excl[i][b] = true;
-                "memory supplies; fills clean-exclusive"
-            }
-            DragonAction::FillShared => {
-                for &j in &others {
-                    if s.caches[j].state_of(block) == LineState::We {
-                        s.caches[j].snoop_downgrade(block);
-                    }
-                    self.sync_excl(s, j, block);
-                }
-                self.fill(s, i, block, LineState::Rs);
-                "memory supplies; fills shared-clean"
-            }
-            DragonAction::OwnerSuppliesShared => {
-                if let Some(j) = m_owner {
-                    // A modified owner demotes to Sm but keeps supplying.
-                    s.caches[j].snoop_downgrade(block);
-                    s.sm[b] = Some(NodeId::new(j));
-                }
-                self.fill(s, i, block, LineState::Rs);
-                "owner supplies; stays shared-modified"
-            }
-            DragonAction::FillModified => {
-                self.fill(s, i, block, LineState::We);
-                self.claim_dirty(s, block);
-                "memory supplies; fills modified"
-            }
-            DragonAction::FillSharedOwnerUpdate => {
-                for &j in &others {
-                    if s.caches[j].state_of(block) == LineState::We {
-                        s.caches[j].snoop_downgrade(block);
-                    }
-                    self.sync_excl(s, j, block);
-                }
-                s.sm[b] = Some(me);
-                self.fill(s, i, block, LineState::Rs);
-                self.claim_dirty(s, block);
-                "copies updated in place; writer becomes shared-modified owner"
-            }
-            DragonAction::BroadcastUpdate => {
-                s.sm[b] = Some(me);
-                self.claim_dirty(s, block);
-                "update broadcast; writer becomes shared-modified owner"
-            }
-            DragonAction::PromoteToModified => {
-                if s.sm[b] == Some(me) {
-                    s.sm[b] = None;
-                }
-                if !s.caches[i].promote(block) {
-                    self.fill(s, i, block, LineState::We);
-                }
-                self.claim_dirty(s, block);
-                "last copy; promoted to modified"
-            }
-            DragonAction::PromoteSilently => {
-                unreachable!("exclusive write hits never reach the bus")
-            }
-        };
-        self.finish_txn(s, i);
-        format!("bus grants P{i}'s {} on {block}; {note}", kind_name(kind))
     }
 
     // ------------------------------------------------------- deliveries
@@ -1396,6 +1177,33 @@ impl Model {
     }
 }
 
+/// What a bus grant's action did, for a step label.
+fn grant_note(action: BusAction) -> &'static str {
+    use BusAction::{Dragon, Mesi};
+    match action {
+        Mesi(M::FillExclusive) | Dragon(D::FillExclusive) => {
+            "memory supplies; fills clean-exclusive"
+        }
+        Mesi(M::FillShared) => "memory supplies; fills shared",
+        Dragon(D::FillShared) => "memory supplies; fills shared-clean",
+        Mesi(M::OwnerSuppliesShared) => "owner supplies and downgrades; memory refreshed",
+        Dragon(D::OwnerSuppliesShared) => "owner supplies; stays shared-modified",
+        Mesi(M::OwnerSuppliesModified) => "owner supplies modified data and invalidates itself",
+        Mesi(M::InvalidateAndFillModified) => "sharers invalidated; fills modified",
+        Mesi(M::FillModified) | Dragon(D::FillModified) => "memory supplies; fills modified",
+        Mesi(M::InvalidateAndPromote) => "sharers invalidated; line promoted",
+        Mesi(M::Promote) => "last copy; line promoted in place",
+        Dragon(D::FillSharedOwnerUpdate) => {
+            "copies updated in place; writer becomes shared-modified owner"
+        }
+        Dragon(D::BroadcastUpdate) => "update broadcast; writer becomes shared-modified owner",
+        Dragon(D::PromoteToModified) => "last copy; promoted to modified",
+        Mesi(M::PromoteSilently) | Dragon(D::PromoteSilently) => {
+            unreachable!("exclusive write hits never reach the bus")
+        }
+    }
+}
+
 /// Formats [`ring_engine::receive`]'s outcome for a step label.
 fn receive_label(admit: ring_engine::Admit) -> &'static str {
     match admit {
@@ -1404,9 +1212,9 @@ fn receive_label(admit: ring_engine::Admit) -> &'static str {
     }
 }
 
-/// The model state as the ring engine's host. Messages to self deliver at
-/// once and an admitted request acts at once (see the module docs); the
-/// fault mutations hook the engine's effects here.
+/// The model state as the protocol engines' host. Messages to self deliver
+/// at once and an admitted request acts at once (see the module docs); the
+/// fault mutations hook the engines' effects here.
 struct Host<'a> {
     model: &'a Model,
     s: &'a mut State,
@@ -1484,5 +1292,63 @@ impl RingHost for Host<'_> {
     /// checker found.
     fn parks_forward(&self, buffered: bool) -> bool {
         self.model.fault == Fault::ParkBusyForwards || !buffered
+    }
+}
+
+/// The bus protocols' state: the E markers in `excl`, Dragon's Sm owner in
+/// `sm`, and the dirty bit in `mem`. The owner a bus snoop finds is a
+/// modified (`We`, not E) copy, else the Sm owner.
+impl BusHost for Host<'_> {
+    fn protocol(&self) -> ProtocolKind {
+        self.model.protocol
+    }
+
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.s.caches
+    }
+
+    fn present(&self, _block: BlockAddr) -> u64 {
+        (1 << self.model.nodes) - 1
+    }
+
+    fn exclusive(&self, node: NodeId, block: BlockAddr) -> bool {
+        self.s.excl[node.index()][block.raw() as usize]
+    }
+
+    fn set_exclusive(&mut self, node: NodeId, block: BlockAddr, exclusive: bool) {
+        self.s.excl[node.index()][block.raw() as usize] = exclusive;
+    }
+
+    fn owner(&self, block: BlockAddr) -> Option<NodeId> {
+        let b = block.raw() as usize;
+        (0..self.model.nodes)
+            .find(|&j| self.s.caches[j].state_of(block) == LineState::We && !self.s.excl[j][b])
+            .map(NodeId::new)
+            .or(self.s.sm[b])
+    }
+
+    fn set_supplier(&mut self, block: BlockAddr, owner: Option<NodeId>) {
+        self.s.sm[block.raw() as usize] = owner;
+    }
+
+    fn set_dirty(&mut self, block: BlockAddr, owner: Option<NodeId>) {
+        if owner.is_some() {
+            self.s.mem.set_dirty(block);
+        } else {
+            self.s.mem.clear_dirty(block);
+        }
+    }
+
+    fn counts(&self) -> Option<&FireCounts> {
+        self.model.fire_counts()
+    }
+
+    fn invalidate_sharer(&mut self, node: NodeId, block: BlockAddr) {
+        self.model.invalidate_at(self.s, node.index(), block);
+    }
+
+    /// `ForgetOwner` loses the note that memory is stale.
+    fn claim_dirty(&mut self, block: BlockAddr, _node: NodeId) {
+        self.model.claim_dirty(self.s, block);
     }
 }

@@ -13,8 +13,9 @@
 use ringsim_bus::{Bus, BusConfig, PhaseKind};
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
 use ringsim_obs::{LatencyHistogram, Obs};
-use ringsim_proto::guarded;
-use ringsim_proto::transitions::{BusOp, DragonAction, MesiAction};
+use ringsim_proto::bus_engine::{self, BusHost};
+use ringsim_proto::ring_engine::TxnKind;
+use ringsim_proto::ProtocolKind;
 use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{
@@ -32,9 +33,9 @@ const ACC_ARB_WAIT: usize = 0;
 ///
 /// All three share the arbitration, timing and event machinery of
 /// [`BusSystem`]; they differ only in what the snoop does at the
-/// serialisation point. MESI and Dragon dispatch every such decision
-/// through the guarded rule sets in [`ringsim_proto::guarded`] — the same
-/// tables the `ringsim-check` model checker exhausts.
+/// serialisation point. MESI and Dragon make every such state update
+/// through [`ringsim_proto::bus_engine`] — the engine the `ringsim-check`
+/// model checker exhausts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BusProtocol {
     /// The paper's 3-state write-invalidate protocol (MSI).
@@ -155,13 +156,6 @@ impl BusSystemConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnKind {
-    Read,
-    Write,
-    Upgrade,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
@@ -183,7 +177,6 @@ enum Served {
 #[derive(Debug)]
 struct BusNode {
     stream: NodeStream,
-    cache: Cache,
     ready_at: Time,
     instr_carry: f64,
     refs_issued: u64,
@@ -196,10 +189,6 @@ struct BusNode {
     txn: Option<Txn>,
     misses: u64,
     miss_lat: LatencyHistogram,
-    /// MESI/Dragon: blocks this node holds clean-exclusive (E) — the cache
-    /// line is `We`, but the data was never written and memory is still up
-    /// to date. Always empty under MSI.
-    excl: FnvMap<u64, ()>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,8 +214,10 @@ const PROC_QUANTUM: Time = Time::from_ns(200);
 /// zero, cached nowhere.
 #[derive(Debug, Clone, Copy, Default)]
 struct BlockState {
-    /// Current write-exclusive holder (bus snooping resolves ownership
-    /// instantly at the serialisation point).
+    /// The node that supplies the data instead of memory: the
+    /// write-exclusive (modified) holder, or Dragon's shared-modified owner
+    /// (bus snooping resolves ownership instantly at the serialisation
+    /// point).
     owner: Option<NodeId>,
     /// Earliest time the block's data is available at its current
     /// owner/home (covers data still in flight to a new owner).
@@ -257,6 +248,11 @@ pub struct BusSystem {
     cfg: BusSystemConfig,
     bus: Bus,
     nodes: Vec<BusNode>,
+    caches: Vec<Cache>,
+    /// MESI/Dragon: per node, the blocks it holds clean-exclusive (E) — the
+    /// cache line is `We`, but the data was never written and memory is
+    /// still up to date. Always empty under MSI.
+    excl: Vec<FnvMap<u64, ()>>,
     space: AddressSpace,
     /// Per-block coherence directory, one entry per block the bus has
     /// touched (every consumer of ownership, data timing and presence pays
@@ -298,33 +294,32 @@ impl BusSystem {
         let spec = workload.spec().clone();
         let space = workload.space();
         let bus = Bus::new(cfg.bus)?;
+        let caches = (0..cfg.nodes()).map(|_| Cache::new(cfg.cache)).collect::<Result<_, _>>()?;
         let nodes = workload
             .into_streams()
             .into_iter()
-            .map(|stream| {
-                Ok(BusNode {
-                    stream,
-                    cache: Cache::new(cfg.cache)?,
-                    ready_at: Time::ZERO,
-                    instr_carry: 0.0,
-                    refs_issued: 0,
-                    warmup_refs: spec.warmup_refs_per_proc,
-                    total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                    measuring: false,
-                    measure_start: Time::ZERO,
-                    busy: Time::ZERO,
-                    finish_at: None,
-                    txn: None,
-                    misses: 0,
-                    miss_lat: LatencyHistogram::new(),
-                    excl: FnvMap::default(),
-                })
+            .map(|stream| BusNode {
+                stream,
+                ready_at: Time::ZERO,
+                instr_carry: 0.0,
+                refs_issued: 0,
+                warmup_refs: spec.warmup_refs_per_proc,
+                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
+                measuring: false,
+                measure_start: Time::ZERO,
+                busy: Time::ZERO,
+                finish_at: None,
+                txn: None,
+                misses: 0,
+                miss_lat: LatencyHistogram::new(),
             })
-            .collect::<Result<Vec<_>, ConfigError>>()?;
+            .collect();
         Ok(Self {
             cfg,
             bus,
             nodes,
+            caches,
+            excl: vec![FnvMap::default(); cfg.nodes()],
             space,
             blocks: FnvMap::default(),
             measuring_nodes: 0,
@@ -433,7 +428,7 @@ impl BusSystem {
                 node.busy = cost;
             }
             let block = r.addr.block(BLOCK_BYTES);
-            let class = node.cache.classify(block, r.kind);
+            let class = self.caches[i].classify(block, r.kind);
             if node.measuring {
                 match (r.region, r.kind) {
                     (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
@@ -449,24 +444,8 @@ impl BusSystem {
                     // transaction. The directory must still learn that the
                     // node is now the dirty owner, so the next remote miss
                     // snoops a cache supply instead of memory.
-                    if self.cfg.protocol != BusProtocol::Msi
-                        && r.kind == AccessKind::Write
-                        && self.nodes[i].excl.remove(&block.raw()).is_some()
-                        && r.region == Region::Shared
-                    {
-                        let silent = match self.cfg.protocol {
-                            BusProtocol::Msi => unreachable!(),
-                            BusProtocol::Mesi => {
-                                guarded::mesi_action(BusOp::WriteExclusiveHit, false, false, None)
-                                    == MesiAction::PromoteSilently
-                            }
-                            BusProtocol::Dragon => {
-                                guarded::dragon_action(BusOp::WriteExclusiveHit, false, false, None)
-                                    == DragonAction::PromoteSilently
-                            }
-                        };
-                        debug_assert!(silent);
-                        self.blocks.entry(block.raw()).or_default().owner = Some(NodeId::new(i));
+                    if self.cfg.protocol != BusProtocol::Msi && r.kind == AccessKind::Write {
+                        bus_engine::write_hit(self, NodeId::new(i), block);
                     }
                 }
                 AccessClass::Upgrade | AccessClass::Miss => {
@@ -505,7 +484,7 @@ impl BusSystem {
         }
     }
 
-    /// Invalidate every other cached copy of `block`; returns how many
+    /// MSI: invalidate every other cached copy of `block`; returns how many
     /// copies were dropped. Visits only the nodes in the block's presence
     /// mask (ascending order, matching the all-nodes scan it replaces).
     fn invalidate_others(&mut self, block: BlockAddr, except: usize) -> u64 {
@@ -519,125 +498,60 @@ impl BusSystem {
             while others != 0 {
                 let j = others.trailing_zeros() as usize;
                 others &= others - 1;
-                if self.nodes[j].cache.snoop_invalidate(block).is_valid() {
+                if self.caches[j].snoop_invalidate(block).is_valid() {
                     count += 1;
-                }
-                if self.cfg.protocol != BusProtocol::Msi {
-                    self.nodes[j].excl.remove(&block.raw());
                 }
             }
         }
         count
     }
 
-    /// Nodes other than `except` whose cached copy of `block` is actually
-    /// valid. The presence mask is only a superset, so the caches are
-    /// consulted — this is the "shared line" a real MESI/Dragon bus snoop
-    /// asserts. Ascending node order for determinism.
-    fn valid_others(&self, block: BlockAddr, except: usize) -> Vec<usize> {
-        let Some(b) = self.blocks.get(&block.raw()) else { return Vec::new() };
-        let mut others = b.present & !(1u64 << except);
-        let mut out = Vec::new();
-        while others != 0 {
-            let j = others.trailing_zeros() as usize;
-            others &= others - 1;
-            if self.nodes[j].cache.state_of(block).is_valid() {
-                out.push(j);
-            }
-        }
-        out
-    }
-
-    /// Downgrades any write-exclusive copy among `others` to shared and
-    /// clears its clean-exclusive marker (MESI/Dragon read- or
-    /// update-miss snoop: an E or M holder observes the fill and demotes).
-    fn downgrade_exclusive(&mut self, block: BlockAddr, others: &[usize]) {
-        for &j in others {
-            if self.nodes[j].cache.state_of(block) == LineState::We {
-                self.nodes[j].cache.snoop_downgrade(block);
-                self.nodes[j].excl.remove(&block.raw());
-            }
-        }
-    }
-
-    /// Dragon write to a still-shared line: the address phase we just won
-    /// broadcast the update word. Other copies stay valid and take the new
-    /// data; the writer becomes (or stays) the shared-modified owner —
-    /// unless every other copy has rolled out, in which case the update
-    /// found no listeners and the line promotes to modified.
-    fn dragon_update_done(&mut self, i: usize, t: Txn) {
-        let me = NodeId::new(i);
-        let block = t.block;
-        let others = self.valid_others(block, i);
-        let owner = self.blocks.get(&block.raw()).and_then(|b| b.owner.filter(|&d| d != me));
-        let action = guarded::dragon_action(
-            BusOp::WriteSharedHit,
-            !others.is_empty(),
-            owner.is_some(),
-            None,
-        );
-        match action {
-            DragonAction::BroadcastUpdate => {
-                // A previous shared-modified supplier hands that role to
-                // the writer; every copy stays valid.
-            }
-            DragonAction::PromoteToModified => {
-                let promoted = self.nodes[i].cache.promote(block);
-                debug_assert!(promoted);
-            }
-            a => unreachable!("update dispatch yielded {a:?}"),
-        }
-        self.blocks.entry(block.raw()).or_default().owner = Some(me);
-        if self.nodes[i].measuring {
-            let local = self.home_of(block) == me;
-            match (!others.is_empty(), local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
-            }
-        }
-        self.schedule(self.now, Event::Complete { node: i });
-    }
-
     fn upgrade_done(&mut self, i: usize) {
         let t = self.nodes[i].txn.expect("upgrade txn");
         let block = t.block;
-        if self.nodes[i].cache.state_of(block).is_valid() {
-            if self.cfg.protocol == BusProtocol::Dragon && t.region == Region::Shared {
-                self.dragon_update_done(i, t);
-                return;
-            }
-            // Private blocks are only ever touched by their owning node, so
-            // there is nothing to invalidate and no reader of their
-            // directory entry — skip the map (and keep them out of it).
-            let invalidated =
-                if t.region == Region::Shared { self.invalidate_others(block, i) } else { 0 };
-            let promoted = self.nodes[i].cache.promote(block);
-            debug_assert!(promoted);
-            if t.region == Region::Shared {
-                self.blocks.entry(block.raw()).or_default().owner = Some(NodeId::new(i));
-            }
-            if self.nodes[i].measuring && t.region == Region::Shared {
-                let local = self.home_of(block) == NodeId::new(i);
-                match (invalidated > 0, local) {
-                    (false, true) => self.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.events.upgrade_sharers_local += 1,
-                    (true, false) => self.events.upgrade_sharers_remote += 1,
-                }
-                self.events.invalidated_copies += invalidated;
-            } else if self.nodes[i].measuring && t.region == Region::Private {
-                self.events.upgrade_nosharers_local += 1;
-            }
-            self.schedule(self.now, Event::Complete { node: i });
-        } else {
+        if !self.caches[i].state_of(block).is_valid() {
             // The line was invalidated while we waited for the bus: the
             // address phase we just completed doubles as the request phase
             // of a write miss.
             self.nodes[i].txn = Some(Txn { kind: TxnKind::Write, served: Served::Pending, ..t });
             self.request_done(i);
+            return;
         }
+        let me = NodeId::new(i);
+        let (sharers, invalidated) = match (t.region, self.cfg.protocol) {
+            // Private blocks are only ever touched by their owning node, so
+            // there is nothing to invalidate and no reader of their
+            // directory entry — skip the map (and keep them out of it).
+            (Region::Private, _) => {
+                let promoted = self.caches[i].promote(block);
+                debug_assert!(promoted);
+                (false, 0)
+            }
+            (Region::Shared, BusProtocol::Msi) => {
+                let invalidated = self.invalidate_others(block, i);
+                let promoted = self.caches[i].promote(block);
+                debug_assert!(promoted);
+                self.blocks.entry(block.raw()).or_default().owner = Some(me);
+                (invalidated > 0, invalidated)
+            }
+            // MESI invalidates the other copies; Dragon broadcasts the
+            // update word and keeps them.
+            (Region::Shared, BusProtocol::Mesi | BusProtocol::Dragon) => {
+                let g = bus_engine::grant(self, me, block, TxnKind::Upgrade);
+                (g.others != 0, g.invalidated)
+            }
+        };
+        if self.nodes[i].measuring {
+            let local = t.region == Region::Private || self.home_of(block) == me;
+            match (sharers, local) {
+                (false, true) => self.events.upgrade_nosharers_local += 1,
+                (false, false) => self.events.upgrade_nosharers_remote += 1,
+                (true, true) => self.events.upgrade_sharers_local += 1,
+                (true, false) => self.events.upgrade_sharers_remote += 1,
+            }
+            self.events.invalidated_copies += invalidated;
+        }
+        self.schedule(self.now, Event::Complete { node: i });
     }
 
     fn request_done(&mut self, i: usize) {
@@ -671,10 +585,10 @@ impl BusSystem {
             } else {
                 // MESI/Dragon: a private read miss fills clean-exclusive,
                 // so the (common) subsequent write promotes silently.
-                self.nodes[i].excl.insert(block.raw(), ());
+                self.excl[i].insert(block.raw(), ());
                 LineState::We
             };
-            if let Some((victim, vstate)) = self.nodes[i].cache.fill(block, state) {
+            if let Some((victim, vstate)) = self.caches[i].fill(block, state) {
                 self.retire_victim(me, victim, vstate, measuring, completion);
             }
             self.schedule(completion, Event::Complete { node: i });
@@ -683,182 +597,96 @@ impl BusSystem {
 
         let home = self.home_of(block);
         let local = home == me;
-        let (owner, ready) = match self.blocks.get(&block.raw()) {
-            Some(b) => (b.owner.filter(|&d| d != me), b.ready),
-            None => (None, Time::ZERO),
+        let is_write = t.kind != TxnKind::Read;
+
+        // --- snoop resolution (atomic at the serialisation point)
+        let (owner, ready, fill_state, sharers, invalidated) = match self.cfg.protocol {
+            BusProtocol::Msi => {
+                let (owner, ready) = match self.blocks.get(&block.raw()) {
+                    Some(b) => (b.owner.filter(|&d| d != me), b.ready),
+                    None => (None, Time::ZERO),
+                };
+                let mut invalidated = 0;
+                if is_write {
+                    invalidated = self.invalidate_others(block, i);
+                } else if let Some(d) = owner {
+                    self.caches[d.index()].snoop_downgrade(block);
+                    if let Some(b) = self.blocks.get_mut(&block.raw()) {
+                        b.owner = None;
+                    }
+                }
+                let fill_state = if is_write { LineState::We } else { LineState::Rs };
+                (owner, ready, fill_state, invalidated > 0, invalidated)
+            }
+            BusProtocol::Mesi | BusProtocol::Dragon => {
+                // The engine records the dirty claim in the block's entry.
+                let ready = self.blocks.entry(block.raw()).or_default().ready;
+                let g = bus_engine::grant(self, me, block, t.kind);
+                let fill_state = g.fill.expect("a miss fills its line");
+                // A Dragon write miss updates the other copies instead of
+                // purging them: they count as sharers all the same.
+                (g.owner, ready, fill_state, g.others != 0, g.invalidated)
+            }
         };
 
         // --- classification (mirrors the reference interpreter's buckets;
         // the ring geometry keeps event counts comparable across
         // interconnects, latency on a bus does not depend on it)
         if measuring {
-            match (t.kind, owner) {
-                (TxnKind::Read, Some(d)) => {
-                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
-                        self.events.read_dirty_2 += 1;
-                    } else {
-                        self.events.read_dirty_1 += 1;
-                    }
-                }
-                (TxnKind::Read, None) => {
-                    if local {
-                        self.events.read_clean_local += 1;
-                    } else {
-                        self.events.read_clean_remote += 1;
-                    }
-                }
-                (_, Some(d)) => {
-                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
-                        self.events.write_dirty_2 += 1;
-                    } else {
-                        self.events.write_dirty_1 += 1;
-                    }
-                }
-                (_, None) => {
-                    // Sharer count observed below (invalidate_others).
-                }
+            let n = self.cfg.nodes();
+            let e = &mut self.events;
+            let bucket = match (t.kind, owner) {
+                (TxnKind::Read, Some(d)) if me.dirty_on_path(home, d, n) => &mut e.read_dirty_2,
+                (TxnKind::Read, Some(_)) => &mut e.read_dirty_1,
+                (TxnKind::Read, None) if local => &mut e.read_clean_local,
+                (TxnKind::Read, None) => &mut e.read_clean_remote,
+                (_, Some(d)) if me.dirty_on_path(home, d, n) => &mut e.write_dirty_2,
+                (_, Some(_)) => &mut e.write_dirty_1,
+                (_, None) if sharers && local => &mut e.write_sharers_local,
+                (_, None) if sharers => &mut e.write_sharers_remote,
+                (_, None) if local => &mut e.write_nosharers_local,
+                (_, None) => &mut e.write_nosharers_remote,
+            };
+            *bucket += 1;
+            if is_write {
+                e.invalidated_copies += invalidated;
             }
         }
 
-        // --- snoop resolution (atomic at the serialisation point)
-        let is_write = t.kind != TxnKind::Read;
-        let mut invalidated = 0;
-        let mut fill_state = if is_write { LineState::We } else { LineState::Rs };
-        // Dragon write miss that updated live copies instead of purging
-        // them (keeps the sharers-vs-nosharers event buckets honest).
-        let mut updated_sharers = false;
-        match self.cfg.protocol {
-            BusProtocol::Msi => {
-                if is_write {
-                    invalidated = self.invalidate_others(block, i);
-                } else if let Some(d) = owner {
-                    self.nodes[d.index()].cache.snoop_downgrade(block);
-                    if let Some(b) = self.blocks.get_mut(&block.raw()) {
-                        b.owner = None;
-                    }
-                }
-            }
-            BusProtocol::Mesi => {
-                let others = self.valid_others(block, i);
-                let op = if is_write { BusOp::WriteMiss } else { BusOp::ReadMiss };
-                match guarded::mesi_action(op, !others.is_empty(), owner.is_some(), None) {
-                    MesiAction::FillExclusive => {
-                        self.nodes[i].excl.insert(block.raw(), ());
-                        fill_state = LineState::We;
-                    }
-                    MesiAction::FillShared => self.downgrade_exclusive(block, &others),
-                    MesiAction::OwnerSuppliesShared => {
-                        let d = owner.expect("dispatched with an owner");
-                        self.nodes[d.index()].cache.snoop_downgrade(block);
-                        if let Some(b) = self.blocks.get_mut(&block.raw()) {
-                            b.owner = None;
-                        }
-                    }
-                    MesiAction::OwnerSuppliesModified
-                    | MesiAction::InvalidateAndFillModified
-                    | MesiAction::FillModified => {
-                        invalidated = self.invalidate_others(block, i);
-                    }
-                    a @ (MesiAction::InvalidateAndPromote
-                    | MesiAction::Promote
-                    | MesiAction::PromoteSilently) => {
-                        unreachable!("miss dispatch yielded {a:?}")
-                    }
-                }
-            }
-            BusProtocol::Dragon => {
-                let others = self.valid_others(block, i);
-                let op = if is_write { BusOp::WriteMiss } else { BusOp::ReadMiss };
-                match guarded::dragon_action(op, !others.is_empty(), owner.is_some(), None) {
-                    DragonAction::FillExclusive => {
-                        self.nodes[i].excl.insert(block.raw(), ());
-                        fill_state = LineState::We;
-                    }
-                    DragonAction::FillShared => self.downgrade_exclusive(block, &others),
-                    DragonAction::OwnerSuppliesShared => {
-                        // The owner supplies and demotes to shared-modified:
-                        // it keeps the dirty copy and stays the supplier.
-                        let d = owner.expect("dispatched with an owner");
-                        self.nodes[d.index()].cache.snoop_downgrade(block);
-                        self.nodes[d.index()].excl.remove(&block.raw());
-                    }
-                    DragonAction::FillModified => {}
-                    DragonAction::FillSharedOwnerUpdate => {
-                        // No invalidation: the other copies take the update
-                        // word and stay valid; a previous owner demotes to
-                        // shared-clean and the writer fills shared-modified.
-                        self.downgrade_exclusive(block, &others);
-                        fill_state = LineState::Rs;
-                        updated_sharers = true;
-                    }
-                    a @ (DragonAction::BroadcastUpdate
-                    | DragonAction::PromoteToModified
-                    | DragonAction::PromoteSilently) => {
-                        unreachable!("miss dispatch yielded {a:?}")
-                    }
-                }
-            }
-        }
-        if measuring && is_write && owner.is_none() {
-            match (invalidated > 0 || updated_sharers, local) {
-                (false, true) => self.events.write_nosharers_local += 1,
-                (false, false) => self.events.write_nosharers_remote += 1,
-                (true, true) => self.events.write_sharers_local += 1,
-                (true, false) => self.events.write_sharers_remote += 1,
-            }
-        }
-        if measuring && is_write {
-            self.events.invalidated_copies += invalidated;
-        }
-
-        // --- timing: who supplies, and when
-        let completion = match owner {
-            Some(_) => {
-                // Cache-to-cache transfer: wait for the owner's copy, the
-                // supply access, then a response phase on the bus.
-                let supply_at = self.now.max(ready) + self.cfg.supply_latency;
-                let (_, re) = self.bus.acquire_kind(
-                    supply_at,
-                    self.cfg.bus.response_cycles(),
-                    PhaseKind::Data,
-                );
-                re
-            }
-            None if local => self.now.max(ready) + self.cfg.mem_latency,
-            None => {
-                let fetch_done = self.now.max(ready) + self.cfg.mem_latency;
-                let (_, re) = self.bus.acquire_kind(
-                    fetch_done,
-                    self.cfg.bus.response_cycles(),
-                    PhaseKind::Data,
-                );
-                re
-            }
+        // --- timing: who supplies, and when. The owner's copy takes the
+        // supply access, memory the fetch; then the data crosses the bus in
+        // a response phase, unless the requester's own memory supplies it.
+        let served = match owner {
+            Some(_) => Served::Dirty,
+            None if local => Served::Local,
+            None => Served::CleanRemote,
         };
-
+        let access = if owner.is_some() { self.cfg.supply_latency } else { self.cfg.mem_latency };
+        let data_at = self.now.max(ready) + access;
+        let completion = if served == Served::Local {
+            data_at
+        } else {
+            self.bus.acquire_kind(data_at, self.cfg.bus.response_cycles(), PhaseKind::Data).1
+        };
         // Record how the miss was served for the class-latency breakdown.
         if let Some(txn) = self.nodes[i].txn.as_mut() {
-            txn.served = match owner {
-                Some(_) => Served::Dirty,
-                None if local => Served::Local,
-                None => Served::CleanRemote,
-            };
+            txn.served = served;
         }
         // --- commit cache state now (serialisation point), deliver later.
         let b = self.blocks.entry(block.raw()).or_default();
-        if is_write {
+        if is_write && self.cfg.protocol == BusProtocol::Msi {
             b.owner = Some(me);
         }
         b.ready = completion;
         b.present |= 1u64 << i;
-        if let Some((victim, vstate)) = self.nodes[i].cache.fill(block, fill_state) {
+        if let Some((victim, vstate)) = self.caches[i].fill(block, fill_state) {
             self.retire_victim(me, victim, vstate, measuring, completion);
         }
         self.schedule(completion, Event::Complete { node: i });
     }
 
     /// Drops the evicted `victim` from the directory (a private victim has
-    /// no entry — a no-op) and, for a dirty victim, performs the write-back:
+    /// no entry — a no-op) and, if it writes back, performs the write-back:
     /// one response-phase transfer after `completion` when the victim's
     /// home is remote.
     fn retire_victim(
@@ -869,22 +697,16 @@ impl BusSystem {
         measuring: bool,
         completion: Time,
     ) {
-        // A clean-exclusive victim is `We` in the cache but was never
-        // written: no write-back. (The marker map is empty under MSI.)
-        let was_excl = self.nodes[me.index()].excl.remove(&victim.raw()).is_some();
-        let mut dirty = vstate.is_dirty() && !was_excl;
         if let Some(v) = self.blocks.get_mut(&victim.raw()) {
             v.present &= !(1u64 << me.index());
-            if v.owner == Some(me) {
+            if self.cfg.protocol == BusProtocol::Msi && v.owner == Some(me) {
                 v.owner = None;
-                // A Dragon shared-modified victim holds the only fresh
-                // copy: its rollout writes the data back even though the
-                // line is only shared.
-                if vstate == LineState::Rs {
-                    dirty = true;
-                }
             }
         }
+        let dirty = match self.cfg.protocol {
+            BusProtocol::Msi => vstate.is_dirty(),
+            BusProtocol::Mesi | BusProtocol::Dragon => bus_engine::retire(self, me, victim, vstate),
+        };
         if dirty {
             let vhome = self.home_of(victim);
             if vhome != me {
@@ -905,8 +727,7 @@ impl BusSystem {
         if self.sanitize {
             // Snoop resolution is atomic at the serialisation point, so no
             // transient carve-outs are needed: SWMR must hold outright.
-            let states: Vec<LineState> =
-                self.nodes.iter().map(|n| n.cache.state_of(t.block)).collect();
+            let states: Vec<LineState> = self.caches.iter().map(|c| c.state_of(t.block)).collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
         let node = &mut self.nodes[i];
@@ -953,7 +774,7 @@ impl BusSystem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn cache_state(&self, i: usize, block: BlockAddr) -> LineState {
-        self.nodes[i].cache.state_of(block)
+        self.caches[i].state_of(block)
     }
 
     fn build_report(&mut self) -> SimReport {
@@ -1002,6 +823,57 @@ impl BusSystem {
     }
 }
 
+/// MESI and Dragon as the bus engine's host. A block's entry holds its
+/// `owner` — both the dirty owner and Dragon's shared-modified supplier —
+/// and its `present` mask, which follows every invalidation. A private
+/// block has no entry: it is never snooped and has no owner to record.
+impl BusHost for BusSystem {
+    fn protocol(&self) -> ProtocolKind {
+        match self.cfg.protocol {
+            BusProtocol::Mesi => ProtocolKind::Mesi,
+            BusProtocol::Dragon => ProtocolKind::Dragon,
+            BusProtocol::Msi => unreachable!("MSI has no checked rule set"),
+        }
+    }
+
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.caches
+    }
+
+    fn present(&self, block: BlockAddr) -> u64 {
+        self.blocks.get(&block.raw()).map_or(0, |b| b.present)
+    }
+
+    fn exclusive(&self, node: NodeId, block: BlockAddr) -> bool {
+        self.excl[node.index()].contains_key(&block.raw())
+    }
+
+    fn set_exclusive(&mut self, node: NodeId, block: BlockAddr, exclusive: bool) {
+        if exclusive {
+            self.excl[node.index()].insert(block.raw(), ());
+        } else {
+            self.excl[node.index()].remove(&block.raw());
+        }
+    }
+
+    fn owner(&self, block: BlockAddr) -> Option<NodeId> {
+        self.blocks.get(&block.raw()).and_then(|b| b.owner)
+    }
+
+    fn set_dirty(&mut self, block: BlockAddr, owner: Option<NodeId>) {
+        if let Some(b) = self.blocks.get_mut(&block.raw()) {
+            b.owner = owner;
+        }
+    }
+
+    fn invalidate_sharer(&mut self, node: NodeId, block: BlockAddr) {
+        self.caches[node.index()].snoop_invalidate(block);
+        if let Some(b) = self.blocks.get_mut(&block.raw()) {
+            b.present &= !(1u64 << node.index());
+        }
+    }
+}
+
 /// A run records per-transaction trace events plus a `"bus"` gauge
 /// timeline (busy fractions over the sampling window, outstanding
 /// transactions, mean arbitration wait) when `opts.obs` asks for them.
@@ -1026,9 +898,7 @@ mod tests {
     use ringsim_trace::WorkloadSpec;
 
     fn run(nodes: usize, refs: u64, mips: u64) -> SimReport {
-        let cfg = BusSystemConfig::bus_100mhz(nodes).with_mips(mips);
-        let w = Workload::new(WorkloadSpec::demo(nodes).with_refs(refs)).unwrap();
-        BusSystem::new(cfg, w).unwrap().run()
+        run_proto(BusProtocol::Msi, nodes, refs, mips)
     }
 
     #[test]

@@ -261,7 +261,6 @@ pub struct HierNetSim {
     /// Total deflections across all bridges.
     deflections: u64,
     max_cycles: u64,
-    debug: bool,
     obs: Obs,
     obs_hier_tl: usize,
     obs_bridge_tl: usize,
@@ -330,7 +329,6 @@ impl HierNetSim {
             completed: 0,
             deflections: 0,
             max_cycles: 500_000_000,
-            debug: false,
             obs: Obs::disabled(),
             sanitize: sanitize::enabled(false),
             obs_hier_tl: usize::MAX,
@@ -393,15 +391,6 @@ impl HierNetSim {
                 m.block = BlockAddr::new(raw + (1 << AGE_SHIFT));
             }
         }
-    }
-
-    /// Debug variant of [`HierNetSim::run`] that aborts after `max_cycles`
-    /// and dumps per-node and per-bridge state.
-    #[doc(hidden)]
-    pub fn run_debug(&mut self, max_cycles: u64) -> HierNetReport {
-        self.max_cycles = max_cycles;
-        self.debug = true;
-        self.run()
     }
 
     /// Runs to completion.
@@ -553,32 +542,6 @@ impl HierNetSim {
                 break;
             }
             if cycle >= self.max_cycles {
-                if self.debug {
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        if n.phase != Phase::Done {
-                            eprintln!(
-                                "node {i}: {:?} issued {} out_q {}",
-                                n.phase,
-                                n.issued,
-                                n.out_q.len()
-                            );
-                        }
-                    }
-                    for (level, row) in self.bridges.iter().enumerate() {
-                        for (r, b) in row.iter().enumerate() {
-                            eprintln!(
-                                "bridge L{level}R{r}: up {:?} down {:?} deflections {}",
-                                b.up, b.down, b.deflections
-                            );
-                        }
-                    }
-                    for (level, row) in self.rings.iter().enumerate() {
-                        for (r, ring) in row.iter().enumerate() {
-                            eprintln!("ring L{level}R{r}: in_flight {}", ring.in_flight());
-                        }
-                    }
-                    break;
-                }
                 panic!("hierarchy network simulation ran away (deadlock?)");
             }
         }

@@ -18,6 +18,8 @@
 //! * [`ring_engine`] — the untimed engine of the two ring protocols: every
 //!   per-block state update the rules imply, driven by both the timed
 //!   `RingSystem` and the `ringsim-check` model checker,
+//! * [`bus_engine`] — the same for the MESI and Dragon bus protocols,
+//!   driven by the timed `BusSystem` and the model checker,
 //! * [`invariants`] — the coherence-invariant evaluators shared by the
 //!   runtime sanitizer and the model checker.
 //!
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bus_engine;
 mod directory;
 pub mod guarded;
 pub mod invariants;

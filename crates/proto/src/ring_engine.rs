@@ -66,6 +66,19 @@ impl TxnKind {
             TxnKind::Upgrade => MsgKind::DirUpgrade,
         }
     }
+
+    /// What an atomic serialisation point (a bus grant, an SCI home) serves
+    /// the transaction as: an upgrade whose line (now in `line`) was
+    /// invalidated while it waited goes back to memory as a write miss.
+    #[inline]
+    #[must_use]
+    pub fn served_as(self, line: LineState) -> TxnKind {
+        if self == TxnKind::Upgrade && !line.is_valid() {
+            TxnKind::Write
+        } else {
+            self
+        }
+    }
 }
 
 /// A processor's in-flight transaction: the fields the engine reads and

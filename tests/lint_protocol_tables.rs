@@ -16,9 +16,11 @@
 //!    (overlapping guards agree on the action), and liveness (no rule is
 //!    dead — every rule fires somewhere in a 4-node exhaustive run of the
 //!    protocol it belongs to).
-//! 4. **One engine**: a source scan proves that only the rule module, the
-//!    transition tables and the ring engine dispatch the ring protocols'
-//!    rules, so the model checker and the simulator share every effect.
+//! 4. **One engine per protocol family**: a source scan proves that only
+//!    the rule module, the transition tables and the ring engine dispatch
+//!    the ring protocols' rules, and only the rule module and the bus
+//!    engine dispatch MESI's and Dragon's, so the model checker and the
+//!    simulators share every effect.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -243,24 +245,37 @@ fn no_rule_is_dead_at_four_nodes() {
     }
 }
 
-/// The ring protocols' rules are dispatched only by
-/// `ringsim_proto::ring_engine`, which the timed simulator and the model
-/// checker both drive: a second caller would be a second copy of the
-/// protocol's effects, one the checker does not verify. Test code is
-/// exempt (everything from a file's `#[cfg(test)]` on).
+/// Each protocol family's rules are dispatched only by its engine:
+/// `ringsim_proto::ring_engine` for the ring protocols and
+/// `ringsim_proto::bus_engine` for MESI and Dragon. The timed simulators
+/// and the model checker both drive those engines, so a second caller
+/// would be a second copy of a protocol's effects, one the checker does
+/// not verify. Test code is exempt (everything from a file's
+/// `#[cfg(test)]` on).
 #[test]
-fn only_the_ring_engine_dispatches_ring_rules() {
-    const DISPATCH: [&str; 5] = [
-        "dir_action(",
-        "snooper_action(",
-        "home_snoop_action(",
-        "must_reclaim_writeback(",
-        "upgrade_must_convert(",
-    ];
-    const OWNERS: [&str; 3] = [
-        "crates/proto/src/guarded.rs",
-        "crates/proto/src/transitions.rs",
-        "crates/proto/src/ring_engine.rs",
+fn only_the_engines_dispatch_protocol_rules() {
+    // (family, dispatch calls, the only files that may make them)
+    const FAMILIES: [(&str, &[&str], &[&str]); 2] = [
+        (
+            "ring-protocol",
+            &[
+                "dir_action(",
+                "snooper_action(",
+                "home_snoop_action(",
+                "must_reclaim_writeback(",
+                "upgrade_must_convert(",
+            ],
+            &[
+                "crates/proto/src/guarded.rs",
+                "crates/proto/src/transitions.rs",
+                "crates/proto/src/ring_engine.rs",
+            ],
+        ),
+        (
+            "bus-protocol",
+            &["mesi_action(", "dragon_action("],
+            &["crates/proto/src/guarded.rs", "crates/proto/src/bus_engine.rs"],
+        ),
     ];
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
         for entry in std::fs::read_dir(dir).expect("readable source dir") {
@@ -283,25 +298,29 @@ fn only_the_ring_engine_dispatches_ring_rules() {
     let mut offenders = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).expect("under the root").to_string_lossy().into_owned();
-        if OWNERS.contains(&rel.as_str()) {
-            continue;
-        }
         let src = std::fs::read_to_string(&path).expect("readable source");
         for (lineno, line) in src.lines().enumerate() {
             if line.trim_start().starts_with("#[cfg(test)]") {
                 break;
             }
             let code = line.split("//").next().unwrap_or("");
-            for call in DISPATCH {
-                if code.contains(call) {
-                    offenders.push(format!("{rel}:{}: `{}`", lineno + 1, line.trim()));
+            for (family, calls, owners) in FAMILIES {
+                if owners.contains(&rel.as_str()) {
+                    continue;
+                }
+                if calls.iter().any(|call| code.contains(call)) {
+                    offenders.push(format!(
+                        "{family} rule at {rel}:{}: `{}`",
+                        lineno + 1,
+                        line.trim()
+                    ));
                 }
             }
         }
     }
     assert!(
         offenders.is_empty(),
-        "ring-protocol rules dispatched outside the engine:\n{}",
+        "protocol rules dispatched outside their engine:\n{}",
         offenders.join("\n")
     );
 }

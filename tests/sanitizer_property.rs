@@ -3,8 +3,9 @@
 //! The sanitizer re-checks the single-writer/multiple-reader invariant (and
 //! the bus/hier-net conservation laws) at every transaction-retire boundary.
 //! These tests force it on through `RunOptions::sanitize` — release builds
-//! included — and drive all three interconnects across workload seeds; any
-//! violation panics inside the run.
+//! included — and drive all three interconnects across workload seeds, the
+//! bus under MSI and under the engine-driven MESI and Dragon (`bus50-mesi`,
+//! `bus50-dragon`); any violation panics inside the run.
 //!
 //! The complementary direction — that the checks *do* fire on a broken
 //! protocol — is covered by the injected-fault model-checker tests in
@@ -14,8 +15,8 @@
 use proptest::prelude::*;
 
 use ringsim::core::{
-    BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions, SimReport,
-    Simulator, SystemConfig,
+    BusProtocol, BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions,
+    SimReport, Simulator, SystemConfig,
 };
 use ringsim::proto::ProtocolKind;
 use ringsim::ring::RingTopology;
@@ -35,6 +36,16 @@ fn sanitized(mut sim: impl Simulator) -> SimReport {
     sim.run(&RunOptions { sanitize: true, ..RunOptions::default() }).report
 }
 
+/// The bus configurations under test: `bus100` (MSI), `bus50-mesi` and
+/// `bus50-dragon`.
+fn buses(procs: usize) -> [BusSystemConfig; 3] {
+    [
+        BusSystemConfig::bus_100mhz(procs),
+        BusSystemConfig::bus_50mhz(procs).with_protocol(BusProtocol::Mesi),
+        BusSystemConfig::bus_50mhz(procs).with_protocol(BusProtocol::Dragon),
+    ]
+}
+
 #[test]
 fn sanitizer_is_quiet_on_all_interconnects() {
     for procs in [4, 8] {
@@ -43,9 +54,10 @@ fn sanitizer_is_quiet_on_all_interconnects() {
             let report = sanitized(RingSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
             assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
         }
-        let cfg = BusSystemConfig::bus_100mhz(procs);
-        let report = sanitized(BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
-        assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
+        for cfg in buses(procs) {
+            let report = sanitized(BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
+            assert_eq!(report.events.data_refs(), (procs as u64) * 2_000, "{}", report.protocol);
+        }
     }
     // The hierarchy simulator has no caches; its sanitizer check is the
     // transaction conservation law.
@@ -57,7 +69,8 @@ fn sanitizer_is_quiet_on_all_interconnects() {
 
 proptest! {
     /// Random workload seeds: the retire-time SWMR check stays quiet for
-    /// both ring protocols and the bus, alternating 4 and 8 nodes.
+    /// both ring protocols and the three bus protocols, alternating 4 and 8
+    /// nodes.
     #[test]
     fn sanitizer_never_fires_across_seeds(seed in 0u64..10_000) {
         let procs = if seed % 2 == 0 { 4 } else { 8 };
@@ -66,8 +79,9 @@ proptest! {
             let report = sanitized(RingSystem::new(cfg, workload(procs, 400, seed)).unwrap());
             prop_assert!(report.proc_util > 0.0);
         }
-        let cfg = BusSystemConfig::bus_100mhz(procs);
-        let report = sanitized(BusSystem::new(cfg, workload(procs, 400, seed)).unwrap());
-        prop_assert!(report.proc_util > 0.0);
+        for cfg in buses(procs) {
+            let report = sanitized(BusSystem::new(cfg, workload(procs, 400, seed)).unwrap());
+            prop_assert!(report.proc_util > 0.0, "{}", report.protocol);
+        }
     }
 }
