@@ -6,10 +6,18 @@ use std::path::PathBuf;
 
 use ringsim_bench::experiments;
 use ringsim_sweep::{run_experiment, SweepConfig};
+use ringsim_types::fnv1a;
 
 const TINY: u64 = 2_000;
 
-fn smoke(name: &str) {
+/// FNV-1a of `table1.json` at the [`TINY`] budget. Both of Table 1's
+/// directories are untimed replays, so any change to their state updates or
+/// traversal accounting flips it.
+const TABLE1_DIGEST: u64 = 0x5110_5b08_691b_db8a;
+
+/// Runs `name` on the tiny budget, checks its artifacts, and returns the
+/// bytes of its `<name>.json` (empty if it writes none).
+fn smoke(name: &str) -> Vec<u8> {
     let exp = experiments::find(name).expect("registered experiment");
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("smoke-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -21,7 +29,9 @@ fn smoke(name: &str) {
     }
     assert!(dir.join(format!("{name}.meta.json")).is_file(), "{name}: missing meta twin");
     assert!(report.meta.points > 0, "{name} ran no sweep points");
+    let json = std::fs::read(dir.join(format!("{name}.json"))).unwrap_or_default();
     let _ = std::fs::remove_dir_all(&dir);
+    json
 }
 
 #[test]
@@ -31,7 +41,13 @@ fn registry_covers_seventeen_experiments() {
 
 #[test]
 fn table1_runs() {
-    smoke("table1");
+    let json = smoke("table1");
+    assert_eq!(
+        fnv1a(&json),
+        TABLE1_DIGEST,
+        "table1.json changed:\n{}",
+        String::from_utf8_lossy(&json)
+    );
 }
 
 #[test]

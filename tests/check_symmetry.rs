@@ -32,6 +32,8 @@ fn golden_canonical_state_counts() {
         (ProtocolKind::Mesi, 4, 1, true, 451, 2400, 14),
         (ProtocolKind::Dragon, 3, 2, true, 17229, 114650, 15),
         (ProtocolKind::Dragon, 4, 1, true, 511, 2891, 12),
+        (ProtocolKind::Sci, 3, 2, true, 14431, 93176, 18),
+        (ProtocolKind::Sci, 4, 1, true, 731, 3869, 15),
     ];
     for (protocol, nodes, blocks, evictions, states, transitions, depth) in golden {
         let mut cfg = check(protocol, nodes, blocks);
