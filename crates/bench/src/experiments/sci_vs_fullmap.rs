@@ -2,7 +2,7 @@
 //! same SPLASH workloads through the full-map directory ring (`ring500`)
 //! and through the SCI backend (`sci500`), side by side with the traversal
 //! distributions the SCI engine accumulated over the run (the timed
-//! counterpart of Table 1's untimed accountants).
+//! counterpart of Table 1's untimed replay).
 
 use serde::{Deserialize, Serialize};
 

@@ -4,7 +4,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use ringsim_proto::table1::{FullMapAccountant, LinkedListAccountant, TraversalReport};
+use ringsim_proto::sci::SciDirectory;
+use ringsim_proto::table1::{FullMapAccountant, TraversalReport};
 use ringsim_ring::RingConfig;
 use ringsim_sweep::{Artifact, Experiment, SweepCtx, SweepPoint};
 use ringsim_trace::{Benchmark, Workload};
@@ -36,7 +37,7 @@ struct Row {
     linked_list: TraversalReport,
 }
 
-/// Runs one benchmark through both accountants.
+/// Runs one benchmark through both directories.
 fn run_bench(bench: Benchmark, refs_per_proc: u64) -> Row {
     let procs = 16;
     let spec = bench.spec(procs).expect("16-proc spec").with_refs(refs_per_proc);
@@ -45,12 +46,11 @@ fn run_bench(bench: Benchmark, refs_per_proc: u64) -> Row {
     let space = workload.space();
     let mut full = FullMapAccountant::new(layout.clone(), move |b| space.home_of_block(b))
         .expect("accountant");
-    let mut llist =
-        LinkedListAccountant::new(layout, move |b| space.home_of_block(b)).expect("accountant");
+    let mut llist = SciDirectory::new(layout, move |b| space.home_of_block(b)).expect("directory");
     let per_node = workload.spec().warmup_refs_per_proc + workload.spec().data_refs_per_proc;
     for r in workload.round_robin(per_node) {
         full.process(r);
-        llist.process(r);
+        llist.access(r);
     }
     Row { bench: bench.name().to_owned(), full: full.report(), linked_list: llist.report() }
 }

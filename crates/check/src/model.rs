@@ -6,10 +6,11 @@
 //! queues. Every ring-protocol effect comes from
 //! [`ringsim_proto::ring_engine`], the engine `RingSystem` drives too, and
 //! every MESI and Dragon effect from [`ringsim_proto::bus_engine`], the
-//! engine `BusSystem` drives: this module only schedules the engines'
-//! steps, through [`Host`], the model's `RingHost` and `BusHost`. The fault
-//! fixtures override that host's hooks. SCI is served here in one step per
-//! list operation, from its guarded rule set.
+//! engine `BusSystem` drives, and every SCI effect from
+//! [`ringsim_proto::sci`], the engine `SciRingSystem` and Table 1 drive:
+//! this module only schedules the engines' steps, through [`Host`], the
+//! model's `RingHost`, `BusHost` and `SciHost`. The fault fixtures override
+//! that host's hooks.
 //!
 //! What the model abstracts away is *time*: slot rotation, latencies and
 //! retry backoffs are replaced by a nondeterministic scheduler that explores
@@ -44,11 +45,11 @@ use std::sync::Arc;
 
 use ringsim_cache::{Cache, CacheConfig, LineState};
 use ringsim_proto::bus_engine::{self, BusAction, BusHost};
-use ringsim_proto::guarded::{self, FireCounts};
+use ringsim_proto::guarded::FireCounts;
 use ringsim_proto::ring_engine::{
     self, HomeStage, HomeTxn, ProbeReturn, RingEngine, RingHost, SnoopIssue, TxnKind,
 };
-use ringsim_proto::sci::{SciAction, SciList, SciRequest};
+use ringsim_proto::sci::{self, SciAction, SciHost, SciList};
 use ringsim_proto::transitions::{DragonAction as D, MesiAction as M};
 use ringsim_proto::{HomeMemory, MsgKind, ProtocolKind, RingMessage};
 use ringsim_types::{BlockAddr, NodeId};
@@ -534,45 +535,15 @@ impl Model {
             ProtocolKind::Snooping | ProtocolKind::Directory => {
                 ring_engine::victim(&mut self.host(s), me, victim, vstate);
             }
-            ProtocolKind::Sci => {
-                if vstate.is_valid() {
-                    let e = &s.sci[victim.raw() as usize];
-                    let a = guarded::sci_action(
-                        SciRequest::Rollout,
-                        e.list.len(),
-                        e.contains(me),
-                        self.fire_counts(),
-                    );
-                    debug_assert_eq!(a, SciAction::Splice);
-                    self.sci_splice(s, victim, me);
-                }
-                // A dirty head's rollout carries the data home with it; the
-                // splice clears the dirty bit when the list empties, so
-                // nothing stays in flight.
-            }
+            // A dirty head's rollout carries the data home with it, so
+            // nothing stays in flight.
+            ProtocolKind::Sci => sci::rollout(&mut self.host(s), me, victim, vstate),
             ProtocolKind::Mesi | ProtocolKind::Dragon => {
                 // A write-back goes in the same bus transaction as the
                 // replacement (atomic bus).
                 bus_engine::retire(&mut self.host(s), me, victim, vstate);
             }
         }
-    }
-
-    /// SCI rollout: the departing node splices itself out of the sharing
-    /// list. `BreakListLink` reinstates a classic SCI implementation bug:
-    /// the splice writes the departing node's *own* forward pointer into
-    /// its predecessor instead of the successor's, losing the successor —
-    /// the list forgets a cache that still holds a valid copy.
-    fn sci_splice(&self, s: &mut State, block: BlockAddr, node: NodeId) {
-        let e = &mut s.sci[block.raw() as usize];
-        if self.fault == Fault::BreakListLink {
-            if let Some(pos) = e.list.iter().position(|&p| p == node) {
-                if pos + 1 < e.list.len() {
-                    e.list.remove(pos + 1);
-                }
-            }
-        }
-        e.splice(node);
     }
 
     fn fill(&self, s: &mut State, i: usize, block: BlockAddr, state: LineState) {
@@ -666,87 +637,26 @@ impl Model {
     fn do_serve(&self, s: &mut State, i: usize) -> String {
         let t = s.txns[i].expect("serve without txn");
         debug_assert_eq!(t.ext, Phase::NeedProbe);
-        match self.protocol {
-            ProtocolKind::Sci => self.serve_sci(s, i, t),
+        let (me, block) = (NodeId::new(i), t.block);
+        let (fill, label) = match self.protocol {
+            ProtocolKind::Sci => {
+                let step = sci::serve(&mut self.host(s), me, block, t.kind);
+                let (home, kind, note) =
+                    (self.home_of(block), kind_name(step.kind), sci_note(step.action));
+                (step.fill, format!("home {home} serves P{i}'s {kind} on {block}; {note}"))
+            }
             ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                let block = t.block;
-                let g = bus_engine::grant(&mut self.host(s), NodeId::new(i), block, t.kind);
-                if let Some(state) = g.fill {
-                    self.fill(s, i, block, state);
-                }
-                self.finish_txn(s, i);
-                let note = grant_note(g.action);
-                format!("bus grants P{i}'s {} on {block}; {note}", kind_name(g.kind))
+                let g = bus_engine::grant(&mut self.host(s), me, block, t.kind);
+                let (kind, note) = (kind_name(g.kind), grant_note(g.action));
+                (g.fill, format!("bus grants P{i}'s {kind} on {block}; {note}"))
             }
             _ => unreachable!("serve on a message-passing protocol"),
+        };
+        if let Some(state) = fill {
+            self.fill(s, i, block, state);
         }
-    }
-
-    fn serve_sci(&self, s: &mut State, i: usize, t: Txn) -> String {
-        let block = t.block;
-        let b = block.raw() as usize;
-        let me = NodeId::new(i);
-        let home = self.home_of(block);
-        let kind = t.kind.served_as(s.caches[i].state_of(block));
-        let req = match kind {
-            TxnKind::Read => SciRequest::Read,
-            TxnKind::Write => SciRequest::Write,
-            TxnKind::Upgrade => SciRequest::Upgrade,
-        };
-        let e = s.sci[b].clone();
-        let action = guarded::sci_action(req, e.list.len(), e.contains(me), self.fire_counts());
-        let note = match action {
-            SciAction::GrantFromMemory => {
-                s.sci[b].list.insert(0, me);
-                self.fill(s, i, block, LineState::Rs);
-                "memory supplies; requester heads the empty list"
-            }
-            SciAction::ForwardToHead => {
-                if e.dirty {
-                    s.caches[e.list[0].index()].snoop_downgrade(block);
-                    s.sci[b].dirty = false;
-                }
-                s.sci[b].list.insert(0, me);
-                self.fill(s, i, block, LineState::Rs);
-                "head supplies; requester prepends to the list"
-            }
-            SciAction::GrantClaim => {
-                s.sci[b].list = vec![me];
-                s.sci[b].dirty = true;
-                self.fill(s, i, block, LineState::We);
-                "memory supplies; requester claims the empty list"
-            }
-            SciAction::PurgeAndClaim => {
-                for &p in &e.list {
-                    self.invalidate_at(s, p.index(), block);
-                }
-                s.sci[b].list = vec![me];
-                s.sci[b].dirty = true;
-                self.fill(s, i, block, LineState::We);
-                "list purged in order; requester claims"
-            }
-            SciAction::PurgeOthersAndClaim => {
-                for p in e.others(me) {
-                    self.invalidate_at(s, p.index(), block);
-                }
-                s.sci[b].list = vec![me];
-                s.sci[b].dirty = true;
-                if !s.caches[i].promote(block) {
-                    self.fill(s, i, block, LineState::We);
-                }
-                "other members purged; sole survivor claims"
-            }
-            SciAction::Claim => {
-                s.sci[b].dirty = true;
-                if !s.caches[i].promote(block) {
-                    self.fill(s, i, block, LineState::We);
-                }
-                "sole member claims the list"
-            }
-            SciAction::Splice => unreachable!("rollouts are served at eviction, not as requests"),
-        };
         self.finish_txn(s, i);
-        format!("home {home} serves P{i}'s {} on {block}; {note}", kind_name(kind))
+        label
     }
 
     // ------------------------------------------------------- deliveries
@@ -1204,6 +1114,19 @@ fn grant_note(action: BusAction) -> &'static str {
     }
 }
 
+/// What the SCI home's action did, for a step label.
+fn sci_note(action: SciAction) -> &'static str {
+    match action {
+        SciAction::GrantFromMemory => "memory supplies; requester heads the empty list",
+        SciAction::ForwardToHead => "head supplies; requester prepends to the list",
+        SciAction::GrantClaim => "memory supplies; requester claims the empty list",
+        SciAction::PurgeAndClaim => "list purged in order; requester claims",
+        SciAction::PurgeOthersAndClaim => "other members purged; sole survivor claims",
+        SciAction::Claim => "sole member claims the list",
+        SciAction::Splice => unreachable!("rollouts are served at eviction, not as requests"),
+    }
+}
+
 /// Formats [`ring_engine::receive`]'s outcome for a step label.
 fn receive_label(admit: ring_engine::Admit) -> &'static str {
     match admit {
@@ -1350,5 +1273,44 @@ impl BusHost for Host<'_> {
     /// `ForgetOwner` loses the note that memory is stale.
     fn claim_dirty(&mut self, block: BlockAddr, _node: NodeId) {
         self.model.claim_dirty(self.s, block);
+    }
+}
+
+/// SCI's state: the per-block sharing lists in `sci`.
+impl SciHost for Host<'_> {
+    fn caches(&mut self) -> &mut [Cache] {
+        &mut self.s.caches
+    }
+
+    fn list(&mut self, block: BlockAddr) -> &mut SciList {
+        &mut self.s.sci[block.raw() as usize]
+    }
+
+    fn home_of(&self, block: BlockAddr) -> NodeId {
+        self.model.home_of(block)
+    }
+
+    fn counts(&self) -> Option<&FireCounts> {
+        self.model.fire_counts()
+    }
+
+    fn invalidate_sharer(&mut self, node: NodeId, block: BlockAddr) {
+        self.model.invalidate_at(self.s, node.index(), block);
+    }
+
+    /// `BreakListLink` reinstates a classic SCI implementation bug: the
+    /// splice writes the departing node's *own* forward pointer into its
+    /// predecessor instead of the successor's, losing the successor — the
+    /// list forgets a cache that still holds a valid copy.
+    fn splice(&mut self, block: BlockAddr, node: NodeId) {
+        let e = &mut self.s.sci[block.raw() as usize];
+        if self.model.fault == Fault::BreakListLink {
+            if let Some(pos) = e.list.iter().position(|&p| p == node) {
+                if pos + 1 < e.list.len() {
+                    e.list.remove(pos + 1);
+                }
+            }
+        }
+        e.splice(node);
     }
 }

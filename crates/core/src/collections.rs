@@ -3,20 +3,16 @@
 //! The inner loops of [`RingSystem`](crate::RingSystem),
 //! [`HierNetSim`](crate::HierNetSim) and the access-network models run
 //! every interconnect cycle for tens of millions of cycles per run; the
-//! `std` containers they originally used (`VecDeque` per node queue,
-//! `HashMap` keyed event bodies) spend that loop hashing and reallocating.
-//! This module provides the two drop-in replacements:
+//! `std` `VecDeque` they originally used per node queue spends that loop
+//! reallocating. This module provides the drop-in replacement, [`RingBuf`]:
+//! a power-of-two-capacity FIFO with head/length masking. Same observable
+//! semantics as `VecDeque` for the operations the simulators use
+//! (`push_back` / `pop_front` / `push_front` / indexed `remove` / in-order
+//! iteration), but with no reallocation once warm.
 //!
-//! * [`RingBuf`] — a power-of-two-capacity FIFO with head/length masking.
-//!   Same observable semantics as `VecDeque` for the operations the
-//!   simulators use (`push_back` / `pop_front` / `push_front` / indexed
-//!   `remove` / in-order iteration), but with no reallocation once warm.
-//! * [`Slab`] — index-keyed storage with a free list. `insert` hands out a
-//!   slot, `remove` recycles it; no hashing, no per-entry allocation.
-//!
-//! Both are safe code (`forbid(unsafe_code)` crate); the property tests in
-//! `tests/collections_prop.rs` drive them against their `std` models under
-//! random operation sequences.
+//! It is safe code (`forbid(unsafe_code)` crate); the property tests in
+//! `tests/collections_prop.rs` drive it against `VecDeque` under random
+//! operation sequences.
 
 /// A FIFO ring buffer with power-of-two capacity and head/len masking.
 ///
@@ -240,127 +236,6 @@ impl<T> FromIterator<T> for RingBuf<T> {
     }
 }
 
-/// Index-keyed storage with a free list: `insert` returns a stable slot
-/// key, `remove` recycles it. The event queue's arena for in-flight event
-/// bodies — replaces a `HashMap<u64, E>` whose hashing dominated
-/// scheduling cost.
-///
-/// Slot keys are dense (bounded by the high-water mark of simultaneously
-/// live entries), so the backing `Vec` stops growing once the simulation
-/// reaches steady state.
-///
-/// # Examples
-///
-/// ```
-/// use ringsim_core::Slab;
-///
-/// let mut slab: Slab<&'static str> = Slab::new();
-/// let a = slab.insert("alpha");
-/// let b = slab.insert("beta");
-/// assert_eq!(slab.get(a), Some(&"alpha"));
-/// assert_eq!(slab.remove(a), "alpha");
-/// let c = slab.insert("gamma"); // recycles alpha's slot
-/// assert_eq!(c, a);
-/// assert_eq!(slab.len(), 2);
-/// assert_eq!(slab.get(b), Some(&"beta"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Slab<T> {
-    entries: Vec<SlabEntry<T>>,
-    /// Head of the vacant-slot free list (`usize::MAX` = none).
-    free_head: usize,
-    len: usize,
-}
-
-#[derive(Debug, Clone)]
-enum SlabEntry<T> {
-    Occupied(T),
-    /// Vacant slot holding the next free-list index (`usize::MAX` ends
-    /// the list).
-    Vacant(usize),
-}
-
-const FREE_END: usize = usize::MAX;
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { entries: Vec::new(), free_head: FREE_END, len: 0 }
-    }
-
-    /// Number of occupied slots.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no slots are occupied.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Stores `value`, returning its slot key. Recycles the most recently
-    /// freed slot when one exists.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        if self.free_head == FREE_END {
-            self.entries.push(SlabEntry::Occupied(value));
-            return self.entries.len() - 1;
-        }
-        let key = self.free_head;
-        match std::mem::replace(&mut self.entries[key], SlabEntry::Occupied(value)) {
-            SlabEntry::Vacant(next) => self.free_head = next,
-            SlabEntry::Occupied(_) => unreachable!("free list points at an occupied slot"),
-        }
-        key
-    }
-
-    /// Removes and returns the value in `key`'s slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `key` is not an occupied slot — slab keys are internal
-    /// handles, so a dangling one is a caller bug, not recoverable state.
-    pub fn remove(&mut self, key: usize) -> T {
-        match std::mem::replace(&mut self.entries[key], SlabEntry::Vacant(self.free_head)) {
-            SlabEntry::Occupied(value) => {
-                self.free_head = key;
-                self.len -= 1;
-                value
-            }
-            SlabEntry::Vacant(next) => {
-                self.entries[key] = SlabEntry::Vacant(next);
-                panic!("slab slot {key} is vacant")
-            }
-        }
-    }
-
-    /// The value in `key`'s slot, if occupied.
-    #[must_use]
-    pub fn get(&self, key: usize) -> Option<&T> {
-        match self.entries.get(key) {
-            Some(SlabEntry::Occupied(value)) => Some(value),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the value in `key`'s slot, if occupied.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        match self.entries.get_mut(key) {
-            Some(SlabEntry::Occupied(value)) => Some(value),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,33 +273,5 @@ mod tests {
         assert_eq!(rb.iter().copied().collect::<Vec<_>>(), Vec::from(vd.clone()));
         rb.clear();
         assert!(rb.is_empty() && rb.front().is_none());
-    }
-
-    #[test]
-    fn slab_recycles_lifo() {
-        let mut slab: Slab<u32> = Slab::new();
-        let a = slab.insert(1);
-        let b = slab.insert(2);
-        let c = slab.insert(3);
-        assert_eq!((a, b, c), (0, 1, 2));
-        assert_eq!(slab.remove(b), 2);
-        assert_eq!(slab.remove(a), 1);
-        assert_eq!(slab.insert(4), a, "last freed slot is reused first");
-        assert_eq!(slab.insert(5), b);
-        assert_eq!(slab.insert(6), 3);
-        assert_eq!(slab.len(), 4);
-        assert_eq!(slab.get(c), Some(&3));
-        assert_eq!(slab.get_mut(a).map(|v| std::mem::replace(v, 7)), Some(4));
-        assert_eq!(slab.get(a), Some(&7));
-        assert_eq!(slab.get(1000), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "vacant")]
-    fn slab_remove_of_vacant_slot_panics() {
-        let mut slab: Slab<u32> = Slab::new();
-        let a = slab.insert(1);
-        slab.remove(a);
-        slab.remove(a);
     }
 }

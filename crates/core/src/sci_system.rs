@@ -6,9 +6,11 @@
 //! coherence state lives in per-block distributed sharing lists served at
 //! each block's home node.
 //!
-//! Protocol truth is [`SciEngine`] — every home decision dispatches through
-//! the guarded rule set `ringsim_proto::guarded::SCI_RULES`, the same table
-//! the `ringsim-check` model checker exhausts. The timing model on top:
+//! Protocol truth is the SCI engine in [`ringsim_proto::sci`], driven
+//! through a [`SciDirectory`]: every home decision dispatches through the
+//! guarded rule set `ringsim_proto::guarded::SCI_RULES`, and every list and
+//! cache effect is the code the `ringsim-check` model checker exhausts. The
+//! timing model on top:
 //!
 //! * the home serialises transactions per block (FIFO): a request is served
 //!   no earlier than the completion of the block's previous transaction,
@@ -24,9 +26,10 @@
 //! keep their latencies; the retire-time sanitizer re-checks SWMR on every
 //! completed transaction.
 
-use ringsim_cache::{AccessClass, LineState};
+use ringsim_cache::LineState;
 use ringsim_obs::{LatencyHistogram, Obs};
-use ringsim_proto::sci::SciEngine;
+use ringsim_proto::ring_engine::TxnKind;
+use ringsim_proto::sci::{SciDirectory, SciHost, SciStep};
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
 use ringsim_trace::{NodeStream, Workload, BLOCK_BYTES};
@@ -135,7 +138,7 @@ impl SciSystemConfig {
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
-    class: AccessClass,
+    upgrade: bool,
     start: Time,
     served: Served,
 }
@@ -188,8 +191,8 @@ enum Event {
 pub struct SciRingSystem {
     cfg: SciSystemConfig,
     /// Protocol truth: caches + sharing lists + traversal accounting,
-    /// every home decision dispatched through the SCI rule set.
-    engine: SciEngine<Box<dyn Fn(BlockAddr) -> NodeId>>,
+    /// served by the SCI engine.
+    dir: SciDirectory<Box<dyn Fn(BlockAddr) -> NodeId>>,
     nodes: Vec<SciNode>,
     /// Per-block home-queue serialisation: earliest time the home will
     /// admit the block's next transaction. Private blocks are skipped
@@ -238,7 +241,7 @@ impl SciRingSystem {
         let layout = cfg.ring.layout()?;
         let revolution = cfg.ring.clock_period * layout.round_trip_cycles() as u64;
         let home: Box<dyn Fn(BlockAddr) -> NodeId> = Box::new(move |b| space.home_of_block(b));
-        let engine = SciEngine::new(layout, home)?;
+        let dir = SciDirectory::new(layout, home)?;
         let nodes = workload
             .into_streams()
             .into_iter()
@@ -260,7 +263,7 @@ impl SciRingSystem {
             .collect();
         Ok(Self {
             cfg,
-            engine,
+            dir,
             nodes,
             block_free: FnvMap::default(),
             revolution,
@@ -281,24 +284,11 @@ impl SciRingSystem {
         })
     }
 
-    /// Replays `refs` through the protocol engine directly, in the order
-    /// given, without any timing — the untimed reference path. Returns the
-    /// accumulated traversal distributions, which match
-    /// [`ringsim_proto::table1::LinkedListAccountant`] on the same stream
-    /// (a test pins that equivalence). Intended for freshly built systems;
-    /// do not mix with [`SciRingSystem::run`].
-    pub fn replay_reference(&mut self, refs: impl IntoIterator<Item = MemRef>) -> TraversalReport {
-        for r in refs {
-            self.engine.process(r, None);
-        }
-        self.engine.report()
-    }
-
-    /// The traversal distributions the protocol engine accumulated so far
-    /// (both timed runs and [`SciRingSystem::replay_reference`] feed it).
+    /// The traversal distributions of the shared-block transactions served
+    /// so far, warm-up included.
     #[must_use]
     pub fn traversal_report(&self) -> TraversalReport {
-        self.engine.report()
+        self.dir.report()
     }
 
     /// Coherence state of `block` in node `i`'s cache (inspection hook).
@@ -308,7 +298,7 @@ impl SciRingSystem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn cache_state(&self, i: usize, block: BlockAddr) -> LineState {
-        self.engine.state_of(NodeId::new(i), block)
+        self.dir.state_of(NodeId::new(i), block)
     }
 
     fn schedule(&mut self, at: Time, ev: Event) {
@@ -396,28 +386,19 @@ impl SciRingSystem {
             // The serialisation point: the home admits the request and the
             // engine applies list + cache mutations atomically; only the
             // latencies play out in event time.
-            let step = self.engine.process(r, None);
-            if step.class == AccessClass::Hit {
+            let Some(step) = self.dir.access(r) else {
                 continue;
-            }
+            };
             self.issue_txn(i, r, block, step);
             return;
         }
     }
 
-    fn issue_txn(
-        &mut self,
-        i: usize,
-        r: MemRef,
-        block: BlockAddr,
-        step: ringsim_proto::sci::SciStep,
-    ) {
-        let me = NodeId::new(i);
-        let home = self.engine.home(block);
-        let local = home == me;
+    fn issue_txn(&mut self, i: usize, r: MemRef, block: BlockAddr, step: SciStep) {
+        let local = self.dir.home_of(block) == NodeId::new(i);
         let measuring = self.nodes[i].measuring;
         let start = self.nodes[i].ready_at;
-        let is_upgrade = step.class == AccessClass::Upgrade;
+        let is_upgrade = step.kind == TxnKind::Upgrade;
 
         self.obs.txn_begin(i, if is_upgrade { "upgrade" } else { "miss" }, block.raw(), start);
 
@@ -497,7 +478,7 @@ impl SciRingSystem {
         } else {
             Served::CleanRemote
         };
-        self.nodes[i].txn = Some(Txn { block, class: step.class, start, served });
+        self.nodes[i].txn = Some(Txn { block, upgrade: is_upgrade, start, served });
         self.schedule(completion, Event::Complete { node: i });
     }
 
@@ -506,16 +487,15 @@ impl SciRingSystem {
         if self.sanitize {
             // List and cache mutations are atomic at the serialisation
             // point, so SWMR must hold outright at every retire.
-            let states: Vec<LineState> = (0..self.nodes.len())
-                .map(|j| self.engine.state_of(NodeId::new(j), t.block))
-                .collect();
+            let states: Vec<LineState> =
+                (0..self.nodes.len()).map(|j| self.dir.state_of(NodeId::new(j), t.block)).collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
         let node = &mut self.nodes[i];
         node.ready_at = node.ready_at.max(self.now);
         let latency = self.now.saturating_sub(t.start);
         if node.measuring {
-            if t.class == AccessClass::Upgrade {
+            if t.upgrade {
                 self.upg_lat.push_time_ns(latency);
                 self.class_lat.upgrade.record_time(latency);
                 self.obs.txn_end(i, "upgrade", "upgrade", self.now);

@@ -8,8 +8,10 @@
 //!   dirty bit per block (paper §3.1),
 //! * [`Directory`] — the full-map directory: presence bits + dirty bit per
 //!   block (paper §3.2),
-//! * [`table1`] — untimed traversal accountants for the full-map and the
-//!   SCI-like linked-list directory, which regenerate Table 1,
+//! * [`table1`] — the traversal histograms that regenerate Table 1, and
+//!   the idealised full-map accountant beside the linked-list column,
+//! * [`sci`] — the SCI-like linked-list directory's engine, driven by
+//!   Table 1, the timed `SciRingSystem` and the model checker,
 //! * [`guarded`] — the declarative guarded-action rule sets both protocols'
 //!   transition tables are expressed in, with a totality/determinism lint
 //!   and per-rule fire counts (dead-rule detection),

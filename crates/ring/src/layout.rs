@@ -263,12 +263,14 @@ impl RingLayout {
     }
 
     /// Number of complete ring traversals needed by a closed message path
-    /// (`path[0] -> path[1] -> ... -> path[last] -> path[0]`).
+    /// (`path[0] -> path[1] -> ... -> path[last] -> path[0]`), given as any
+    /// sequence of nodes (an array, or an iterator that builds the path
+    /// without allocating).
     ///
     /// Each hop between distinct nodes costs its ring distance; a hop from a
     /// node to itself counts as a deliberate full revolution (matching
-    /// [`RingLayout::stage_distance`]), so `&[r]` describes a snooping probe
-    /// that circles back to its requester (1 traversal) and `&[r, h, h]`
+    /// [`RingLayout::stage_distance`]), so `[r]` describes a snooping probe
+    /// that circles back to its requester (1 traversal) and `[r, h, h]`
     /// describes a request to home plus a home-initiated multicast round
     /// (2 traversals). This is the quantity tabulated in the paper's
     /// Table 1. Because the path returns to its starting node, the total
@@ -287,19 +289,17 @@ impl RingLayout {
     /// let layout = RingConfig::standard_500mhz(16).layout().unwrap();
     /// let (r, h, d) = (NodeId::new(2), NodeId::new(7), NodeId::new(12));
     /// // requester -> home -> dirty -> requester, nodes in ring order: 1 traversal
-    /// assert_eq!(layout.closed_path_traversals(&[r, h, d]), 1);
+    /// assert_eq!(layout.closed_path_traversals([r, h, d]), 1);
     /// // dirty node "on the path" between requester and home: 2 traversals
-    /// assert_eq!(layout.closed_path_traversals(&[r, d, h]), 2);
+    /// assert_eq!(layout.closed_path_traversals([r, d, h]), 2);
     /// ```
     #[must_use]
-    pub fn closed_path_traversals(&self, path: &[NodeId]) -> usize {
-        assert!(!path.is_empty(), "path must contain at least one node");
-        let mut total = 0usize;
-        for i in 0..path.len() {
-            let from = path[i];
-            let to = path[(i + 1) % path.len()];
-            total += self.stage_distance(from, to);
-        }
+    pub fn closed_path_traversals(&self, path: impl IntoIterator<Item = NodeId>) -> usize {
+        let mut path = path.into_iter();
+        let first = path.next().expect("path must contain at least one node");
+        let (open, last) =
+            path.fold((0, first), |(total, from), to| (total + self.stage_distance(from, to), to));
+        let total = open + self.stage_distance(last, first);
         debug_assert_eq!(total % self.stages, 0, "closed path must be whole revolutions");
         total / self.stages
     }
@@ -400,13 +400,13 @@ mod tests {
         let home = NodeId::new(6);
         let dirty_far = NodeId::new(11); // beyond home: fortunate
         let dirty_near = NodeId::new(3); // between requester and home: unfortunate
-        assert_eq!(l.closed_path_traversals(&[requester, home]), 1);
-        assert_eq!(l.closed_path_traversals(&[requester, home, dirty_far]), 1);
-        assert_eq!(l.closed_path_traversals(&[requester, home, dirty_near]), 2);
+        assert_eq!(l.closed_path_traversals([requester, home]), 1);
+        assert_eq!(l.closed_path_traversals([requester, home, dirty_far]), 1);
+        assert_eq!(l.closed_path_traversals([requester, home, dirty_near]), 2);
         // Multicast invalidation: requester -> home -> full circle -> home -> requester.
-        assert_eq!(l.closed_path_traversals(&[requester, home, home]), 2);
+        assert_eq!(l.closed_path_traversals([requester, home, home]), 2);
         // Snooping probe: full circle back to the requester.
-        assert_eq!(l.closed_path_traversals(&[requester]), 1);
+        assert_eq!(l.closed_path_traversals([requester]), 1);
     }
 
     #[test]

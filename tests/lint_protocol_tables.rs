@@ -18,9 +18,10 @@
 //!    protocol it belongs to).
 //! 4. **One engine per protocol family**: a source scan proves that only
 //!    the rule module, the transition tables and the ring engine dispatch
-//!    the ring protocols' rules, and only the rule module and the bus
-//!    engine dispatch MESI's and Dragon's, so the model checker and the
-//!    simulators share every effect.
+//!    the ring protocols' rules, only the rule module and the bus engine
+//!    dispatch MESI's and Dragon's, and only the rule module and the SCI
+//!    engine dispatch SCI's, so the model checker and the simulators share
+//!    every effect.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -255,7 +256,7 @@ fn no_rule_is_dead_at_four_nodes() {
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {
     // (family, dispatch calls, the only files that may make them)
-    const FAMILIES: [(&str, &[&str], &[&str]); 2] = [
+    const FAMILIES: [(&str, &[&str], &[&str]); 3] = [
         (
             "ring-protocol",
             &[
@@ -275,6 +276,11 @@ fn only_the_engines_dispatch_protocol_rules() {
             "bus-protocol",
             &["mesi_action(", "dragon_action("],
             &["crates/proto/src/guarded.rs", "crates/proto/src/bus_engine.rs"],
+        ),
+        (
+            "sci-protocol",
+            &["sci_action("],
+            &["crates/proto/src/guarded.rs", "crates/proto/src/sci.rs"],
         ),
     ];
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {

@@ -18,7 +18,7 @@ proptest! {
         let layout = RingConfig::standard_500mhz(nodes).layout().unwrap();
         let (na, nb, nc) = (NodeId::new(a), NodeId::new(b), NodeId::new(c));
         // Any closed tour is a whole number of revolutions ≥ 1.
-        let t = layout.closed_path_traversals(&[na, nb, nc]);
+        let t = layout.closed_path_traversals([na, nb, nc]);
         prop_assert!(t >= 1);
         let s = layout.stages();
         let total = layout.stage_distance(na, nb)

@@ -3,9 +3,11 @@
 //! The sanitizer re-checks the single-writer/multiple-reader invariant (and
 //! the bus/hier-net conservation laws) at every transaction-retire boundary.
 //! These tests force it on through `RunOptions::sanitize` — release builds
-//! included — and drive all three interconnects across workload seeds, the
-//! bus under MSI and under the engine-driven MESI and Dragon (`bus50-mesi`,
-//! `bus50-dragon`); any violation panics inside the run.
+//! included — and drive all three interconnects across workload seeds: the
+//! slotted ring under snooping, the full-map directory and the SCI
+//! linked-list directory (`sci500`), and the bus under MSI and under the
+//! engine-driven MESI and Dragon (`bus50-mesi`, `bus50-dragon`); any
+//! violation panics inside the run.
 //!
 //! The complementary direction — that the checks *do* fire on a broken
 //! protocol — is covered by the injected-fault model-checker tests in
@@ -16,7 +18,7 @@ use proptest::prelude::*;
 
 use ringsim::core::{
     BusProtocol, BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions,
-    SimReport, Simulator, SystemConfig,
+    SciRingSystem, SciSystemConfig, SimReport, Simulator, SystemConfig,
 };
 use ringsim::proto::ProtocolKind;
 use ringsim::ring::RingTopology;
@@ -54,6 +56,9 @@ fn sanitizer_is_quiet_on_all_interconnects() {
             let report = sanitized(RingSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
             assert_eq!(report.events.data_refs(), (procs as u64) * 2_000);
         }
+        let cfg = SciSystemConfig::sci_500mhz(procs);
+        let report = sanitized(SciRingSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
+        assert_eq!(report.events.data_refs(), (procs as u64) * 2_000, "{}", report.protocol);
         for cfg in buses(procs) {
             let report = sanitized(BusSystem::new(cfg, workload(procs, 2_000, 7)).unwrap());
             assert_eq!(report.events.data_refs(), (procs as u64) * 2_000, "{}", report.protocol);
@@ -69,8 +74,8 @@ fn sanitizer_is_quiet_on_all_interconnects() {
 
 proptest! {
     /// Random workload seeds: the retire-time SWMR check stays quiet for
-    /// both ring protocols and the three bus protocols, alternating 4 and 8
-    /// nodes.
+    /// the three ring protocols and the three bus protocols, alternating 4
+    /// and 8 nodes.
     #[test]
     fn sanitizer_never_fires_across_seeds(seed in 0u64..10_000) {
         let procs = if seed % 2 == 0 { 4 } else { 8 };
@@ -79,6 +84,9 @@ proptest! {
             let report = sanitized(RingSystem::new(cfg, workload(procs, 400, seed)).unwrap());
             prop_assert!(report.proc_util > 0.0);
         }
+        let cfg = SciSystemConfig::sci_500mhz(procs);
+        let report = sanitized(SciRingSystem::new(cfg, workload(procs, 400, seed)).unwrap());
+        prop_assert!(report.proc_util > 0.0, "{}", report.protocol);
         for cfg in buses(procs) {
             let report = sanitized(BusSystem::new(cfg, workload(procs, 400, seed)).unwrap());
             prop_assert!(report.proc_util > 0.0, "{}", report.protocol);
