@@ -318,7 +318,7 @@ impl RingModel {
                         is_write: true,
                     },
                 ],
-                ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => panic!(
+                _ => panic!(
                     "RingModel covers the paper's slotted-ring protocols \
                      (snooping/directory), not {:?}",
                     self.protocol

@@ -37,11 +37,12 @@ OPTIONS:
   --only SUBSTR      measure only scenarios whose name contains SUBSTR
                      (repeatable; only groups whose scenarios are all
                      measured get their baseline file written)
-  --interleave CMD   immediately before timing each scenario, run
-                     `CMD <scenario-name>` — a pre-optimization build of
-                     this harness that prints its median ns/run — and
-                     record that as the scenario's baseline. Interleaving
-                     the two builds keeps each comparison inside the same
+  --interleave CMD   immediately before timing each scenario, time it on
+                     CMD, another build of this harness (e.g. the parent
+                     commit's target/release/perf), as `CMD --quick --only
+                     <scenario> --out <temp dir>`, and record the median it
+                     reports as the scenario's baseline. Interleaving the
+                     two builds keeps each comparison inside the same
                      machine-load window (overrides --baseline per entry)
   --max-regress PCT  allowed slowdown vs the committed medians in --check
                      mode, in percent (default: 25)
@@ -109,20 +110,38 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Runs `cmd <scenario>` (a pre-optimization build of this harness) and
-/// parses the median ns/run it prints.
+/// Times `scenario` on `cmd`, another build of this harness, in quick mode
+/// and returns the median ns/run it reports. Its `--out` is a scratch
+/// directory, so it never touches the baselines being written here.
 fn interleaved_baseline(cmd: &str, scenario: &str) -> Result<u64, String> {
+    let out = std::env::temp_dir().join(format!("perf-interleave-{}", std::process::id()));
+    let run = format!("`{cmd} --quick --only {scenario} --out {}`", out.display());
     let output = std::process::Command::new(cmd)
-        .arg(scenario)
-        .output()
-        .map_err(|e| format!("--interleave: running `{cmd} {scenario}`: {e}"))?;
+        .args(["--quick", "--only", scenario, "--out"])
+        .arg(&out)
+        .output();
+    // Nothing is written for a single scenario, but remove whatever was.
+    let _ = std::fs::remove_dir_all(&out);
+    let output = output.map_err(|e| format!("--interleave: running {run}: {e}"))?;
     if !output.status.success() {
-        return Err(format!("--interleave: `{cmd} {scenario}` failed ({})", output.status));
+        return Err(format!("--interleave: {run} failed ({})", output.status));
     }
-    let text = String::from_utf8_lossy(&output.stdout);
-    text.trim()
-        .parse()
-        .map_err(|e| format!("--interleave: `{cmd} {scenario}` printed `{}`: {e}", text.trim()))
+    let text = String::from_utf8_lossy(&output.stderr);
+    reported_median(&text, scenario)
+        .ok_or_else(|| format!("--interleave: {run} reported no median for `{scenario}`"))
+}
+
+/// The median of the `measuring <name> ... <N> ns/run` line in `text`
+/// whose name is exactly `scenario`: `--only` matches substrings, so one
+/// run may also measure scenarios whose names contain `scenario`.
+fn reported_median(text: &str, scenario: &str) -> Option<u64> {
+    text.lines().find_map(|line| {
+        let (name, rest) = line.strip_prefix("measuring ")?.split_once("...")?;
+        if name.trim() != scenario {
+            return None;
+        }
+        rest.trim().strip_suffix("ns/run")?.trim().parse().ok()
+    })
 }
 
 fn measure_all(
@@ -208,5 +227,26 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reported_median;
+
+    #[test]
+    fn reported_median_picks_the_exact_scenario() {
+        let text = "\
+measuring hier-deflect-16p ...      7000000 ns/run
+measuring     hier-16p ...      9000000 ns/run
+    hier3-16p      8000000 ns/run (group `hier` incomplete, not written)
+";
+        assert_eq!(reported_median(text, "hier-16p"), Some(9_000_000));
+        assert_eq!(reported_median(text, "hier-deflect-16p"), Some(7_000_000));
+        // The incomplete-group note is not a measurement line.
+        assert_eq!(reported_median(text, "hier3-16p"), None);
+        assert_eq!(reported_median(text, "16p"), None);
+        assert_eq!(reported_median("measuring bus50-16p ... oops ns/run", "bus50-16p"), None);
+        assert_eq!(reported_median("", "bus50-16p"), None);
     }
 }

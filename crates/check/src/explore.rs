@@ -149,7 +149,8 @@ fn check_state(model: &Model, s: &State) -> Result<(), String> {
                     }
                 }
             }
-            ProtocolKind::Mesi | ProtocolKind::Dragon => {
+            _ => {
+                debug_assert!(model.protocol.is_bus());
                 for (i, &st) in states.iter().enumerate() {
                     if s.excl[i][b] && st != LineState::We {
                         return Err(format!(
@@ -532,7 +533,9 @@ mod tests {
 
     #[test]
     fn tiny_atomic_protocols_are_clean() {
-        for protocol in [ProtocolKind::Sci, ProtocolKind::Mesi, ProtocolKind::Dragon] {
+        for protocol in
+            [ProtocolKind::Sci, ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Dragon]
+        {
             let report = run(&cfg(protocol, 2, 1));
             assert!(report.complete, "{protocol}");
             assert!(report.violation.is_none(), "{protocol}: {:?}", report.violation);
@@ -547,6 +550,7 @@ mod tests {
             ProtocolKind::Snooping,
             ProtocolKind::Directory,
             ProtocolKind::Sci,
+            ProtocolKind::Msi,
             ProtocolKind::Mesi,
             ProtocolKind::Dragon,
         ] {
@@ -587,9 +591,13 @@ mod tests {
     #[test]
     fn skip_invalidate_mutation_is_caught() {
         // Not Dragon: an update protocol has no invalidations to skip.
-        for protocol in
-            [ProtocolKind::Snooping, ProtocolKind::Directory, ProtocolKind::Sci, ProtocolKind::Mesi]
-        {
+        for protocol in [
+            ProtocolKind::Snooping,
+            ProtocolKind::Directory,
+            ProtocolKind::Sci,
+            ProtocolKind::Msi,
+            ProtocolKind::Mesi,
+        ] {
             let mut c = cfg(protocol, 2, 1);
             c.fault = Fault::SkipInvalidate;
             let report = run(&c);
@@ -613,6 +621,7 @@ mod tests {
         for protocol in [
             ProtocolKind::Snooping,
             ProtocolKind::Directory,
+            ProtocolKind::Msi,
             ProtocolKind::Mesi,
             ProtocolKind::Dragon,
         ] {
@@ -634,7 +643,7 @@ mod tests {
         }
         // On the bus the lost claim is the stale-memory note the engine's
         // `claim_dirty` hook records.
-        for protocol in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
+        for protocol in [ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Dragon] {
             let mut c = cfg(protocol, 2, 1);
             c.fault = Fault::ForgetOwner;
             let v = run(&c).violation.expect("bus forget-owner mutation must be caught");

@@ -335,7 +335,11 @@ impl CheckStats {
             self.reduction(states),
             self.group_order,
         )];
-        for r in &self.rule_fires {
+        // MSI's rule set is MESI's less two rules, under the same names: a
+        // run of any other protocol leaves it out rather than list it twice.
+        let listed =
+            |r: &&RuleFire| r.fires_under != ProtocolKind::Msi || protocol == r.fires_under;
+        for r in self.rule_fires.iter().filter(listed) {
             let applicable = r.fires_under == protocol;
             lines.push(format!(
                 "  rule {}/{}: fired {}{}",

@@ -5,8 +5,8 @@
 //! protocols, the [`RingEngine`] with its `Directory`, home contexts and
 //! queues. Every ring-protocol effect comes from
 //! [`ringsim_proto::ring_engine`], the engine `RingSystem` drives too, and
-//! every MESI and Dragon effect from [`ringsim_proto::bus_engine`], the
-//! engine `BusSystem` drives, and every SCI effect from
+//! every MSI, MESI and Dragon effect from [`ringsim_proto::bus_engine`],
+//! the engine `BusSystem` drives, and every SCI effect from
 //! [`ringsim_proto::sci`], the engine `SciRingSystem` and Table 1 drive:
 //! this module only schedules the engines' steps, through [`Host`], the
 //! model's `RingHost`, `BusHost` and `SciHost`. The fault fixtures override
@@ -92,8 +92,9 @@ pub(crate) struct State {
     pub net: Vec<RingMessage>,
     /// SCI mode: per-block sharing list (head first) plus dirty bit.
     pub sci: Vec<SciList>,
-    /// MESI/Dragon mode: clean-exclusive (E) marker per `[node][block]` —
-    /// the line is `We` in the cache but memory is still up to date.
+    /// Bus mode: clean-exclusive (E) marker per `[node][block]` — the line
+    /// is `We` in the cache but memory is still up to date (never set
+    /// under MSI).
     pub excl: Vec<Vec<bool>>,
     /// Dragon mode: per-block Sm owner (shared-modified supplier), if any.
     pub sm: Vec<Option<NodeId>>,
@@ -325,7 +326,7 @@ impl Model {
     /// step"; interleavings come from the order outstanding transactions
     /// and evictions are served in, not from in-flight messages.
     fn is_atomic(&self) -> bool {
-        matches!(self.protocol, ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon)
+        self.protocol == ProtocolKind::Sci || self.protocol.is_bus()
     }
 
     pub(crate) fn is_quiescent(&self, s: &State) -> bool {
@@ -510,9 +511,11 @@ impl Model {
                     label
                 }
             }
-            ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                // Atomic-transaction protocols: the request sits pending
-                // until a Circulate move serves it in one indivisible step.
+            _ => {
+                // Atomic-transaction protocols (SCI and the bus): the
+                // request sits pending until a Circulate move serves it in
+                // one indivisible step.
+                debug_assert!(self.is_atomic());
                 txn.ext = Phase::NeedProbe;
                 s.txns[i] = Some(txn);
                 label
@@ -538,9 +541,10 @@ impl Model {
             // A dirty head's rollout carries the data home with it, so
             // nothing stays in flight.
             ProtocolKind::Sci => sci::rollout(&mut self.host(s), me, victim, vstate),
-            ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                // A write-back goes in the same bus transaction as the
-                // replacement (atomic bus).
+            _ => {
+                // The bus protocols: a write-back goes in the same bus
+                // transaction as the replacement (atomic bus).
+                debug_assert!(self.protocol.is_bus());
                 bus_engine::retire(&mut self.host(s), me, victim, vstate);
             }
         }
@@ -632,7 +636,7 @@ impl Model {
     // -------------------------------------- atomic transaction protocols
 
     /// Serves node `i`'s pending transaction in one indivisible step — the
-    /// bus grant (MESI/Dragon) or the home's serialised list operation
+    /// bus grant (MSI/MESI/Dragon) or the home's serialised list operation
     /// (SCI). See [`Model::is_atomic`].
     fn do_serve(&self, s: &mut State, i: usize) -> String {
         let t = s.txns[i].expect("serve without txn");
@@ -645,7 +649,7 @@ impl Model {
                     (self.home_of(block), kind_name(step.kind), sci_note(step.action));
                 (step.fill, format!("home {home} serves P{i}'s {kind} on {block}; {note}"))
             }
-            ProtocolKind::Mesi | ProtocolKind::Dragon => {
+            p if p.is_bus() => {
                 let g = bus_engine::grant(&mut self.host(s), me, block, t.kind);
                 let (kind, note) = (kind_name(g.kind), grant_note(g.action));
                 (g.fill, format!("bus grants P{i}'s {kind} on {block}; {note}"))
@@ -1035,7 +1039,8 @@ impl Model {
                         if e.dirty { " dirty" } else { "" }
                     )
                 }
-                ProtocolKind::Mesi | ProtocolKind::Dragon => {
+                _ => {
+                    debug_assert!(self.protocol.is_bus());
                     let excl: Vec<String> = (0..self.nodes)
                         .filter(|&j| s.excl[j][b])
                         .map(|j| format!("P{j}:E"))
@@ -1089,28 +1094,29 @@ impl Model {
 
 /// What a bus grant's action did, for a step label.
 fn grant_note(action: BusAction) -> &'static str {
-    use BusAction::{Dragon, Mesi};
+    use BusAction::{Dragon, Mesi, Msi};
     match action {
-        Mesi(M::FillExclusive) | Dragon(D::FillExclusive) => {
-            "memory supplies; fills clean-exclusive"
-        }
-        Mesi(M::FillShared) => "memory supplies; fills shared",
+        Msi(a) | Mesi(a) => match a {
+            M::FillExclusive => "memory supplies; fills clean-exclusive",
+            M::FillShared => "memory supplies; fills shared",
+            M::OwnerSuppliesShared => "owner supplies and downgrades; memory refreshed",
+            M::OwnerSuppliesModified => "owner supplies modified data and invalidates itself",
+            M::InvalidateAndFillModified => "sharers invalidated; fills modified",
+            M::FillModified => "memory supplies; fills modified",
+            M::InvalidateAndPromote => "sharers invalidated; line promoted",
+            M::Promote => "last copy; line promoted in place",
+            M::PromoteSilently => unreachable!("exclusive write hits never reach the bus"),
+        },
+        Dragon(D::FillExclusive) => "memory supplies; fills clean-exclusive",
         Dragon(D::FillShared) => "memory supplies; fills shared-clean",
-        Mesi(M::OwnerSuppliesShared) => "owner supplies and downgrades; memory refreshed",
         Dragon(D::OwnerSuppliesShared) => "owner supplies; stays shared-modified",
-        Mesi(M::OwnerSuppliesModified) => "owner supplies modified data and invalidates itself",
-        Mesi(M::InvalidateAndFillModified) => "sharers invalidated; fills modified",
-        Mesi(M::FillModified) | Dragon(D::FillModified) => "memory supplies; fills modified",
-        Mesi(M::InvalidateAndPromote) => "sharers invalidated; line promoted",
-        Mesi(M::Promote) => "last copy; line promoted in place",
+        Dragon(D::FillModified) => "memory supplies; fills modified",
         Dragon(D::FillSharedOwnerUpdate) => {
             "copies updated in place; writer becomes shared-modified owner"
         }
         Dragon(D::BroadcastUpdate) => "update broadcast; writer becomes shared-modified owner",
         Dragon(D::PromoteToModified) => "last copy; promoted to modified",
-        Mesi(M::PromoteSilently) | Dragon(D::PromoteSilently) => {
-            unreachable!("exclusive write hits never reach the bus")
-        }
+        Dragon(D::PromoteSilently) => unreachable!("exclusive write hits never reach the bus"),
     }
 }
 

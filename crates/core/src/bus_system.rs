@@ -9,6 +9,11 @@
 //! end of each request phase (the canonical serialisation point of bus
 //! snooping), while data delivery and processor wake-up keep their real
 //! latencies (memory fetch, response-phase arbitration and transfer).
+//!
+//! The three bus protocols (MSI, MESI and Dragon, see [`BusProtocol`]) make
+//! those updates through one engine, [`ringsim_proto::bus_engine`], which
+//! the model checker drives too; this module keeps the timing, the event
+//! classification and the private-region fast path.
 
 use ringsim_bus::{Bus, BusConfig, PhaseKind};
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
@@ -33,9 +38,9 @@ const ACC_ARB_WAIT: usize = 0;
 ///
 /// All three share the arbitration, timing and event machinery of
 /// [`BusSystem`]; they differ only in what the snoop does at the
-/// serialisation point. MESI and Dragon make every such state update
-/// through [`ringsim_proto::bus_engine`] — the engine the `ringsim-check`
-/// model checker exhausts.
+/// serialisation point, and all three make every such state update through
+/// one engine, [`ringsim_proto::bus_engine`] — the engine the
+/// `ringsim-check` model checker exhausts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BusProtocol {
     /// The paper's 3-state write-invalidate protocol (MSI).
@@ -222,11 +227,11 @@ struct BlockState {
     /// Earliest time the block's data is available at its current
     /// owner/home (covers data still in flight to a new owner).
     ready: Time,
-    /// Bitmask of nodes that may hold a valid copy (bit `i` = node `i`;
-    /// the ≤64-node limit makes one word enough). A superset of the
-    /// truly-valid holders is sufficient: snooping a node whose line is
-    /// already invalid is a no-op, so invalidation only needs to visit
-    /// set bits instead of every node.
+    /// Bitmask of the nodes holding a valid copy (bit `i` = node `i`; the
+    /// ≤64-node limit makes one word enough). It is exact: a fill sets a
+    /// bit, and an invalidation or an eviction clears it. So a snoop visits
+    /// set bits only, and finds the holders without reading their caches
+    /// (see `BusHost::holders` below).
     present: u64,
 }
 
@@ -249,9 +254,9 @@ pub struct BusSystem {
     bus: Bus,
     nodes: Vec<BusNode>,
     caches: Vec<Cache>,
-    /// MESI/Dragon: per node, the blocks it holds clean-exclusive (E) — the
-    /// cache line is `We`, but the data was never written and memory is
-    /// still up to date. Always empty under MSI.
+    /// Per node, the blocks it holds clean-exclusive (E) — the cache line
+    /// is `We`, but the data was never written and memory is still up to
+    /// date. MSI has no E state: under it these stay empty.
     excl: Vec<FnvMap<u64, ()>>,
     space: AddressSpace,
     /// Per-block coherence directory, one entry per block the bus has
@@ -444,7 +449,7 @@ impl BusSystem {
                     // transaction. The directory must still learn that the
                     // node is now the dirty owner, so the next remote miss
                     // snoops a cache supply instead of memory.
-                    if self.cfg.protocol != BusProtocol::Msi && r.kind == AccessKind::Write {
+                    if r.kind == AccessKind::Write {
                         bus_engine::write_hit(self, NodeId::new(i), block);
                     }
                 }
@@ -484,28 +489,6 @@ impl BusSystem {
         }
     }
 
-    /// MSI: invalidate every other cached copy of `block`; returns how many
-    /// copies were dropped. Visits only the nodes in the block's presence
-    /// mask (ascending order, matching the all-nodes scan it replaces).
-    fn invalidate_others(&mut self, block: BlockAddr, except: usize) -> u64 {
-        let mut count = 0;
-        if let Some(b) = self.blocks.get_mut(&block.raw()) {
-            let mut others = b.present & !(1u64 << except);
-            b.present &= 1u64 << except; // only `except`'s copy (if any) survives
-            if b.owner.is_some_and(|o| o.index() != except) {
-                b.owner = None;
-            }
-            while others != 0 {
-                let j = others.trailing_zeros() as usize;
-                others &= others - 1;
-                if self.caches[j].snoop_invalidate(block).is_valid() {
-                    count += 1;
-                }
-            }
-        }
-        count
-    }
-
     fn upgrade_done(&mut self, i: usize) {
         let t = self.nodes[i].txn.expect("upgrade txn");
         let block = t.block;
@@ -518,25 +501,18 @@ impl BusSystem {
             return;
         }
         let me = NodeId::new(i);
-        let (sharers, invalidated) = match (t.region, self.cfg.protocol) {
+        let (sharers, invalidated) = match t.region {
             // Private blocks are only ever touched by their owning node, so
             // there is nothing to invalidate and no reader of their
             // directory entry — skip the map (and keep them out of it).
-            (Region::Private, _) => {
+            Region::Private => {
                 let promoted = self.caches[i].promote(block);
                 debug_assert!(promoted);
                 (false, 0)
             }
-            (Region::Shared, BusProtocol::Msi) => {
-                let invalidated = self.invalidate_others(block, i);
-                let promoted = self.caches[i].promote(block);
-                debug_assert!(promoted);
-                self.blocks.entry(block.raw()).or_default().owner = Some(me);
-                (invalidated > 0, invalidated)
-            }
-            // MESI invalidates the other copies; Dragon broadcasts the
-            // update word and keeps them.
-            (Region::Shared, BusProtocol::Mesi | BusProtocol::Dragon) => {
+            // MSI and MESI invalidate the other copies; Dragon broadcasts
+            // the update word and keeps them.
+            Region::Shared => {
                 let g = bus_engine::grant(self, me, block, TxnKind::Upgrade);
                 (g.others != 0, g.invalidated)
             }
@@ -599,35 +575,14 @@ impl BusSystem {
         let local = home == me;
         let is_write = t.kind != TxnKind::Read;
 
-        // --- snoop resolution (atomic at the serialisation point)
-        let (owner, ready, fill_state, sharers, invalidated) = match self.cfg.protocol {
-            BusProtocol::Msi => {
-                let (owner, ready) = match self.blocks.get(&block.raw()) {
-                    Some(b) => (b.owner.filter(|&d| d != me), b.ready),
-                    None => (None, Time::ZERO),
-                };
-                let mut invalidated = 0;
-                if is_write {
-                    invalidated = self.invalidate_others(block, i);
-                } else if let Some(d) = owner {
-                    self.caches[d.index()].snoop_downgrade(block);
-                    if let Some(b) = self.blocks.get_mut(&block.raw()) {
-                        b.owner = None;
-                    }
-                }
-                let fill_state = if is_write { LineState::We } else { LineState::Rs };
-                (owner, ready, fill_state, invalidated > 0, invalidated)
-            }
-            BusProtocol::Mesi | BusProtocol::Dragon => {
-                // The engine records the dirty claim in the block's entry.
-                let ready = self.blocks.entry(block.raw()).or_default().ready;
-                let g = bus_engine::grant(self, me, block, t.kind);
-                let fill_state = g.fill.expect("a miss fills its line");
-                // A Dragon write miss updates the other copies instead of
-                // purging them: they count as sharers all the same.
-                (g.owner, ready, fill_state, g.others != 0, g.invalidated)
-            }
-        };
+        // --- snoop resolution (atomic at the serialisation point). The
+        // engine records the dirty claim in the block's entry.
+        let ready = self.blocks.entry(block.raw()).or_default().ready;
+        let g = bus_engine::grant(self, me, block, t.kind);
+        let owner = g.owner;
+        // A Dragon write miss updates the other copies instead of purging
+        // them: they count as sharers all the same.
+        let sharers = g.others != 0;
 
         // --- classification (mirrors the reference interpreter's buckets;
         // the ring geometry keeps event counts comparable across
@@ -649,7 +604,7 @@ impl BusSystem {
             };
             *bucket += 1;
             if is_write {
-                e.invalidated_copies += invalidated;
+                e.invalidated_copies += g.invalidated;
             }
         }
 
@@ -674,11 +629,9 @@ impl BusSystem {
         }
         // --- commit cache state now (serialisation point), deliver later.
         let b = self.blocks.entry(block.raw()).or_default();
-        if is_write && self.cfg.protocol == BusProtocol::Msi {
-            b.owner = Some(me);
-        }
         b.ready = completion;
         b.present |= 1u64 << i;
+        let fill_state = g.fill.expect("a miss fills its line");
         if let Some((victim, vstate)) = self.caches[i].fill(block, fill_state) {
             self.retire_victim(me, victim, vstate, measuring, completion);
         }
@@ -699,15 +652,8 @@ impl BusSystem {
     ) {
         if let Some(v) = self.blocks.get_mut(&victim.raw()) {
             v.present &= !(1u64 << me.index());
-            if self.cfg.protocol == BusProtocol::Msi && v.owner == Some(me) {
-                v.owner = None;
-            }
         }
-        let dirty = match self.cfg.protocol {
-            BusProtocol::Msi => vstate.is_dirty(),
-            BusProtocol::Mesi | BusProtocol::Dragon => bus_engine::retire(self, me, victim, vstate),
-        };
-        if dirty {
+        if bus_engine::retire(self, me, victim, vstate) {
             let vhome = self.home_of(victim);
             if vhome != me {
                 self.bus.acquire_kind(completion, self.cfg.bus.response_cycles(), PhaseKind::Data);
@@ -823,16 +769,16 @@ impl BusSystem {
     }
 }
 
-/// MESI and Dragon as the bus engine's host. A block's entry holds its
-/// `owner` — both the dirty owner and Dragon's shared-modified supplier —
-/// and its `present` mask, which follows every invalidation. A private
-/// block has no entry: it is never snooped and has no owner to record.
+/// All three bus protocols as the bus engine's host. A block's entry holds
+/// its `owner` — both the dirty owner and Dragon's shared-modified
+/// supplier — and its exact `present` mask. A private block has no entry:
+/// it is never snooped and has no owner to record.
 impl BusHost for BusSystem {
     fn protocol(&self) -> ProtocolKind {
         match self.cfg.protocol {
+            BusProtocol::Msi => ProtocolKind::Msi,
             BusProtocol::Mesi => ProtocolKind::Mesi,
             BusProtocol::Dragon => ProtocolKind::Dragon,
-            BusProtocol::Msi => unreachable!("MSI has no checked rule set"),
         }
     }
 
@@ -842,6 +788,32 @@ impl BusHost for BusSystem {
 
     fn present(&self, block: BlockAddr) -> u64 {
         self.blocks.get(&block.raw()).map_or(0, |b| b.present)
+    }
+
+    /// `present` is exact here, and by SWMR a `We` copy is the only valid
+    /// one, so at most one cache needs a look: a read of a widely shared
+    /// block stays O(1). Debug builds check the answer against every
+    /// cache.
+    fn holders(&mut self, node: NodeId, block: BlockAddr) -> (u64, u64) {
+        let valid = self.present(block) & !(1u64 << node.index());
+        let sole = valid.trailing_zeros() as usize;
+        let written =
+            if valid.count_ones() == 1 && self.caches[sole].state_of(block) == LineState::We {
+                valid
+            } else {
+                0
+            };
+        debug_assert_eq!(
+            (valid, written),
+            bus_engine::scan_holders(
+                &self.caches,
+                node,
+                block,
+                u64::MAX >> (64 - self.caches.len())
+            ),
+            "the presence mask of {block} is out of step with the caches"
+        );
+        (valid, written)
     }
 
     fn exclusive(&self, node: NodeId, block: BlockAddr) -> bool {
@@ -985,7 +957,7 @@ mod tests {
 
     #[test]
     fn protocol_variants_are_deterministic() {
-        for p in [BusProtocol::Mesi, BusProtocol::Dragon] {
+        for p in [BusProtocol::Msi, BusProtocol::Mesi, BusProtocol::Dragon] {
             let a = run_proto(p, 4, 2_000, 100);
             let b = run_proto(p, 4, 2_000, 100);
             assert_eq!(a.sim_end, b.sim_end, "{p:?}");

@@ -513,9 +513,8 @@ impl RingSystem {
                     self.send_no_earlier(i, req, now);
                 }
             }
-            ProtocolKind::Sci | ProtocolKind::Mesi | ProtocolKind::Dragon => {
-                unreachable!("rejected by SystemConfig::validate")
-            }
+            // SCI and the bus protocols run on their own backends.
+            _ => unreachable!("rejected by SystemConfig::validate"),
         }
     }
 

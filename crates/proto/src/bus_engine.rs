@@ -1,9 +1,10 @@
-//! The untimed engine of the checked bus protocols, MESI and Dragon: every
-//! per-block state update their [`crate::guarded`] decisions imply — the
-//! bus grant at the serialisation point, the silent E→M write hit, and
+//! The untimed engine of the three bus protocols, MSI, MESI and Dragon:
+//! every per-block state update their [`crate::guarded`] decisions imply —
+//! the bus grant at the serialisation point, the silent E→M write hit, and
 //! victim retirement. The timed `BusSystem` and the `ringsim-check` model
 //! checker both drive it through [`BusHost`], so the checker verifies the
-//! effects the simulator runs.
+//! effects the simulator runs. MSI is MESI without the exclusive state: its
+//! decisions are MESI's actions, and no MSI line is ever clean-exclusive.
 //!
 //! The engine keeps no state and no notion of time: each step returns a
 //! small `Copy` value ([`Grant`], or a flag) on which the simulator keys
@@ -19,12 +20,13 @@ use crate::ring_engine::TxnKind;
 use crate::transitions::{BusOp, DragonAction, MesiAction};
 use crate::transitions::{DragonAction as D, MesiAction as M};
 use crate::ProtocolKind;
-use BusAction::{Dragon, Mesi};
+use BusAction::{Dragon, Mesi, Msi};
 
 /// What a host supplies to the engine: its state through the required
 /// methods; the provided ones are the effects fault mutations override.
 pub trait BusHost {
-    /// [`ProtocolKind::Mesi`] or [`ProtocolKind::Dragon`].
+    /// A bus protocol: [`ProtocolKind::Msi`], [`ProtocolKind::Mesi`] or
+    /// [`ProtocolKind::Dragon`].
     fn protocol(&self) -> ProtocolKind;
     /// The per-node caches.
     fn caches(&mut self) -> &mut [Cache];
@@ -42,6 +44,15 @@ pub trait BusHost {
     /// Records that memory's copy of `block` is stale, `owner` holding the
     /// fresh data, or (`None`) up to date again.
     fn set_dirty(&mut self, block: BlockAddr, owner: Option<NodeId>);
+
+    /// The nodes other than `node` that hold a valid copy of `block`, and
+    /// (second) the `We` ones among them. The provided method looks at the
+    /// state of each node in [`BusHost::present`]; a host that tracks the
+    /// holders exactly may answer without visiting the caches.
+    fn holders(&mut self, node: NodeId, block: BlockAddr) -> (u64, u64) {
+        let candidates = self.present(block);
+        scan_holders(self.caches(), node, block, candidates)
+    }
 
     /// Sets (or, with `None`, clears) Dragon's shared-modified owner; a
     /// host with one owner per block records it as the dirty owner.
@@ -68,6 +79,8 @@ pub trait BusHost {
 /// A bus protocol's decision for one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusAction {
+    /// MSI's: a subset of MESI's actions.
+    Msi(MesiAction),
     /// MESI's.
     Mesi(MesiAction),
     /// Dragon's.
@@ -103,10 +116,9 @@ pub fn grant<H: BusHost + ?Sized>(
 ) -> Grant {
     let me = node.index();
     let kind = kind.served_as(h.caches()[me].state_of(block));
-    let candidates = h.present(block) & !(1u64 << me);
-    let others = nodes(candidates)
-        .filter(|&j| h.caches()[j].state_of(block).is_valid())
-        .fold(0u64, |m, j| m | 1 << j);
+    // Only the `We` copies among the others have anything for a fill to
+    // downgrade.
+    let (others, writers) = h.holders(node, block);
     let owner = h.owner(block).filter(|o| o.index() != me && others & (1 << o.index()) != 0);
     let owner_mask = owner.map_or(0, |o| 1u64 << o.index());
     let (op, mut fill) = match kind {
@@ -117,40 +129,47 @@ pub fn grant<H: BusHost + ?Sized>(
     let action = dispatch(h, op, others != 0, owner.is_some());
     let mut invalidated = 0;
     match action {
-        Mesi(M::FillExclusive) | Dragon(D::FillExclusive) => {
+        Msi(a) | Mesi(a) => match a {
+            M::FillExclusive => {
+                h.set_exclusive(node, block, true);
+                fill = Some(LineState::We);
+            }
+            M::FillShared => downgrade(h, writers, block),
+            M::OwnerSuppliesShared => {
+                // The owner's flush refreshes memory as it supplies.
+                downgrade(h, owner_mask, block);
+                h.set_dirty(block, None);
+            }
+            // Dirty data moves cache to cache; memory stays stale.
+            M::OwnerSuppliesModified => invalidated = invalidate(h, owner_mask, block),
+            M::InvalidateAndFillModified | M::InvalidateAndPromote => {
+                invalidated = invalidate(h, others, block);
+            }
+            M::FillModified | M::Promote => {}
+            M::PromoteSilently => unreachable!("exclusive write hits never reach the bus"),
+        },
+        Dragon(D::FillExclusive) => {
             h.set_exclusive(node, block, true);
             fill = Some(LineState::We);
         }
-        Mesi(M::FillShared) | Dragon(D::FillShared) => downgrade(h, others, block),
-        Mesi(M::OwnerSuppliesShared) => {
-            // The owner's flush refreshes memory as it supplies.
-            downgrade(h, owner_mask, block);
-            h.set_dirty(block, None);
-        }
+        Dragon(D::FillShared) => downgrade(h, writers, block),
         Dragon(D::OwnerSuppliesShared) => {
             // A modified owner demotes to Sm and keeps supplying.
             downgrade(h, owner_mask, block);
             h.set_supplier(block, owner);
         }
-        // Dirty data moves cache to cache; memory stays stale.
-        Mesi(M::OwnerSuppliesModified) => invalidated = invalidate(h, owner_mask, block),
-        Mesi(M::InvalidateAndFillModified | M::InvalidateAndPromote) => {
-            invalidated = invalidate(h, others, block);
-        }
         Dragon(D::FillSharedOwnerUpdate) => {
             // The other copies take the update word and stay valid; a
             // previous owner demotes to shared-clean.
-            downgrade(h, others, block);
+            downgrade(h, writers, block);
             h.set_supplier(block, Some(node));
             fill = Some(LineState::Rs);
         }
         Dragon(D::BroadcastUpdate) => h.set_supplier(block, Some(node)),
         // Every other copy has rolled out: the update found no listeners.
         Dragon(D::PromoteToModified) => h.set_supplier(block, None),
-        Mesi(M::FillModified | M::Promote) | Dragon(D::FillModified) => {}
-        Mesi(M::PromoteSilently) | Dragon(D::PromoteSilently) => {
-            unreachable!("exclusive write hits never reach the bus")
-        }
+        Dragon(D::FillModified) => {}
+        Dragon(D::PromoteSilently) => unreachable!("exclusive write hits never reach the bus"),
     }
     if kind == TxnKind::Upgrade && action != Dragon(D::BroadcastUpdate) {
         let promoted = h.caches()[me].promote(block);
@@ -164,7 +183,8 @@ pub fn grant<H: BusHost + ?Sized>(
 
 /// `node` writes `block`, which it holds `We`: a clean-exclusive line
 /// promotes to modified silently, with no bus transaction, and the call
-/// returns `true`; a modified line changes nothing.
+/// returns `true`; a modified line changes nothing. Under MSI every `We`
+/// line is modified.
 pub fn write_hit<H: BusHost + ?Sized>(h: &mut H, node: NodeId, block: BlockAddr) -> bool {
     if !h.exclusive(node, block) {
         return false;
@@ -201,12 +221,36 @@ pub fn retire<H: BusHost + ?Sized>(
 
 fn dispatch<H: BusHost + ?Sized>(h: &H, op: BusOp, others: bool, owner: bool) -> BusAction {
     match h.protocol() {
+        ProtocolKind::Msi => Msi(guarded::msi_action(op, others, owner, h.counts())),
         ProtocolKind::Mesi => Mesi(guarded::mesi_action(op, others, owner, h.counts())),
         ProtocolKind::Dragon => Dragon(guarded::dragon_action(op, others, owner, h.counts())),
         p @ (ProtocolKind::Snooping | ProtocolKind::Directory | ProtocolKind::Sci) => {
             unreachable!("{p} is not a bus protocol")
         }
     }
+}
+
+/// The nodes in `candidates` other than `node` whose cache holds a valid
+/// copy of `block`, and (second) the `We` ones among them.
+#[must_use]
+pub fn scan_holders(
+    caches: &[Cache],
+    node: NodeId,
+    block: BlockAddr,
+    candidates: u64,
+) -> (u64, u64) {
+    let (mut valid, mut written) = (0u64, 0u64);
+    for j in nodes(candidates & !(1u64 << node.index())) {
+        match caches[j].state_of(block) {
+            LineState::Inv => {}
+            LineState::Rs => valid |= 1 << j,
+            LineState::We => {
+                valid |= 1 << j;
+                written |= 1 << j;
+            }
+        }
+    }
+    (valid, written)
 }
 
 /// The nodes in `mask`, in ascending order.

@@ -24,9 +24,10 @@
 //!   or a reachability bug, and `tests/lint_protocol_tables.rs` gates on
 //!   it (`ringsim check --stats` prints the same counts).
 //!
-//! New protocols (MESI, Dragon, SCI) add rule sets here and inherit the
-//! lint and the dead-rule gate for free instead of hand-wiring checker
-//! tables.
+//! New protocols (SCI and the bus's MSI, MESI and Dragon) add rule sets
+//! here and inherit the lint and the dead-rule gate for free instead of
+//! hand-wiring checker tables; the bus rule sets are dispatched only
+//! through [`crate::bus_engine`] and SCI's only through [`crate::sci`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -174,8 +175,8 @@ pub struct SciCtx {
     pub requester_in_list: bool,
 }
 
-/// Context for the MESI and Dragon bus rules: an operation admitted at the
-/// bus's serialisation point, summarised by what the snoop would find.
+/// Context for the MSI, MESI and Dragon bus rules: an operation admitted at
+/// the bus's serialisation point, summarised by what the snoop would find.
 #[derive(Debug, Clone, Copy)]
 pub struct BusCtx {
     /// The admitted operation (upgrades demoted to write misses when the
@@ -439,6 +440,59 @@ pub static SCI_RULES: RuleSet<SciCtx, SciAction> = RuleSet {
     ],
 };
 
+/// MSI bus rules: the paper's 3-state invalidation protocol, the bus
+/// baseline. They are [`MESI_RULES`] without the exclusive state: a read
+/// miss with no owner fills shared, whoever else holds a copy, and no
+/// line is ever clean-exclusive, so no write hit promotes silently.
+/// Domain: every consistent [`BusCtx`] but the exclusive hit.
+pub static MSI_RULES: RuleSet<BusCtx, MesiAction> = RuleSet {
+    name: "msi",
+    rules: &[
+        Rule {
+            name: "read-miss-owner-supplies-and-downgrades",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::ReadMiss && c.owner,
+            action: |_| MesiAction::OwnerSuppliesShared,
+        },
+        Rule {
+            name: "read-miss-fills-shared",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::ReadMiss && !c.owner,
+            action: |_| MesiAction::FillShared,
+        },
+        Rule {
+            name: "write-miss-owner-supplies-and-invalidates",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::WriteMiss && c.owner,
+            action: |_| MesiAction::OwnerSuppliesModified,
+        },
+        Rule {
+            name: "write-miss-invalidates-sharers",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::WriteMiss && c.others_valid && !c.owner,
+            action: |_| MesiAction::InvalidateAndFillModified,
+        },
+        Rule {
+            name: "write-miss-uncached-fills-modified",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::WriteMiss && !c.others_valid,
+            action: |_| MesiAction::FillModified,
+        },
+        Rule {
+            name: "upgrade-invalidates-sharers",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::WriteSharedHit && c.others_valid,
+            action: |_| MesiAction::InvalidateAndPromote,
+        },
+        Rule {
+            name: "upgrade-last-copy-promotes",
+            fires_under: ProtocolKind::Msi,
+            guard: |c| c.op == BusOp::WriteSharedHit && !c.others_valid,
+            action: |_| MesiAction::Promote,
+        },
+    ],
+};
+
 /// MESI bus rules: how the atomic bus serves an admitted operation. The
 /// exclusive state buys the silent E→M promotion; everything else is the
 /// classic invalidation protocol. Domain: every consistent [`BusCtx`]
@@ -609,6 +663,17 @@ pub fn sci_action(
     SCI_RULES.eval(&SciCtx { req, list_len, requester_in_list }, counts.map(|c| c.sci.as_slice()))
 }
 
+/// Rule-set-backed MSI bus dispatch through [`MSI_RULES`].
+#[must_use]
+pub fn msi_action(
+    op: BusOp,
+    others_valid: bool,
+    owner: bool,
+    counts: Option<&FireCounts>,
+) -> MesiAction {
+    MSI_RULES.eval(&BusCtx { op, others_valid, owner }, counts.map(|c| c.msi.as_slice()))
+}
+
 /// Rule-set-backed MESI bus dispatch through [`MESI_RULES`].
 #[must_use]
 pub fn mesi_action(
@@ -648,6 +713,8 @@ pub struct FireCounts {
     pub dir: Vec<AtomicU64>,
     /// Counters for [`SCI_RULES`].
     pub sci: Vec<AtomicU64>,
+    /// Counters for [`MSI_RULES`].
+    pub msi: Vec<AtomicU64>,
     /// Counters for [`MESI_RULES`].
     pub mesi: Vec<AtomicU64>,
     /// Counters for [`DRAGON_RULES`].
@@ -677,6 +744,7 @@ impl FireCounts {
             home: zeros(HOME_RULES.rules.len()),
             dir: zeros(DIR_RULES.rules.len()),
             sci: zeros(SCI_RULES.rules.len()),
+            msi: zeros(MSI_RULES.rules.len()),
             mesi: zeros(MESI_RULES.rules.len()),
             dragon: zeros(DRAGON_RULES.rules.len()),
         }
@@ -700,6 +768,7 @@ impl FireCounts {
         push(&mut out, &HOME_RULES, &self.home);
         push(&mut out, &DIR_RULES, &self.dir);
         push(&mut out, &SCI_RULES, &self.sci);
+        push(&mut out, &MSI_RULES, &self.msi);
         push(&mut out, &MESI_RULES, &self.mesi);
         push(&mut out, &DRAGON_RULES, &self.dragon);
         out
@@ -797,14 +866,16 @@ pub fn lint(nodes: usize) -> Vec<String> {
                     .map(move |(others_valid, owner)| BusCtx { op, others_valid, owner })
             })
             .collect();
-    findings.extend(MESI_RULES.lint_over(
-        bus_domain.iter().copied().filter(|c| {
-            // MESI upgrades racing an ownership change are demoted to
-            // write misses before dispatch.
-            c.op != BusOp::WriteSharedHit || !c.owner
+    // Invalidation-protocol upgrades racing an ownership change are demoted
+    // to write misses before dispatch; MSI has no exclusive hit either.
+    let invalidating =
+        || bus_domain.iter().copied().filter(|c| c.op != BusOp::WriteSharedHit || !c.owner);
+    findings.extend(
+        MSI_RULES.lint_over(invalidating().filter(|c| c.op != BusOp::WriteExclusiveHit), |c| {
+            format!("{c:?}")
         }),
-        |c| format!("{c:?}"),
-    ));
+    );
+    findings.extend(MESI_RULES.lint_over(invalidating(), |c| format!("{c:?}")));
     findings.extend(DRAGON_RULES.lint_over(bus_domain, |c| format!("{c:?}")));
 
     findings
@@ -828,6 +899,22 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate rule name");
+    }
+
+    /// MSI's guards partition its domain: exactly one rule matches each
+    /// context, so no overlap, even an agreeing one, hides in the set.
+    #[test]
+    fn msi_rules_partition_their_domain() {
+        for op in [BusOp::ReadMiss, BusOp::WriteMiss, BusOp::WriteSharedHit] {
+            for (others_valid, owner) in [(false, false), (true, false), (true, true)] {
+                if op == BusOp::WriteSharedHit && owner {
+                    continue;
+                }
+                let c = BusCtx { op, others_valid, owner };
+                let matching = MSI_RULES.rules.iter().filter(|r| (r.guard)(&c)).count();
+                assert_eq!(matching, 1, "{c:?}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! * [`ring_engine`] — the untimed engine of the two ring protocols: every
 //!   per-block state update the rules imply, driven by both the timed
 //!   `RingSystem` and the `ringsim-check` model checker,
-//! * [`bus_engine`] — the same for the MESI and Dragon bus protocols,
-//!   driven by the timed `BusSystem` and the model checker,
+//! * [`bus_engine`] — the same for the three bus protocols (MSI, MESI and
+//!   Dragon), driven by the timed `BusSystem` and the model checker,
 //! * [`invariants`] — the coherence-invariant evaluators shared by the
 //!   runtime sanitizer and the model checker.
 //!
@@ -59,6 +59,9 @@ pub enum ProtocolKind {
     /// SCI-like linked-list directory at the home nodes (paper Table 1,
     /// now a first-class timed and checked protocol).
     Sci,
+    /// The paper's 3-state MSI write-invalidate protocol on the bus
+    /// backend (the bus baseline, paper §4.3).
+    Msi,
     /// Classic 4-state MESI on the bus backend (silent E→M promotion).
     Mesi,
     /// Dragon update-based protocol on the bus backend (write updates
@@ -74,9 +77,16 @@ impl ProtocolKind {
             ProtocolKind::Snooping => "snooping",
             ProtocolKind::Directory => "directory",
             ProtocolKind::Sci => "sci",
+            ProtocolKind::Msi => "msi",
             ProtocolKind::Mesi => "mesi",
             ProtocolKind::Dragon => "dragon",
         }
+    }
+
+    /// Whether the protocol runs on the snooping bus: MSI, MESI or Dragon.
+    #[must_use]
+    pub fn is_bus(self) -> bool {
+        matches!(self, ProtocolKind::Msi | ProtocolKind::Mesi | ProtocolKind::Dragon)
     }
 }
 

@@ -137,10 +137,11 @@ pub fn upgrade_must_convert(entry: &DirEntry, requester: NodeId) -> bool {
 }
 
 /// A processor operation at the atomic bus's serialisation point, as seen
-/// by the MESI and Dragon rule sets. Misses and upgrades are bus
+/// by the MSI, MESI and Dragon rule sets. Misses and upgrades are bus
 /// transactions; the two hit variants are local decisions that MESI and
 /// Dragon still declare as rules (silent E→M promotion, Dragon's
-/// write-to-shared update).
+/// write-to-shared update). MSI has no exclusive state, so it never sees
+/// [`BusOp::WriteExclusiveHit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusOp {
     /// Read miss.
@@ -155,12 +156,14 @@ pub enum BusOp {
     WriteExclusiveHit,
 }
 
-/// How MESI serves an admitted bus operation.
+/// How MESI serves an admitted bus operation. MSI takes the same actions
+/// but the two that involve the Exclusive state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MesiAction {
     /// Read miss, no other valid copy: memory supplies, fill Exclusive.
     FillExclusive,
-    /// Read miss, clean copies elsewhere: memory supplies, fill Shared.
+    /// Read miss, clean copies elsewhere (MSI: or none): memory supplies,
+    /// fill Shared.
     FillShared,
     /// Read miss, dirty owner elsewhere: the owner supplies, downgrades to
     /// Shared, and memory is refreshed; fill Shared.

@@ -1,4 +1,4 @@
-//! Scenario tests for the MESI/Dragon bus engine, driven through a minimal
+//! Scenario tests for the MSI/MESI/Dragon bus engine, driven through a minimal
 //! host: plain caches, one block, and explicit E markers, owner, Sm owner
 //! and dirty bit. The checker's exhaustive runs and the simulator's golden
 //! digests cover the engine as a whole; these pin single steps.
@@ -143,4 +143,43 @@ fn dragon_supplier_updates_and_writes_back_on_rollout() {
     assert_eq!((h.supplier, h.dirty), (None, false));
     let state = h.caches[0].evict(B);
     assert!(!retire(&mut h, NodeId::new(0), B, state), "a shared-clean copy leaves silently");
+}
+
+#[test]
+fn msi_read_miss_uncached_fills_shared() {
+    let mut h = Bench::new(ProtocolKind::Msi, 3);
+    let g = h.serve(1, TxnKind::Read);
+    assert_eq!(g.action, BusAction::Msi(MesiAction::FillShared));
+    assert_eq!((g.fill, g.others, g.owner), (Some(Rs), 0, None));
+    assert_eq!((h.states(), h.excl[1], h.dirty), (vec![Inv, Rs, Inv], false, false));
+}
+
+#[test]
+fn msi_write_hit_on_a_modified_line_stays_local() {
+    let mut h = Bench::new(ProtocolKind::Msi, 3);
+    let g = h.serve(0, TxnKind::Write);
+    assert_eq!(g.action, BusAction::Msi(MesiAction::FillModified));
+    assert_eq!((h.states(), h.owner), (vec![We, Inv, Inv], Some(NodeId::new(0))));
+    assert!(!write_hit(&mut h, NodeId::new(0), B), "MSI has no clean-exclusive line");
+    assert_eq!((h.states(), h.owner, h.excl[0]), (vec![We, Inv, Inv], Some(NodeId::new(0)), false));
+}
+
+#[test]
+fn msi_write_miss_takes_the_line_from_a_modified_owner() {
+    let mut h = Bench::new(ProtocolKind::Msi, 3);
+    h.serve(0, TxnKind::Write);
+    let g = h.serve(2, TxnKind::Write);
+    assert_eq!(g.action, BusAction::Msi(MesiAction::OwnerSuppliesModified));
+    assert_eq!((g.owner, g.others, g.invalidated), (Some(NodeId::new(0)), 0b001, 1));
+    assert_eq!((h.states(), h.owner, h.dirty), (vec![Inv, Inv, We], Some(NodeId::new(2)), true));
+}
+
+#[test]
+fn msi_read_miss_downgrades_the_owner_and_cleans_memory() {
+    let mut h = Bench::new(ProtocolKind::Msi, 3);
+    h.serve(0, TxnKind::Write);
+    let g = h.serve(1, TxnKind::Read);
+    assert_eq!(g.action, BusAction::Msi(MesiAction::OwnerSuppliesShared));
+    assert_eq!((g.owner, g.invalidated), (Some(NodeId::new(0)), 0));
+    assert_eq!((h.states(), h.owner, h.dirty), (vec![Rs, Rs, Inv], None, false));
 }

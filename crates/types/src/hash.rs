@@ -30,6 +30,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// per miss, and never iterated in an order that reaches observable
 /// output — so a cheap multiply-xor hash is both safe and deterministic.
 ///
+/// `HashMap` picks a key's bucket from the hash's low bits and tells keys
+/// in a bucket group apart by its top seven. One FNV round over a word
+/// fills neither well: its low bits depend only on the key's low bits, and
+/// its top bits barely move between nearby keys, so a probe of a block
+/// map would match most of a group and compare keys one by one.
+/// [`FnvHasher`] therefore mixes the word in `finish` before handing it
+/// over.
+///
 /// # Examples
 ///
 /// ```
@@ -58,9 +66,12 @@ impl std::hash::BuildHasher for FnvBuildHasher {
 pub struct FnvHasher(u64);
 
 impl std::hash::Hasher for FnvHasher {
+    /// The FNV state, mixed so that every bit of it reaches both the low
+    /// bits and the top bits of the result (see [`FnvBuildHasher`]).
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
     }
 
     #[inline]

@@ -197,12 +197,13 @@ fn protocol_of(flags: &HashMap<String, String>) -> Result<ProtocolKind, Box<dyn 
         None | Some("snooping") => Ok(ProtocolKind::Snooping),
         Some("directory") => Ok(ProtocolKind::Directory),
         Some("sci") => Ok(ProtocolKind::Sci),
+        Some("msi") => Ok(ProtocolKind::Msi),
         Some("mesi") => Ok(ProtocolKind::Mesi),
         Some("dragon") => Ok(ProtocolKind::Dragon),
-        Some(other) => {
-            Err(format!("unknown protocol `{other}` (snooping, directory, sci, mesi or dragon)")
-                .into())
-        }
+        Some(other) => Err(format!(
+            "unknown protocol `{other}` (snooping, directory, sci, msi, mesi or dragon)"
+        )
+        .into()),
     }
 }
 
@@ -255,6 +256,7 @@ fn check_cmd_inner(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             ProtocolKind::Snooping,
             ProtocolKind::Directory,
             ProtocolKind::Sci,
+            ProtocolKind::Msi,
             ProtocolKind::Mesi,
             ProtocolKind::Dragon,
         ]

@@ -28,6 +28,8 @@ fn golden_canonical_state_counts() {
         (ProtocolKind::Snooping, 3, 1, true, 1279, 5244, 15), // unreduced: 2451
         (ProtocolKind::Snooping, 4, 1, true, 7169, 37468, 21), // unreduced: 37993
         (ProtocolKind::Directory, 4, 1, false, 17784, 50714, 32), // unreduced: 103994
+        (ProtocolKind::Msi, 3, 2, true, 6844, 40660, 18),
+        (ProtocolKind::Msi, 4, 1, true, 395, 2073, 15),
         (ProtocolKind::Mesi, 3, 2, true, 10283, 62294, 21),
         (ProtocolKind::Mesi, 4, 1, true, 451, 2400, 14),
         (ProtocolKind::Dragon, 3, 2, true, 17229, 114650, 15),

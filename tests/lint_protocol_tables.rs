@@ -19,7 +19,7 @@
 //! 4. **One engine per protocol family**: a source scan proves that only
 //!    the rule module, the transition tables and the ring engine dispatch
 //!    the ring protocols' rules, only the rule module and the bus engine
-//!    dispatch MESI's and Dragon's, and only the rule module and the SCI
+//!    dispatch MSI's, MESI's and Dragon's, and only the rule module and the SCI
 //!    engine dispatch SCI's, so the model checker and the simulators share
 //!    every effect.
 
@@ -175,8 +175,8 @@ fn guarded_rule_names_are_unique() {
     for fire in FireCounts::new().snapshot() {
         assert!(seen.insert((fire.ruleset, fire.rule)), "duplicate rule {:?}", fire.rule);
     }
-    // snooper + home + directory + sci + mesi + dragon.
-    assert!(seen.len() >= 43, "expected the full rule inventory, got {}", seen.len());
+    // snooper + home + directory + sci + msi + mesi + dragon.
+    assert!(seen.len() >= 50, "expected the full rule inventory, got {}", seen.len());
 }
 
 /// The guarded module keeps the same no-wildcard promise as the transition
@@ -199,6 +199,7 @@ fn guarded_rules_have_no_wildcard_arms() {
         "HOME_RULES",
         "DIR_RULES",
         "SCI_RULES",
+        "MSI_RULES",
         "MESI_RULES",
         "DRAGON_RULES",
         "snooper_action",
@@ -222,6 +223,7 @@ fn no_rule_is_dead_at_four_nodes() {
         ProtocolKind::Snooping,
         ProtocolKind::Directory,
         ProtocolKind::Sci,
+        ProtocolKind::Msi,
         ProtocolKind::Mesi,
         ProtocolKind::Dragon,
     ] {
@@ -230,8 +232,8 @@ fn no_rule_is_dead_at_four_nodes() {
         // The directory's full 4-node space is huge and evictions add
         // nothing to its rule coverage (no directory rule guards on
         // eviction state). Every other protocol keeps them: SCI's rollout
-        // splice, MESI's last-copy promote and Dragon's last-copy promote
-        // only fire with evictions in the mix.
+        // splice and the bus protocols' last-copy promotes only fire with
+        // evictions in the mix.
         cfg.evictions = protocol != ProtocolKind::Directory;
         cfg.check_liveness = false;
         let report = explore(&cfg).expect("valid config");
@@ -247,11 +249,11 @@ fn no_rule_is_dead_at_four_nodes() {
 }
 
 /// Each protocol family's rules are dispatched only by its engine:
-/// `ringsim_proto::ring_engine` for the ring protocols and
-/// `ringsim_proto::bus_engine` for MESI and Dragon. The timed simulators
-/// and the model checker both drive those engines, so a second caller
-/// would be a second copy of a protocol's effects, one the checker does
-/// not verify. Test code is exempt (everything from a file's
+/// `ringsim_proto::ring_engine` for the ring protocols,
+/// `ringsim_proto::bus_engine` for MSI, MESI and Dragon, and
+/// `ringsim_proto::sci` for SCI. The timed simulators and the model checker
+/// both drive those engines, so a second caller would be a second copy of
+/// a protocol's effects, one the checker does not verify. Test code is exempt (everything from a file's
 /// `#[cfg(test)]` on).
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {
@@ -274,7 +276,7 @@ fn only_the_engines_dispatch_protocol_rules() {
         ),
         (
             "bus-protocol",
-            &["mesi_action(", "dragon_action("],
+            &["msi_action(", "mesi_action(", "dragon_action("],
             &["crates/proto/src/guarded.rs", "crates/proto/src/bus_engine.rs"],
         ),
         (
