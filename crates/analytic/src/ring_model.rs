@@ -318,7 +318,10 @@ impl RingModel {
                         is_write: true,
                     },
                 ],
-                _ => panic!(
+                ProtocolKind::Sci
+                | ProtocolKind::Msi
+                | ProtocolKind::Mesi
+                | ProtocolKind::Dragon => panic!(
                     "RingModel covers the paper's slotted-ring protocols \
                      (snooping/directory), not {:?}",
                     self.protocol

@@ -39,11 +39,13 @@ OPTIONS:
                      measured get their baseline file written)
   --interleave CMD   immediately before timing each scenario, time it on
                      CMD, another build of this harness (e.g. the parent
-                     commit's target/release/perf), as `CMD --quick --only
-                     <scenario> --out <temp dir>`, and record the median it
-                     reports as the scenario's baseline. Interleaving the
-                     two builds keeps each comparison inside the same
-                     machine-load window (overrides --baseline per entry)
+                     commit's target/release/perf), as `CMD --only
+                     <scenario> --out <temp dir>` (plus --quick when given
+                     here, so both medians take as many samples), and
+                     record the median it reports as the scenario's
+                     baseline. Interleaving the two builds keeps each
+                     comparison inside the same machine-load window
+                     (overrides --baseline per entry)
   --max-regress PCT  allowed slowdown vs the committed medians in --check
                      mode, in percent (default: 25)
   --list             print the scenario matrix and exit
@@ -110,16 +112,16 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Times `scenario` on `cmd`, another build of this harness, in quick mode
-/// and returns the median ns/run it reports. Its `--out` is a scratch
-/// directory, so it never touches the baselines being written here.
-fn interleaved_baseline(cmd: &str, scenario: &str) -> Result<u64, String> {
+/// Times `scenario` on `cmd`, another build of this harness, with the same
+/// sample count as this run (`quick`) and returns the median ns/run it
+/// reports. Its `--out` is a scratch directory, so it never touches the
+/// baselines being written here.
+fn interleaved_baseline(cmd: &str, scenario: &str, quick: bool) -> Result<u64, String> {
     let out = std::env::temp_dir().join(format!("perf-interleave-{}", std::process::id()));
-    let run = format!("`{cmd} --quick --only {scenario} --out {}`", out.display());
-    let output = std::process::Command::new(cmd)
-        .args(["--quick", "--only", scenario, "--out"])
-        .arg(&out)
-        .output();
+    let mut args = if quick { vec!["--quick"] } else { vec![] };
+    args.extend(["--only", scenario]);
+    let run = format!("`{cmd} {} --out {}`", args.join(" "), out.display());
+    let output = std::process::Command::new(cmd).args(&args).arg("--out").arg(&out).output();
     // Nothing is written for a single scenario, but remove whatever was.
     let _ = std::fs::remove_dir_all(&out);
     let output = output.map_err(|e| format!("--interleave: running {run}: {e}"))?;
@@ -157,7 +159,7 @@ fn measure_all(
         .filter(|s| only.is_empty() || only.iter().any(|f| s.name().contains(f.as_str())))
     {
         if let Some(cmd) = interleave {
-            let b = interleaved_baseline(cmd, &s.name())?;
+            let b = interleaved_baseline(cmd, &s.name(), quick)?;
             eprintln!("baseline  {:>12} ...  {:>12} ns/run", s.name(), b);
             baselines.insert(s.name(), b);
         }

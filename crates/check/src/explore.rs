@@ -149,8 +149,7 @@ fn check_state(model: &Model, s: &State) -> Result<(), String> {
                     }
                 }
             }
-            _ => {
-                debug_assert!(model.protocol.is_bus());
+            p if p.is_bus() => {
                 for (i, &st) in states.iter().enumerate() {
                     if s.excl[i][b] && st != LineState::We {
                         return Err(format!(
@@ -184,6 +183,7 @@ fn check_state(model: &Model, s: &State) -> Result<(), String> {
                     }
                 }
             }
+            p => unreachable!("{p} has no invariants"),
         }
     }
     Ok(())

@@ -335,8 +335,9 @@ impl CheckStats {
             self.reduction(states),
             self.group_order,
         )];
-        // MSI's rule set is MESI's less two rules, under the same names: a
-        // run of any other protocol leaves it out rather than list it twice.
+        // MSI's rule set, the newest, is left out of the other protocols'
+        // lists only so that their output stays as it was before MSI had
+        // one; an MSI run lists every rule set.
         let listed =
             |r: &&RuleFire| r.fires_under != ProtocolKind::Msi || protocol == r.fires_under;
         for r in self.rule_fires.iter().filter(listed) {

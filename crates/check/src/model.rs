@@ -511,15 +511,15 @@ impl Model {
                     label
                 }
             }
-            _ => {
+            _ if self.is_atomic() => {
                 // Atomic-transaction protocols (SCI and the bus): the
                 // request sits pending until a Circulate move serves it in
                 // one indivisible step.
-                debug_assert!(self.is_atomic());
                 txn.ext = Phase::NeedProbe;
                 s.txns[i] = Some(txn);
                 label
             }
+            p => unreachable!("{p} is neither a ring nor an atomic protocol"),
         }
     }
 
@@ -541,12 +541,12 @@ impl Model {
             // A dirty head's rollout carries the data home with it, so
             // nothing stays in flight.
             ProtocolKind::Sci => sci::rollout(&mut self.host(s), me, victim, vstate),
-            _ => {
-                // The bus protocols: a write-back goes in the same bus
-                // transaction as the replacement (atomic bus).
-                debug_assert!(self.protocol.is_bus());
+            // The bus protocols: a write-back goes in the same bus
+            // transaction as the replacement (atomic bus).
+            p if p.is_bus() => {
                 bus_engine::retire(&mut self.host(s), me, victim, vstate);
             }
+            p => unreachable!("{p} has no victim handling"),
         }
     }
 
@@ -1039,8 +1039,7 @@ impl Model {
                         if e.dirty { " dirty" } else { "" }
                     )
                 }
-                _ => {
-                    debug_assert!(self.protocol.is_bus());
+                p if p.is_bus() => {
                     let excl: Vec<String> = (0..self.nodes)
                         .filter(|&j| s.excl[j][b])
                         .map(|j| format!("P{j}:E"))
@@ -1056,6 +1055,7 @@ impl Model {
                         s.sm[b].map_or_else(String::new, |o| format!(" Sm:{o}")),
                     )
                 }
+                p => unreachable!("{p} has no home-side state"),
             };
             lines.push(format!(
                 "  {block} @home {}: {} | {home_side}",

@@ -514,7 +514,9 @@ impl RingSystem {
                 }
             }
             // SCI and the bus protocols run on their own backends.
-            _ => unreachable!("rejected by SystemConfig::validate"),
+            ProtocolKind::Sci | ProtocolKind::Msi | ProtocolKind::Mesi | ProtocolKind::Dragon => {
+                unreachable!("rejected by SystemConfig::validate")
+            }
         }
     }
 

@@ -84,9 +84,13 @@ impl ProtocolKind {
     }
 
     /// Whether the protocol runs on the snooping bus: MSI, MESI or Dragon.
+    /// Exhaustive, so a new protocol must say where it runs.
     #[must_use]
     pub fn is_bus(self) -> bool {
-        matches!(self, ProtocolKind::Msi | ProtocolKind::Mesi | ProtocolKind::Dragon)
+        match self {
+            ProtocolKind::Msi | ProtocolKind::Mesi | ProtocolKind::Dragon => true,
+            ProtocolKind::Snooping | ProtocolKind::Directory | ProtocolKind::Sci => false,
+        }
     }
 }
 
