@@ -67,13 +67,6 @@ impl RingModel {
         self
     }
 
-    /// Overrides the dirty-cache supply latency.
-    #[must_use]
-    pub fn with_supply_latency(mut self, t: Time) -> Self {
-        self.supply_latency = t;
-        self
-    }
-
     /// The ring configuration the model describes.
     #[must_use]
     pub fn ring(&self) -> &RingConfig {

@@ -6,7 +6,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use ringsim_bench::perf;
@@ -37,14 +37,16 @@ OPTIONS:
   --only SUBSTR      measure only scenarios whose name contains SUBSTR
                      (repeatable; only groups whose scenarios are all
                      measured get their baseline file written)
-  --interleave CMD   immediately before timing each scenario, time it on
-                     CMD, another build of this harness (e.g. the parent
-                     commit's target/release/perf), as `CMD --only
-                     <scenario> --out <temp dir>` (plus --quick when given
-                     here, so both medians take as many samples), and
-                     record the median it reports as the scenario's
-                     baseline. Interleaving the two builds keeps each
-                     comparison inside the same machine-load window
+  --interleave CMD   time each scenario in 10 alternating pairs (3 with
+                     --quick) of CMD, another build of this harness (e.g.
+                     the parent commit's target/release/perf), and this
+                     build, each run as `<build> --only <scenario> --out
+                     <temp dir>` (plus --quick when given here) in a
+                     process of its own. The baseline runs first in even
+                     pairs, this build in odd ones. Records the medians of
+                     both builds and, as `speedup_vs_baseline`, the median
+                     of the per-pair speedups, and prints their quartiles:
+                     each ratio stays inside one machine-load window
                      (overrides --baseline per entry)
   --max-regress PCT  allowed slowdown vs the committed medians in --check
                      mode, in percent (default: 25)
@@ -112,15 +114,15 @@ fn parse(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Times `scenario` on `cmd`, another build of this harness, with the same
-/// sample count as this run (`quick`) and returns the median ns/run it
-/// reports. Its `--out` is a scratch directory, so it never touches the
-/// baselines being written here.
-fn interleaved_baseline(cmd: &str, scenario: &str, quick: bool) -> Result<u64, String> {
+/// Times `scenario` on `cmd`, a build of this harness, in a process of its
+/// own with the same sample count as this run (`quick`) and returns the
+/// median ns/run it reports. Its `--out` is a scratch directory, so it
+/// never touches the baselines being written here.
+fn child_median(cmd: &Path, scenario: &str, quick: bool) -> Result<u64, String> {
     let out = std::env::temp_dir().join(format!("perf-interleave-{}", std::process::id()));
     let mut args = if quick { vec!["--quick"] } else { vec![] };
     args.extend(["--only", scenario]);
-    let run = format!("`{cmd} {} --out {}`", args.join(" "), out.display());
+    let run = format!("`{} {} --out {}`", cmd.display(), args.join(" "), out.display());
     let output = std::process::Command::new(cmd).args(&args).arg("--out").arg(&out).output();
     // Nothing is written for a single scenario, but remove whatever was.
     let _ = std::fs::remove_dir_all(&out);
@@ -146,11 +148,15 @@ fn reported_median(text: &str, scenario: &str) -> Option<u64> {
     })
 }
 
+/// Measures every scenario `only` selects. Under `interleave`, each one
+/// runs in alternating pairs against that build; its baseline median goes
+/// into `baselines` and its pair summary into `pairs`.
 fn measure_all(
     quick: bool,
     only: &[String],
     interleave: Option<&str>,
     baselines: &mut HashMap<String, u64>,
+    pairs: &mut HashMap<String, perf::PairSummary>,
 ) -> Result<Vec<perf::Measurement>, String> {
     let samples = if quick { 3 } else { 5 };
     let mut out = Vec::new();
@@ -158,15 +164,38 @@ fn measure_all(
         .iter()
         .filter(|s| only.is_empty() || only.iter().any(|f| s.name().contains(f.as_str())))
     {
-        if let Some(cmd) = interleave {
-            let b = interleaved_baseline(cmd, &s.name(), quick)?;
-            eprintln!("baseline  {:>12} ...  {:>12} ns/run", s.name(), b);
-            baselines.insert(s.name(), b);
+        let name = s.name();
+        let Some(cmd) = interleave else {
+            eprint!("measuring {name:>12} ...");
+            let m = perf::measure(s, samples);
+            eprintln!(" {:>12} ns/run", m.median_ns);
+            out.push(m);
+            continue;
+        };
+        // Both halves of a pair run in a process of their own, so neither
+        // build runs in a warmer process than the other: timed in this
+        // one against a child parent build, `bus50-16p` read 1.53x faster;
+        // as two children, the same two builds read 1.01x.
+        let me = std::env::current_exe().map_err(|e| format!("locating this build: {e}"))?;
+        let n = if quick { perf::QUICK_PAIRS } else { perf::PAIRS };
+        let timed = perf::alternate_pairs(
+            n,
+            || child_median(Path::new(cmd), &name, quick),
+            || child_median(&me, &name, quick),
+        )?;
+        for (k, (b, c)) in timed.iter().enumerate() {
+            eprintln!("pair {k:>2}   {name:>12} ...  baseline {b:>12}  candidate {c:>12} ns/run");
         }
-        eprint!("measuring {:>12} ...", s.name());
-        let m = perf::measure(s, samples);
-        eprintln!(" {:>12} ns/run", m.median_ns);
-        out.push(m);
+        let p = perf::summarize_pairs(&timed);
+        let [q1, median, q3] = p.speedup;
+        eprintln!(
+            "speedup   {name:>12} ...  median {median:.3} (quartiles {q1:.3}-{q3:.3}) over {n} pairs"
+        );
+        eprintln!("measuring {name:>12} ... {:>12} ns/run", p.candidate_ns);
+        baselines.insert(name.clone(), p.baseline_ns);
+        pairs.insert(name, p);
+        let sim_cycles = s.run_once().0.sim_end.cycles(s.clock_period());
+        out.push(perf::Measurement { scenario: *s, median_ns: p.candidate_ns, sim_cycles });
     }
     Ok(out)
 }
@@ -190,7 +219,7 @@ fn run(opts: &Options) -> Result<(), String> {
             committed.push(perf::load_file(&path)?);
             eprintln!("schema ok: {}", path.display());
         }
-        let fresh = measure_all(true, &opts.only, None, &mut HashMap::new())?;
+        let fresh = measure_all(true, &opts.only, None, &mut HashMap::new(), &mut HashMap::new())?;
         perf::regression_check_groups(&committed, &fresh, opts.max_regress)?;
         eprintln!("no regressions beyond {:.0}%", opts.max_regress * 100.0);
         return Ok(());
@@ -199,13 +228,24 @@ fn run(opts: &Options) -> Result<(), String> {
         Some(dir) => perf::read_medians(dir)?,
         None => HashMap::new(),
     };
-    let measurements =
-        measure_all(opts.quick, &opts.only, opts.interleave.as_deref(), &mut baselines)?;
+    let mut pairs = HashMap::new();
+    let measurements = measure_all(
+        opts.quick,
+        &opts.only,
+        opts.interleave.as_deref(),
+        &mut baselines,
+        &mut pairs,
+    )?;
+    let mut files = perf::assemble(&measurements, &baselines);
+    for e in files.iter_mut().flat_map(|f| &mut f.entries) {
+        if let Some(p) = pairs.get(&e.name) {
+            e.speedup_vs_baseline = Some(p.speedup[1]);
+        }
+    }
     // Write only groups the (possibly --only-filtered) measurements cover
     // completely; a half-measured group would fail schema validation.
-    let (complete, partial): (Vec<_>, Vec<_>) = perf::assemble(&measurements, &baselines)
-        .into_iter()
-        .partition(|f| perf::validate(f).is_ok());
+    let (complete, partial): (Vec<_>, Vec<_>) =
+        files.into_iter().partition(|f| perf::validate(f).is_ok());
     for f in &partial {
         for e in &f.entries {
             eprintln!(

@@ -193,6 +193,75 @@ pub fn measure(scenario: &Scenario, samples: usize) -> Measurement {
     Measurement { scenario: *scenario, median_ns: times[times.len() / 2], sim_cycles }
 }
 
+/// Baseline/candidate pairs per scenario under `perf --interleave`.
+pub const PAIRS: usize = 10;
+
+/// Pairs per scenario under `perf --interleave --quick`.
+pub const QUICK_PAIRS: usize = 3;
+
+/// Times `pairs` baseline/candidate pairs and returns their
+/// `(baseline_ns, candidate_ns)`. The baseline goes first in even pairs
+/// and the candidate in odd ones, so a machine-load step between the two
+/// halves of a pair favours neither build over the run.
+///
+/// # Errors
+///
+/// Returns the first error either side returns.
+pub fn alternate_pairs<E>(
+    pairs: usize,
+    mut baseline: impl FnMut() -> Result<u64, E>,
+    mut candidate: impl FnMut() -> Result<u64, E>,
+) -> Result<Vec<(u64, u64)>, E> {
+    (0..pairs)
+        .map(|k| {
+            if k % 2 == 0 {
+                let b = baseline()?;
+                Ok((b, candidate()?))
+            } else {
+                let c = candidate()?;
+                Ok((baseline()?, c))
+            }
+        })
+        .collect()
+}
+
+/// What alternating pairs say about one scenario.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairSummary {
+    /// Median of the baseline's per-pair medians, in ns per run.
+    pub baseline_ns: u64,
+    /// Median of the candidate's per-pair medians, in ns per run.
+    pub candidate_ns: u64,
+    /// Lower quartile, median and upper quartile of the per-pair speedups
+    /// `baseline_ns / candidate_ns`. Each ratio is taken inside one pair,
+    /// so a load step that slows both builds alike leaves it at 1.
+    pub speedup: [f64; 3],
+}
+
+/// Summarises `(baseline_ns, candidate_ns)` pairs (see [`PairSummary`]);
+/// quantiles interpolate linearly between the closest ranks.
+///
+/// # Panics
+///
+/// Panics if `pairs` is empty.
+#[must_use]
+pub fn summarize_pairs(pairs: &[(u64, u64)]) -> PairSummary {
+    assert!(!pairs.is_empty(), "no pairs to summarise");
+    let quantile = |mut v: Vec<f64>, q: f64| {
+        v.sort_by(f64::total_cmp);
+        let rank = q * (v.len() - 1) as f64;
+        let (lo, hi) = (v[rank.floor() as usize], v[rank.ceil() as usize]);
+        lo + (hi - lo) * rank.fract()
+    };
+    let ratios: Vec<f64> = pairs.iter().map(|&(b, c)| b as f64 / c as f64).collect();
+    let median_ns = |ns: Vec<f64>| quantile(ns, 0.5).round() as u64;
+    PairSummary {
+        baseline_ns: median_ns(pairs.iter().map(|p| p.0 as f64).collect()),
+        candidate_ns: median_ns(pairs.iter().map(|p| p.1 as f64).collect()),
+        speedup: [0.25, 0.5, 0.75].map(|q| quantile(ratios.clone(), q)),
+    }
+}
+
 /// One entry of a committed baseline file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchEntry {
@@ -532,6 +601,61 @@ mod tests {
         let json = serde_json::to_string_pretty(bus).expect("serialise");
         let back: BenchFile = serde_json::from_str(&json).expect("parse");
         assert_eq!(&back, bus);
+    }
+
+    #[test]
+    fn alternate_pairs_swap_which_build_runs_first() {
+        let log = std::cell::RefCell::new(String::new());
+        let mut n = 0;
+        let pairs = alternate_pairs::<()>(
+            4,
+            || {
+                log.borrow_mut().push('b');
+                Ok(100)
+            },
+            || {
+                log.borrow_mut().push('c');
+                n += 1;
+                Ok(n)
+            },
+        )
+        .unwrap();
+        assert_eq!(log.into_inner(), "bccbbccb");
+        assert_eq!(pairs, vec![(100, 1), (100, 2), (100, 3), (100, 4)]);
+        // A failing side stops the run with its error.
+        let mut calls = 0;
+        let err = alternate_pairs(
+            3,
+            || {
+                calls += 1;
+                if calls == 2 {
+                    Err("boom")
+                } else {
+                    Ok(1)
+                }
+            },
+            || Ok(1),
+        );
+        assert_eq!(err, Err("boom"));
+        assert_eq!(alternate_pairs(2, || Ok(1), || Err("bang")), Err("bang"));
+    }
+
+    #[test]
+    fn pair_summary_takes_medians_of_per_pair_ratios() {
+        // A uniform 1.6x load step on both builds, in three of five pairs:
+        // each build's median moves, every per-pair ratio stays at 1.
+        let stepped = [(100, 100), (160, 160), (160, 160), (100, 100), (160, 160)];
+        let s = summarize_pairs(&stepped);
+        assert_eq!(s.speedup, [1.0, 1.0, 1.0]);
+        assert_eq!((s.baseline_ns, s.candidate_ns), (160, 160));
+        // A candidate 25% slower in every pair reads 0.8 whatever the load.
+        let slower = [(100, 125), (160, 200), (100, 125), (160, 200)];
+        let s = summarize_pairs(&slower);
+        assert!(s.speedup.iter().all(|r| (r - 0.8).abs() < 1e-12), "{s:?}");
+        assert_eq!((s.baseline_ns, s.candidate_ns), (130, 163));
+        // Quartiles interpolate between ranks: ratios 0.5, 1, 1.5, 2.
+        let spread = [(50, 100), (100, 100), (150, 100), (200, 100)];
+        assert_eq!(summarize_pairs(&spread).speedup, [0.875, 1.25, 1.625]);
     }
 
     #[test]

@@ -10,51 +10,28 @@
 //! snooping), while data delivery and processor wake-up keep their real
 //! latencies (memory fetch, response-phase arbitration and transfer).
 //!
-//! The three bus protocols (MSI, MESI and Dragon, see [`BusProtocol`]) make
-//! those updates through one engine, [`ringsim_proto::bus_engine`], which
-//! the model checker drives too; this module keeps the timing, the event
-//! classification and the private-region fast path.
+//! The three bus protocols ([`ProtocolKind::Msi`], [`ProtocolKind::Mesi`]
+//! and [`ProtocolKind::Dragon`]) make those updates through one engine,
+//! [`ringsim_proto::bus_engine`], which the model checker drives too; this
+//! module keeps the timing, the event classification and the
+//! private-region fast path.
 
-use ringsim_bus::{Bus, BusConfig, PhaseKind};
+use ringsim_bus::{Bus, BusConfig, BusStats, PhaseKind};
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
-use ringsim_obs::{LatencyHistogram, Obs};
+use ringsim_obs::Obs;
 use ringsim_proto::bus_engine::{self, BusHost};
 use ringsim_proto::ring_engine::TxnKind;
 use ringsim_proto::ProtocolKind;
-use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
-use ringsim_types::{
-    AccessKind, BlockAddr, CoherenceEvents, ConfigError, FnvMap, NodeId, Region, Time,
-};
+use ringsim_trace::{AddressSpace, Workload, BLOCK_BYTES};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, NodeId, Region, Time};
 
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::front_end::{quantum_horizon, FrontEnd, Step};
+use crate::report::{fraction, LatencyBook, SimReport, TxnClass};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 /// Windowed-accumulator slot for bus arbitration wait (see [`Obs::acc_add`]).
 const ACC_ARB_WAIT: usize = 0;
-
-/// Which coherence protocol the snooping bus runs.
-///
-/// All three share the arbitration, timing and event machinery of
-/// [`BusSystem`]; they differ only in what the snoop does at the
-/// serialisation point, and all three make every such state update through
-/// one engine, [`ringsim_proto::bus_engine`] — the engine the
-/// `ringsim-check` model checker exhausts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BusProtocol {
-    /// The paper's 3-state write-invalidate protocol (MSI).
-    #[default]
-    Msi,
-    /// 4-state MESI: read misses with no other cached copy fill
-    /// clean-exclusive, and a later write hit promotes to modified
-    /// silently — no bus transaction at all.
-    Mesi,
-    /// Dragon write-update: writes to shared lines broadcast the new word
-    /// instead of invalidating, so copies stay valid and the writer
-    /// becomes the shared-modified supplier.
-    Dragon,
-}
 
 /// Configuration of a bus-based system.
 ///
@@ -80,8 +57,11 @@ pub struct BusSystemConfig {
     pub mem_latency: Time,
     /// Dirty-cache supply time.
     pub supply_latency: Time,
-    /// Coherence protocol variant the snoop runs.
-    pub protocol: BusProtocol,
+    /// Coherence protocol the snoop runs: [`ProtocolKind::Msi`] (the
+    /// paper's), [`ProtocolKind::Mesi`] or [`ProtocolKind::Dragon`]. All
+    /// three share the arbitration, timing and event machinery; they differ
+    /// only in what the snoop does at the serialisation point.
+    pub protocol: ProtocolKind,
 }
 
 impl BusSystemConfig {
@@ -95,7 +75,7 @@ impl BusSystemConfig {
             proc_cycle: Time::from_ns(20),
             mem_latency: Time::from_ns(140),
             supply_latency: Time::from_ns(140),
-            protocol: BusProtocol::Msi,
+            protocol: ProtocolKind::Msi,
         }
     }
 
@@ -120,7 +100,7 @@ impl BusSystemConfig {
 
     /// Builder-style protocol override.
     #[must_use]
-    pub fn with_protocol(mut self, protocol: BusProtocol) -> Self {
+    pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
         self.protocol = protocol;
         self
     }
@@ -151,6 +131,12 @@ impl BusSystemConfig {
         {
             return Err(ConfigError::new("timing", "all latencies must be non-zero"));
         }
+        if !self.protocol.is_bus() {
+            return Err(ConfigError::new(
+                "protocol",
+                format!("`{}` is not a bus protocol (msi, mesi or dragon)", self.protocol.name()),
+            ));
+        }
         if self.cache.block_bytes != self.bus.block_bytes {
             return Err(ConfigError::new(
                 "cache.block_bytes",
@@ -167,33 +153,8 @@ struct Txn {
     kind: TxnKind,
     region: Region,
     start: Time,
-    /// Set at the serialisation point: how the miss was served.
-    served: Served,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    Pending,
-    Local,
-    CleanRemote,
-    Dirty,
-}
-
-#[derive(Debug)]
-struct BusNode {
-    stream: NodeStream,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
-    txn: Option<Txn>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
+    /// Set at the serialisation point: how a miss was served.
+    served: TxnClass,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,11 +168,6 @@ enum Event {
     /// The blocked processor's transaction finishes.
     Complete { node: usize },
 }
-
-/// Quantum of lookahead (in time) a processor may run ahead of the global
-/// event clock while it keeps hitting in its cache. Bounds the window in
-/// which a fast-forwarded node could miss a remote invalidation.
-const PROC_QUANTUM: Time = Time::from_ns(200);
 
 /// Snooping-visible state of one block, merged so every bus transaction
 /// resolves ownership, data timing and presence with one map lookup.
@@ -252,7 +208,9 @@ struct BlockState {
 pub struct BusSystem {
     cfg: BusSystemConfig,
     bus: Bus,
-    nodes: Vec<BusNode>,
+    front: FrontEnd,
+    /// Each node's transaction in flight.
+    txns: Vec<Option<Txn>>,
     caches: Vec<Cache>,
     /// Per node, the blocks it holds clean-exclusive (E) — the cache line
     /// is `We`, but the data was never written and memory is still up to
@@ -263,20 +221,13 @@ pub struct BusSystem {
     /// touched (every consumer of ownership, data timing and presence pays
     /// for a single lookup per transaction).
     blocks: FnvMap<u64, BlockState>,
-    /// Nodes past warm-up (measured-window check without a scan).
-    measuring_nodes: usize,
     queue: crate::EventQueue<Event>,
     now: Time,
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
-    snapshot: Option<(ringsim_bus::BusStats, Time)>,
+    book: LatencyBook<BusStats>,
     // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_bus_tl: usize,
-    obs_window: (ringsim_bus::BusStats, Time),
+    obs_window: (BusStats, Time),
     /// Whether retire boundaries run the coherence sanitizer.
     sanitize: bool,
 }
@@ -290,56 +241,29 @@ impl BusSystem {
     /// workload's processor count does not match the bus's node count.
     pub fn new(cfg: BusSystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, bus has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
         let bus = Bus::new(cfg.bus)?;
         let caches = (0..cfg.nodes()).map(|_| Cache::new(cfg.cache)).collect::<Result<_, _>>()?;
-        let nodes = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| BusNode {
-                stream,
-                ready_at: Time::ZERO,
-                instr_carry: 0.0,
-                refs_issued: 0,
-                warmup_refs: spec.warmup_refs_per_proc,
-                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                measuring: false,
-                measure_start: Time::ZERO,
-                busy: Time::ZERO,
-                finish_at: None,
-                txn: None,
-                misses: 0,
-                miss_lat: LatencyHistogram::new(),
-            })
-            .collect();
+        // Caches before streams: in the other order the caches' zeroed
+        // allocations land on heap memory the streams' set-up freed, and
+        // building a 32-processor system took four times as long.
+        let front = FrontEnd::new(workload, cfg.nodes(), cfg.proc_cycle)?;
         Ok(Self {
             cfg,
             bus,
-            nodes,
+            front,
+            txns: vec![None; cfg.nodes()],
             caches,
             excl: vec![FnvMap::default(); cfg.nodes()],
             space,
             blocks: FnvMap::default(),
-            measuring_nodes: 0,
             queue: crate::EventQueue::new(),
             now: Time::ZERO,
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
-            snapshot: None,
+            book: LatencyBook::default(),
             obs: Obs::disabled(),
             sanitize: sanitize::enabled(false),
             obs_bus_tl: usize::MAX,
-            obs_window: (ringsim_bus::BusStats::default(), Time::ZERO),
+            obs_window: (BusStats::default(), Time::ZERO),
         })
     }
 
@@ -353,7 +277,7 @@ impl BusSystem {
 
     /// Runs to completion.
     pub fn run(&mut self) -> SimReport {
-        for i in 0..self.nodes.len() {
+        for i in 0..self.front.len() {
             self.schedule(Time::ZERO, Event::ProcReady { node: i });
         }
         while let Some((t, ev)) = self.queue.pop() {
@@ -364,14 +288,23 @@ impl BusSystem {
                 Event::UpgradeDone { node } => self.upgrade_done(node),
                 Event::Complete { node } => self.complete(node),
             }
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
-                self.snapshot = Some((self.bus.stats(), self.now));
-            }
+            self.book.open_window(&self.front, || (self.bus.stats(), self.now));
             if self.obs.sample_due(self.now) {
                 self.sample_gauges();
             }
         }
-        self.build_report()
+        let stats = self.bus.stats();
+        let protocol = match self.cfg.protocol {
+            ProtocolKind::Msi => "bus-snooping",
+            ProtocolKind::Mesi => "bus-mesi",
+            ProtocolKind::Dragon => "bus-dragon",
+            p @ (ProtocolKind::Snooping | ProtocolKind::Directory | ProtocolKind::Sci) => {
+                unreachable!("{p:?} rejected by BusSystemConfig::validate")
+            }
+        };
+        self.book.report(protocol.into(), &self.front, 0, |base, window| {
+            busy_fractions(stats, base, window)
+        })
     }
 
     /// Pushes one row onto the `"bus"` gauge timeline: busy fractions are
@@ -379,124 +312,79 @@ impl BusSystem {
     fn sample_gauges(&mut self) {
         let stats = self.bus.stats();
         let (prev, since) = self.obs_window;
-        let window = self.now.saturating_sub(since);
-        let frac = |t: Time| {
-            if window.is_zero() {
-                0.0
-            } else {
-                (t.as_ps() as f64 / window.as_ps() as f64).min(1.0)
-            }
-        };
-        let outstanding = self.nodes.iter().filter(|n| n.txn.is_some()).count() as f64;
+        let (busy, addr, data) = busy_fractions(stats, prev, self.now.saturating_sub(since));
+        let outstanding = self.txns.iter().filter(|t| t.is_some()).count() as f64;
         let arb_wait = self.obs.acc_take_mean(ACC_ARB_WAIT);
-        let values = vec![
-            frac(stats.busy.saturating_sub(prev.busy)),
-            frac(stats.address_busy.saturating_sub(prev.address_busy)),
-            frac(stats.data_busy.saturating_sub(prev.data_busy)),
-            outstanding,
-            arb_wait,
-        ];
+        let values = vec![busy, addr, data, outstanding, arb_wait];
         self.obs.sample(self.obs_bus_tl, self.now, values);
         self.obs_window = (stats, self.now);
     }
 
     fn step_processor(&mut self, i: usize) {
-        let horizon = self.now + PROC_QUANTUM;
+        if self.txns[i].is_some() {
+            return;
+        }
+        debug_assert!(
+            self.front.ready_at(i) >= self.now,
+            "a processor resumes no earlier than now"
+        );
+        let horizon = quantum_horizon(self.now);
         loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() {
-                return;
-            }
-            if node.ready_at > horizon {
-                let at = node.ready_at;
-                self.schedule(at, Event::ProcReady { node: i });
-                return;
-            }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at);
-                return;
-            }
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost;
-            }
-            let block = r.addr.block(BLOCK_BYTES);
-            let class = self.caches[i].classify(block, r.kind);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
-                }
-            }
-            match class {
-                AccessClass::Hit => {
-                    // A write hit on a clean-exclusive line silently
-                    // promotes it to modified — the E-state payoff: no bus
-                    // transaction. The directory must still learn that the
-                    // node is now the dirty owner, so the next remote miss
-                    // snoops a cache supply instead of memory.
-                    if r.kind == AccessKind::Write {
-                        bus_engine::write_hit(self, NodeId::new(i), block);
-                    }
-                }
-                AccessClass::Upgrade | AccessClass::Miss => {
-                    let kind = match (class, r.kind) {
-                        (AccessClass::Upgrade, _) => TxnKind::Upgrade,
-                        (_, AccessKind::Read) => TxnKind::Read,
-                        (_, AccessKind::Write) => TxnKind::Write,
-                    };
-                    let start = self.nodes[i].ready_at;
-                    self.nodes[i].txn =
-                        Some(Txn { block, kind, region: r.region, start, served: Served::Pending });
-                    let op = match kind {
-                        TxnKind::Read => "read",
-                        TxnKind::Write => "write",
-                        TxnKind::Upgrade => "upgrade",
-                    };
-                    self.obs.txn_begin(i, op, block.raw(), start);
-                    // Arbitrate for the address phase.
-                    let cycles = if kind == TxnKind::Upgrade {
-                        self.cfg.bus.inval_cycles
-                    } else {
-                        self.cfg.bus.request_cycles
-                    };
-                    let (grant, end) = self.bus.acquire_kind(start, cycles, PhaseKind::Address);
-                    self.obs.acc_add(ACC_ARB_WAIT, grant.saturating_sub(start).as_ns_f64());
-                    self.obs.txn_mark(i, "arbitrate", grant);
-                    let ev = if kind == TxnKind::Upgrade {
-                        Event::UpgradeDone { node: i }
-                    } else {
-                        Event::RequestDone { node: i }
-                    };
-                    self.schedule(end, ev);
+            let r = match self.front.next(i, self.now, horizon, &mut self.book.events) {
+                Step::Ref(r) => r,
+                Step::Sleep(at) => {
+                    self.schedule(at, Event::ProcReady { node: i });
                     return;
                 }
-            }
+                Step::Done => return,
+            };
+            let block = r.addr.block(BLOCK_BYTES);
+            let kind = match (self.caches[i].classify(block, r.kind), r.kind) {
+                (AccessClass::Hit, AccessKind::Read) => continue,
+                // A write hit on a clean-exclusive line silently promotes
+                // it to modified — the E-state payoff: no bus transaction.
+                // The directory must still learn that the node is now the
+                // dirty owner, so the next remote miss snoops a cache
+                // supply instead of memory.
+                (AccessClass::Hit, AccessKind::Write) => {
+                    bus_engine::write_hit(self, NodeId::new(i), block);
+                    continue;
+                }
+                (AccessClass::Upgrade, _) => TxnKind::Upgrade,
+                (AccessClass::Miss, AccessKind::Read) => TxnKind::Read,
+                (AccessClass::Miss, AccessKind::Write) => TxnKind::Write,
+            };
+            let start = self.front.ready_at(i);
+            let served = TxnClass::CleanRemote;
+            self.txns[i] = Some(Txn { block, kind, region: r.region, start, served });
+            let op = match kind {
+                TxnKind::Read => "read",
+                TxnKind::Write => "write",
+                TxnKind::Upgrade => "upgrade",
+            };
+            self.obs.txn_begin(i, op, block.raw(), start);
+            // Arbitrate for the address phase.
+            let (cycles, ev) = if kind == TxnKind::Upgrade {
+                (self.cfg.bus.inval_cycles, Event::UpgradeDone { node: i })
+            } else {
+                (self.cfg.bus.request_cycles, Event::RequestDone { node: i })
+            };
+            let (grant, end) = self.bus.acquire_kind(start, cycles, PhaseKind::Address);
+            self.obs.acc_add(ACC_ARB_WAIT, grant.saturating_sub(start).as_ns_f64());
+            self.obs.txn_mark(i, "arbitrate", grant);
+            self.schedule(end, ev);
+            return;
         }
     }
 
     fn upgrade_done(&mut self, i: usize) {
-        let t = self.nodes[i].txn.expect("upgrade txn");
+        let t = self.txns[i].expect("upgrade txn");
         let block = t.block;
         if !self.caches[i].state_of(block).is_valid() {
             // The line was invalidated while we waited for the bus: the
             // address phase we just completed doubles as the request phase
             // of a write miss.
-            self.nodes[i].txn = Some(Txn { kind: TxnKind::Write, served: Served::Pending, ..t });
+            self.txns[i] = Some(Txn { kind: TxnKind::Write, ..t });
             self.request_done(i);
             return;
         }
@@ -517,15 +405,16 @@ impl BusSystem {
                 (g.others != 0, g.invalidated)
             }
         };
-        if self.nodes[i].measuring {
+        if self.front.measuring(i) {
             let local = t.region == Region::Private || self.home_of(block) == me;
+            let e = &mut self.book.events;
             match (sharers, local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
+                (false, true) => e.upgrade_nosharers_local += 1,
+                (false, false) => e.upgrade_nosharers_remote += 1,
+                (true, true) => e.upgrade_sharers_local += 1,
+                (true, false) => e.upgrade_sharers_remote += 1,
             }
-            self.events.invalidated_copies += invalidated;
+            e.invalidated_copies += invalidated;
         }
         self.schedule(self.now, Event::Complete { node: i });
     }
@@ -533,9 +422,9 @@ impl BusSystem {
     fn request_done(&mut self, i: usize) {
         self.obs.txn_mark(i, "request", self.now);
         let me = NodeId::new(i);
-        let t = self.nodes[i].txn.expect("miss txn");
+        let t = self.txns[i].expect("miss txn");
         let block = t.block;
-        let measuring = self.nodes[i].measuring;
+        let measuring = self.front.measuring(i);
 
         if t.region == Region::Private {
             // Private blocks are only ever touched by their owning node:
@@ -547,16 +436,16 @@ impl BusSystem {
             // out of the directory map entirely (nothing ever reads their
             // entries, and a smaller map makes the shared lookups cheaper).
             if measuring {
-                self.events.private_misses += 1;
+                self.book.events.private_misses += 1;
             }
             let is_write = t.kind != TxnKind::Read;
             let completion = self.now + self.cfg.mem_latency;
-            if let Some(txn) = self.nodes[i].txn.as_mut() {
-                txn.served = Served::Local;
+            if let Some(txn) = self.txns[i].as_mut() {
+                txn.served = TxnClass::Local;
             }
             let state = if is_write {
                 LineState::We
-            } else if self.cfg.protocol == BusProtocol::Msi {
+            } else if self.cfg.protocol == ProtocolKind::Msi {
                 LineState::Rs
             } else {
                 // MESI/Dragon: a private read miss fills clean-exclusive,
@@ -589,7 +478,7 @@ impl BusSystem {
         // interconnects, latency on a bus does not depend on it)
         if measuring {
             let n = self.cfg.nodes();
-            let e = &mut self.events;
+            let e = &mut self.book.events;
             let bucket = match (t.kind, owner) {
                 (TxnKind::Read, Some(d)) if me.dirty_on_path(home, d, n) => &mut e.read_dirty_2,
                 (TxnKind::Read, Some(_)) => &mut e.read_dirty_1,
@@ -612,19 +501,19 @@ impl BusSystem {
         // supply access, memory the fetch; then the data crosses the bus in
         // a response phase, unless the requester's own memory supplies it.
         let served = match owner {
-            Some(_) => Served::Dirty,
-            None if local => Served::Local,
-            None => Served::CleanRemote,
+            Some(_) => TxnClass::Dirty,
+            None if local => TxnClass::Local,
+            None => TxnClass::CleanRemote,
         };
         let access = if owner.is_some() { self.cfg.supply_latency } else { self.cfg.mem_latency };
         let data_at = self.now.max(ready) + access;
-        let completion = if served == Served::Local {
+        let completion = if served == TxnClass::Local {
             data_at
         } else {
             self.bus.acquire_kind(data_at, self.cfg.bus.response_cycles(), PhaseKind::Data).1
         };
         // Record how the miss was served for the class-latency breakdown.
-        if let Some(txn) = self.nodes[i].txn.as_mut() {
+        if let Some(txn) = self.txns[i].as_mut() {
             txn.served = served;
         }
         // --- commit cache state now (serialisation point), deliver later.
@@ -660,56 +549,25 @@ impl BusSystem {
             }
             if measuring {
                 if vhome == me {
-                    self.events.writeback_local += 1;
+                    self.book.events.writeback_local += 1;
                 } else {
-                    self.events.writeback_remote += 1;
+                    self.book.events.writeback_remote += 1;
                 }
             }
         }
     }
 
     fn complete(&mut self, i: usize) {
-        let t = self.nodes[i].txn.take().expect("completing absent txn");
+        let t = self.txns[i].take().expect("completing absent txn");
         if self.sanitize {
             // Snoop resolution is atomic at the serialisation point, so no
             // transient carve-outs are needed: SWMR must hold outright.
             let states: Vec<LineState> = self.caches.iter().map(|c| c.state_of(t.block)).collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(self.now);
-        let latency = self.now.saturating_sub(t.start);
-        if node.measuring {
-            if t.kind == TxnKind::Upgrade {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                self.obs.txn_end(i, "upgrade", "upgrade", self.now);
-            } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                let class = match t.served {
-                    Served::Local => {
-                        self.class_lat.local.record_time(latency);
-                        "local"
-                    }
-                    Served::Dirty => {
-                        self.class_lat.dirty.record_time(latency);
-                        "dirty"
-                    }
-                    _ => {
-                        self.class_lat.clean_remote.record_time(latency);
-                        "clean_remote"
-                    }
-                };
-                self.obs.txn_end(i, "miss", class, self.now);
-            }
-        } else {
-            // Warmup transactions are excluded from every metric, so drop
-            // them from the trace too: spans and histograms must agree.
-            self.obs.txn_abandon(i);
-        }
+        self.front.resume(i, self.now);
+        let class = if t.kind == TxnKind::Upgrade { TxnClass::Upgrade } else { t.served };
+        self.book.record(&mut self.front, &mut self.obs, i, class, t.start, self.now);
         self.step_processor(i);
     }
 
@@ -722,51 +580,17 @@ impl BusSystem {
     pub fn cache_state(&self, i: usize, block: BlockAddr) -> LineState {
         self.caches[i].state_of(block)
     }
+}
 
-    fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
-        let stats = self.bus.stats();
-        let (base, start) = self.snapshot.unwrap_or((ringsim_bus::BusStats::default(), Time::ZERO));
-        let window = sim_end.saturating_sub(start);
-        let busy = stats.busy.saturating_sub(base.busy);
-        let addr_busy = stats.address_busy.saturating_sub(base.address_busy);
-        let data_busy = stats.data_busy.saturating_sub(base.data_busy);
-        let frac = |t: Time| {
-            if window.is_zero() {
-                0.0
-            } else {
-                (t.as_ps() as f64 / window.as_ps() as f64).min(1.0)
-            }
-        };
-        SimReport {
-            protocol: match self.cfg.protocol {
-                BusProtocol::Msi => "bus-snooping".into(),
-                BusProtocol::Mesi => "bus-mesi".into(),
-                BusProtocol::Dragon => "bus-dragon".into(),
-            },
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util: frac(busy),
-            probe_util: frac(addr_busy),
-            block_util: frac(data_busy),
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: 0,
-            per_node,
-        }
-    }
+/// The bus's `(busy, address_busy, data_busy)` time between the counters
+/// `base` and `stats`, as fractions of `window`.
+fn busy_fractions(stats: BusStats, base: BusStats, window: Time) -> (f64, f64, f64) {
+    let frac = |now: Time, then: Time| fraction(now.saturating_sub(then), window);
+    (
+        frac(stats.busy, base.busy),
+        frac(stats.address_busy, base.address_busy),
+        frac(stats.data_busy, base.data_busy),
+    )
 }
 
 /// All three bus protocols as the bus engine's host. A block's entry holds
@@ -775,11 +599,7 @@ impl BusSystem {
 /// it is never snooped and has no owner to record.
 impl BusHost for BusSystem {
     fn protocol(&self) -> ProtocolKind {
-        match self.cfg.protocol {
-            BusProtocol::Msi => ProtocolKind::Msi,
-            BusProtocol::Mesi => ProtocolKind::Mesi,
-            BusProtocol::Dragon => ProtocolKind::Dragon,
-        }
+        self.cfg.protocol
     }
 
     fn caches(&mut self) -> &mut [Cache] {
@@ -853,7 +673,7 @@ impl Simulator for BusSystem {
     fn run(&mut self, opts: &RunOptions) -> RunOutcome {
         self.sanitize = sanitize::enabled(opts.sanitize);
         if let Some(cfg) = opts.obs {
-            self.obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs = Obs::enabled(cfg, self.front.len());
             self.obs_bus_tl = self.obs.add_timeline(
                 "bus",
                 &["busy", "addr_busy", "data_busy", "outstanding", "arb_wait_ns"],
@@ -870,7 +690,7 @@ mod tests {
     use ringsim_trace::WorkloadSpec;
 
     fn run(nodes: usize, refs: u64, mips: u64) -> SimReport {
-        run_proto(BusProtocol::Msi, nodes, refs, mips)
+        run_proto(ProtocolKind::Msi, nodes, refs, mips)
     }
 
     #[test]
@@ -910,7 +730,7 @@ mod tests {
         assert!((r.probe_util + r.block_util - r.ring_util).abs() < 1e-9);
     }
 
-    fn run_proto(p: BusProtocol, nodes: usize, refs: u64, mips: u64) -> SimReport {
+    fn run_proto(p: ProtocolKind, nodes: usize, refs: u64, mips: u64) -> SimReport {
         let cfg = BusSystemConfig::bus_100mhz(nodes).with_mips(mips).with_protocol(p);
         let w = Workload::new(WorkloadSpec::demo(nodes).with_refs(refs)).unwrap();
         BusSystem::new(cfg, w).unwrap().run()
@@ -925,8 +745,8 @@ mod tests {
 
     #[test]
     fn mesi_silent_promotion_cuts_upgrade_transactions() {
-        let msi = run_proto(BusProtocol::Msi, 4, 3_000, 100);
-        let mesi = run_proto(BusProtocol::Mesi, 4, 3_000, 100);
+        let msi = run_proto(ProtocolKind::Msi, 4, 3_000, 100);
+        let mesi = run_proto(ProtocolKind::Mesi, 4, 3_000, 100);
         assert_eq!(mesi.protocol, "bus-mesi");
         assert_eq!(mesi.events.data_refs(), msi.events.data_refs());
         // Read-then-write on a sole copy fills clean-exclusive and
@@ -941,8 +761,8 @@ mod tests {
 
     #[test]
     fn dragon_updates_instead_of_invalidating() {
-        let msi = run_proto(BusProtocol::Msi, 4, 3_000, 100);
-        let dragon = run_proto(BusProtocol::Dragon, 4, 3_000, 100);
+        let msi = run_proto(ProtocolKind::Msi, 4, 3_000, 100);
+        let dragon = run_proto(ProtocolKind::Dragon, 4, 3_000, 100);
         assert_eq!(dragon.protocol, "bus-dragon");
         assert_eq!(dragon.events.data_refs(), msi.events.data_refs());
         assert_eq!(dragon.events.invalidated_copies, 0);
@@ -957,11 +777,24 @@ mod tests {
 
     #[test]
     fn protocol_variants_are_deterministic() {
-        for p in [BusProtocol::Msi, BusProtocol::Mesi, BusProtocol::Dragon] {
+        for p in [ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Dragon] {
             let a = run_proto(p, 4, 2_000, 100);
             let b = run_proto(p, 4, 2_000, 100);
             assert_eq!(a.sim_end, b.sim_end, "{p:?}");
             assert_eq!(a.events, b.events, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_protocol_the_bus_cannot_run() {
+        for p in [ProtocolKind::Snooping, ProtocolKind::Directory, ProtocolKind::Sci] {
+            let err = BusSystemConfig::bus_50mhz(4).with_protocol(p).validate().unwrap_err();
+            assert_eq!(err.field(), "protocol", "{p:?}");
+            let w = Workload::new(WorkloadSpec::demo(4)).unwrap();
+            assert!(BusSystem::new(BusSystemConfig::bus_50mhz(4).with_protocol(p), w).is_err());
+        }
+        for p in [ProtocolKind::Msi, ProtocolKind::Mesi, ProtocolKind::Dragon] {
+            BusSystemConfig::bus_50mhz(4).with_protocol(p).validate().unwrap();
         }
     }
 

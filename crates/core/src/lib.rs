@@ -35,6 +35,7 @@ mod bus_system;
 mod collections;
 mod config;
 mod engine;
+mod front_end;
 mod hier_net;
 mod report;
 mod ring_system;
@@ -43,7 +44,7 @@ mod sci_system;
 mod simulator;
 
 pub use access_net::{AccessNetConfig, AccessNetReport, InsertionNetSim, SlottedNetSim};
-pub use bus_system::{BusProtocol, BusSystem, BusSystemConfig};
+pub use bus_system::{BusSystem, BusSystemConfig};
 pub use collections::{RingBuf, RingBufIter};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use engine::EventQueue;

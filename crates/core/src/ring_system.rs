@@ -25,20 +25,20 @@
 use std::collections::{HashMap, HashSet};
 
 use ringsim_cache::{AccessClass, CacheBank, LineState};
-use ringsim_obs::{LatencyHistogram, Obs};
+use ringsim_obs::Obs;
 use ringsim_proto::ring_engine::{
     self, Admit, Eviction, HomeStep, ProbeReturn, RingEngine, RingHost, SnoopIssue, TxnKind,
 };
 use ringsim_proto::transitions::{DirAction, DirRequest, HomeSnoopAction, SnoopAction};
 use ringsim_proto::{HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
-use ringsim_ring::{SlotId, SlotKind, SlotRing};
-use ringsim_trace::{AddressSpace, NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
+use ringsim_ring::{RingStats, SlotId, SlotKind, SlotRing};
+use ringsim_trace::{AddressSpace, Workload, BLOCK_BYTES};
 use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
 
 use crate::collections::RingBuf;
 use crate::config::SystemConfig;
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::front_end::{FrontEnd, Step};
+use crate::report::{LatencyBook, SimReport, TxnClass};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
@@ -60,24 +60,12 @@ type Txn = ring_engine::Txn<Timing>;
 
 #[derive(Debug)]
 struct Node {
-    stream: NodeStream,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
     txn: Option<Txn>,
     probe_q: RingBuf<RingMessage>,
     block_q: RingBuf<RingMessage>,
     /// Dirty blocks evicted but not yet acknowledged by the home
     /// (directory mode): forwards are served from here.
     wb_buffer: HashSet<u64>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +102,7 @@ enum Event {
 pub struct RingSystem {
     cfg: SystemConfig,
     ring: SlotRing<RingMessage>,
+    front: FrontEnd,
     nodes: Vec<Node>,
     /// Every node's cache, line-interleaved: a probe passing all nodes
     /// reads one short run of memory.
@@ -138,14 +127,8 @@ pub struct RingSystem {
     /// caller with the step's timing.
     outbox: Vec<RingMessage>,
     queue: crate::EventQueue<Event>,
-    // Metrics.
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
+    book: LatencyBook<RingStats>,
     retries: u64,
-    snapshot: Option<(ringsim_ring::RingStats, Time)>,
     // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_ring_tl: usize,
@@ -160,10 +143,6 @@ pub struct RingSystem {
     /// ascending node order — the inner loop visits only those instead of
     /// querying every node every cycle.
     arrival_sched: Vec<Vec<(NodeId, SlotId)>>,
-    /// Nodes whose `finish_at` is set (termination check without a scan).
-    finished_nodes: usize,
-    /// Nodes past warm-up (measured-window check without a scan).
-    measuring_nodes: usize,
     /// Earliest ring cycle at which each processor could issue again
     /// (`u64::MAX` while a transaction is in flight or the node has
     /// finished). Lets the per-cycle processor pass skip blocked nodes
@@ -186,38 +165,18 @@ impl RingSystem {
     /// workload's processor count does not match the ring's node count.
     pub fn new(cfg: SystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, ring has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
         let ring = SlotRing::new(cfg.ring)?;
-        let nodes: Vec<Node> = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| Node {
-                stream,
-                ready_at: Time::ZERO,
-                instr_carry: 0.0,
-                refs_issued: 0,
-                warmup_refs: spec.warmup_refs_per_proc,
-                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                measuring: false,
-                measure_start: Time::ZERO,
-                busy: Time::ZERO,
-                finish_at: None,
+        let front = FrontEnd::new(workload, cfg.nodes(), cfg.proc_cycle)?;
+        let n = front.len();
+        let nodes = (0..n)
+            .map(|_| Node {
                 txn: None,
                 probe_q: RingBuf::new(),
                 block_q: RingBuf::new(),
                 wb_buffer: HashSet::new(),
-                misses: 0,
-                miss_lat: LatencyHistogram::new(),
             })
             .collect();
-        let n = nodes.len();
         let arrival_sched = ring.layout().arrival_schedule();
         let slot_home = vec![NodeId::new(0); ring.layout().slot_count()];
         Ok(Self {
@@ -228,26 +187,20 @@ impl RingSystem {
             queued_block: 0,
             cfg,
             ring,
+            front,
             nodes,
             space,
             mem: HomeMemory::new(),
             outbox: Vec::new(),
             queue: crate::EventQueue::new(),
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
+            book: LatencyBook::default(),
             retries: 0,
-            snapshot: None,
             obs: Obs::disabled(),
             obs_ring_tl: usize::MAX,
             sanitize: sanitize::enabled(false),
             last_progress_cycle: 0,
             bank_free_at: vec![Time::ZERO; n],
             arrival_sched,
-            finished_nodes: 0,
-            measuring_nodes: 0,
             wake_at: vec![0; n],
             min_wake: 0,
             runnable: if n == 64 { u64::MAX } else { (1 << n) - 1 },
@@ -324,7 +277,7 @@ impl RingSystem {
                 self.obs.sample(self.obs_ring_tl, now, values);
             }
             // 5. termination / watchdog.
-            if self.finished_nodes == self.nodes.len() {
+            if self.front.all_finished() {
                 break;
             }
             if self.ring.cycle() - self.last_progress_cycle > 4_000_000 {
@@ -337,11 +290,29 @@ impl RingSystem {
             self.ring.advance();
             // Start the measured ring-utilisation window once every node has
             // warmed up.
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
-                self.snapshot = Some((self.ring.stats(), self.ring.now()));
-            }
+            self.book.open_window(&self.front, || (self.ring.stats(), self.ring.now()));
         }
-        self.build_report()
+        let total = self.ring.stats();
+        self.book.report(
+            self.cfg.protocol.name().to_owned(),
+            &self.front,
+            self.retries,
+            |base, _| {
+                let window = RingStats {
+                    cycles: total.cycles - base.cycles,
+                    inserted: total.inserted - base.inserted,
+                    removed: total.removed - base.removed,
+                    occupied_slot_cycles: total.occupied_slot_cycles - base.occupied_slot_cycles,
+                    occupied_probe_cycles: total.occupied_probe_cycles - base.occupied_probe_cycles,
+                    occupied_block_cycles: total.occupied_block_cycles - base.occupied_block_cycles,
+                };
+                (
+                    window.slot_utilization(self.ring.layout().slot_count()),
+                    window.probe_utilization(self.ring.probe_slots()),
+                    window.block_utilization(self.ring.block_slots()),
+                )
+            },
+        )
     }
 
     fn diagnostics(&self) -> Vec<String> {
@@ -374,12 +345,11 @@ impl RingSystem {
     /// early-return guard. It also keeps `min_wake` a lower bound of every
     /// `wake_at`, so skipping the whole pass below it is equivalent too.
     fn refresh_wake(&mut self, i: usize) {
-        let node = &self.nodes[i];
-        self.wake_at[i] = if node.txn.is_some() || node.finish_at.is_some() {
+        self.wake_at[i] = if self.nodes[i].txn.is_some() || self.front.finished(i) {
             u64::MAX
         } else {
             let period = self.ring.config().clock_period.as_ps();
-            node.ready_at.as_ps().div_ceil(period)
+            self.front.ready_at(i).as_ps().div_ceil(period)
         };
         self.min_wake = self.min_wake.min(self.wake_at[i]);
         if self.wake_at[i] == u64::MAX {
@@ -390,77 +360,40 @@ impl RingSystem {
     }
 
     fn step_processor(&mut self, i: usize, now: Time) {
-        loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() || node.ready_at > now {
-                return;
-            }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at.max(now));
-                self.finished_nodes += 1;
-                return;
-            }
-            // Instruction time for this data reference (instruction fetches
-            // never miss; fractional instruction counts carry over).
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost; // this reference is the first measured one
-            }
+        if self.nodes[i].txn.is_some() {
+            return;
+        }
+        while let Step::Ref(r) = self.front.next(i, now, now, &mut self.book.events) {
             let block = r.addr.block(BLOCK_BYTES);
-            let class = self.caches.classify(i, block, r.kind);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
-                }
-            }
-            match class {
-                AccessClass::Hit => {}
-                AccessClass::Upgrade | AccessClass::Miss => {
-                    let kind = match (class, r.kind) {
-                        (AccessClass::Upgrade, _) => TxnKind::Upgrade,
-                        (_, AccessKind::Read) => TxnKind::Read,
-                        (_, AccessKind::Write) => TxnKind::Write,
-                    };
-                    let start = self.nodes[i].ready_at;
-                    self.nodes[i].txn = Some(Txn {
-                        block,
-                        kind,
-                        poisoned: false,
-                        self_owner: false,
-                        ext: Timing {
-                            region: r.region,
-                            start,
-                            local_path: false,
-                            local_data_ready: Time::ZERO,
-                            invalidated: 0,
-                            retries: 0,
-                        },
-                    });
-                    let op = match kind {
-                        TxnKind::Read => "read",
-                        TxnKind::Write => "write",
-                        TxnKind::Upgrade => "upgrade",
-                    };
-                    self.obs.txn_begin(i, op, block.raw(), start);
-                    self.issue_txn(i, now.max(start));
-                    return;
-                }
-            }
+            let kind = match (self.caches.classify(i, block, r.kind), r.kind) {
+                (AccessClass::Hit, _) => continue,
+                (AccessClass::Upgrade, _) => TxnKind::Upgrade,
+                (AccessClass::Miss, AccessKind::Read) => TxnKind::Read,
+                (AccessClass::Miss, AccessKind::Write) => TxnKind::Write,
+            };
+            let start = self.front.ready_at(i);
+            self.nodes[i].txn = Some(Txn {
+                block,
+                kind,
+                poisoned: false,
+                self_owner: false,
+                ext: Timing {
+                    region: r.region,
+                    start,
+                    local_path: false,
+                    local_data_ready: Time::ZERO,
+                    invalidated: 0,
+                    retries: 0,
+                },
+            });
+            let op = match kind {
+                TxnKind::Read => "read",
+                TxnKind::Write => "write",
+                TxnKind::Upgrade => "upgrade",
+            };
+            self.obs.txn_begin(i, op, block.raw(), start);
+            self.issue_txn(i, now.max(start));
+            return;
         }
     }
 
@@ -830,11 +763,11 @@ impl RingSystem {
     }
 
     fn count_writeback(&mut self, i: usize, local: bool) {
-        if self.nodes[i].measuring {
+        if self.front.measuring(i) {
             if local {
-                self.events.writeback_local += 1;
+                self.book.events.writeback_local += 1;
             } else {
-                self.events.writeback_remote += 1;
+                self.book.events.writeback_remote += 1;
             }
         }
     }
@@ -848,46 +781,24 @@ impl RingSystem {
         if self.sanitize {
             self.sanitize_retired_block(t.block);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(done);
+        self.front.resume(i, done);
         self.last_progress_cycle = self.ring.cycle();
-        let latency = done.saturating_sub(t.ext.start);
-        if node.measuring {
-            let is_upgrade_final = t.kind == TxnKind::Upgrade;
-            let class;
-            if is_upgrade_final {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                class = "upgrade";
-            } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                // Class bucket from the requester's observations. A reply
-                // whose source is the requester itself came from the local
-                // home (directory mode serves local misses without the
-                // ring).
-                let me = NodeId::new(i);
-                if t.ext.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
-                    self.class_lat.local.record_time(latency);
-                    class = "local";
-                } else if reply.is_some_and(|m| m.from_dirty) {
-                    self.class_lat.dirty.record_time(latency);
-                    class = "dirty";
-                } else {
-                    self.class_lat.clean_remote.record_time(latency);
-                    class = "clean_remote";
-                }
-            }
-            self.obs.txn_end(i, if is_upgrade_final { "upgrade" } else { "miss" }, class, done);
-            if self.cfg.protocol == ProtocolKind::Snooping {
-                self.classify_snooping(i, &t, reply);
-            }
+        // Class bucket from the requester's observations. A reply whose
+        // source is the requester itself came from the local home
+        // (directory mode serves local misses without the ring).
+        let me = NodeId::new(i);
+        let class = if t.kind == TxnKind::Upgrade {
+            TxnClass::Upgrade
+        } else if t.ext.local_path || reply.is_some_and(|m| m.src == me && !m.from_dirty) {
+            TxnClass::Local
+        } else if reply.is_some_and(|m| m.from_dirty) {
+            TxnClass::Dirty
         } else {
-            // Warmup transactions do not count toward any metric; keep the
-            // trace consistent with the histograms by dropping them too.
-            self.obs.txn_abandon(i);
+            TxnClass::CleanRemote
+        };
+        self.book.record(&mut self.front, &mut self.obs, i, class, t.ext.start, done);
+        if self.front.measuring(i) && self.cfg.protocol == ProtocolKind::Snooping {
+            self.classify_snooping(i, &t, reply);
         }
         self.refresh_wake(i);
     }
@@ -899,7 +810,7 @@ impl RingSystem {
         let block = t.block;
         let home = self.home_of(block);
         let local = home == me;
-        let ev = &mut self.events;
+        let ev = &mut self.book.events;
         match t.ext.region {
             Region::Private => {
                 if t.kind != TxnKind::Upgrade {
@@ -982,15 +893,15 @@ impl RingSystem {
             return;
         };
         self.obs.txn_mark(requester.index(), "home", now);
-        let node = &self.nodes[requester.index()];
-        if !node.measuring {
+        if !self.front.measuring(requester.index()) {
             return;
         }
-        let private = node.txn.is_some_and(|t| t.ext.region == Region::Private);
+        let private =
+            self.nodes[requester.index()].txn.is_some_and(|t| t.ext.region == Region::Private);
         let home = self.home_of(block);
         let local = home == requester;
         let n = self.cfg.nodes();
-        let ev = &mut self.events;
+        let ev = &mut self.book.events;
         let sharers = |ev: &mut CoherenceEvents, upgrade: bool| {
             let counter = match (upgrade, others != 0, local) {
                 (false, false, true) => &mut ev.write_nosharers_local,
@@ -1043,44 +954,6 @@ impl RingSystem {
 
     // ------------------------------------------------------------ report
 
-    fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
-        let total_stats = self.ring.stats();
-        let (base, _) = self.snapshot.unwrap_or((ringsim_ring::RingStats::default(), Time::ZERO));
-        let window = ringsim_ring::RingStats {
-            cycles: total_stats.cycles - base.cycles,
-            inserted: total_stats.inserted - base.inserted,
-            removed: total_stats.removed - base.removed,
-            occupied_slot_cycles: total_stats.occupied_slot_cycles - base.occupied_slot_cycles,
-            occupied_probe_cycles: total_stats.occupied_probe_cycles - base.occupied_probe_cycles,
-            occupied_block_cycles: total_stats.occupied_block_cycles - base.occupied_block_cycles,
-        };
-        SimReport {
-            protocol: self.cfg.protocol.name().to_owned(),
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util: window.slot_utilization(self.ring.layout().slot_count()),
-            probe_util: window.probe_utilization(self.ring.probe_slots()),
-            block_util: window.block_utilization(self.ring.block_slots()),
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: self.retries,
-            per_node,
-        }
-    }
-
     /// Coherence state of `block` in node `i`'s cache (inspection hook for
     /// tests and tools).
     ///
@@ -1096,7 +969,7 @@ impl RingSystem {
     /// report).
     #[must_use]
     pub fn events(&self) -> CoherenceEvents {
-        self.events
+        self.book.events
     }
 
     /// Runtime sanitizer hook: re-checks the shared coherence invariants

@@ -27,28 +27,21 @@
 //! completed transaction.
 
 use ringsim_cache::LineState;
-use ringsim_obs::{LatencyHistogram, Obs};
+use ringsim_obs::Obs;
 use ringsim_proto::ring_engine::TxnKind;
 use ringsim_proto::sci::{SciDirectory, SciHost, SciStep};
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
-use ringsim_trace::{NodeStream, Workload, BLOCK_BYTES};
-use ringsim_types::stats::RunningMean;
-use ringsim_types::{
-    AccessKind, BlockAddr, CoherenceEvents, ConfigError, FnvMap, MemRef, NodeId, Region, Time,
-};
+use ringsim_trace::{Workload, BLOCK_BYTES};
+use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, MemRef, NodeId, Region, Time};
 
-use crate::report::{ClassLatencies, NodeMeasure, SimReport};
+use crate::front_end::{quantum_horizon, FrontEnd, Step};
+use crate::report::{fraction, LatencyBook, SimReport, TxnClass};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
 
 /// Windowed-accumulator slot for home-queue wait (see [`Obs::acc_add`]).
 const ACC_HOME_WAIT: usize = 0;
-
-/// Quantum of lookahead a processor may run ahead of the global event
-/// clock while it keeps hitting in its cache (same bound as the bus
-/// simulator).
-const PROC_QUANTUM: Time = Time::from_ns(200);
 
 /// Configuration of an SCI linked-list-directory ring system.
 ///
@@ -138,33 +131,8 @@ impl SciSystemConfig {
 #[derive(Debug, Clone, Copy)]
 struct Txn {
     block: BlockAddr,
-    upgrade: bool,
     start: Time,
-    served: Served,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Served {
-    Local,
-    CleanRemote,
-    Dirty,
-}
-
-#[derive(Debug)]
-struct SciNode {
-    stream: NodeStream,
-    ready_at: Time,
-    instr_carry: f64,
-    refs_issued: u64,
-    warmup_refs: u64,
-    total_refs: u64,
-    measuring: bool,
-    measure_start: Time,
-    busy: Time,
-    finish_at: Option<Time>,
-    txn: Option<Txn>,
-    misses: u64,
-    miss_lat: LatencyHistogram,
+    class: TxnClass,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,26 +161,21 @@ pub struct SciRingSystem {
     /// Protocol truth: caches + sharing lists + traversal accounting,
     /// served by the SCI engine.
     dir: SciDirectory<Box<dyn Fn(BlockAddr) -> NodeId>>,
-    nodes: Vec<SciNode>,
+    front: FrontEnd,
+    /// Each node's transaction in flight.
+    txns: Vec<Option<Txn>>,
     /// Per-block home-queue serialisation: earliest time the home will
     /// admit the block's next transaction. Private blocks are skipped
     /// (their single user serialises itself).
     block_free: FnvMap<u64, Time>,
     /// One full ring rotation at the configured clock.
     revolution: Time,
-    measuring_nodes: usize,
     queue: crate::EventQueue<Event>,
     now: Time,
     /// Total in-flight ring time charged so far (for utilisation).
     travel: Time,
-    /// `(travel, now)` at the instant every node entered its measured
-    /// window.
-    snapshot: Option<(Time, Time)>,
-    miss_lat: RunningMean,
-    miss_hist: LatencyHistogram,
-    upg_lat: RunningMean,
-    class_lat: ClassLatencies,
-    events: CoherenceEvents,
+    /// Latencies and events; its measured window starts from `travel`.
+    book: LatencyBook<Time>,
     // Telemetry (no-op unless a run asked for it).
     obs: Obs,
     obs_sci_tl: usize,
@@ -230,53 +193,24 @@ impl SciRingSystem {
     /// workload's processor count does not match the ring's node count.
     pub fn new(cfg: SciSystemConfig, workload: Workload) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        if workload.procs() != cfg.nodes() {
-            return Err(ConfigError::new(
-                "workload.procs",
-                format!("workload has {} processors, ring has {}", workload.procs(), cfg.nodes()),
-            ));
-        }
-        let spec = workload.spec().clone();
         let space = workload.space();
         let layout = cfg.ring.layout()?;
         let revolution = cfg.ring.clock_period * layout.round_trip_cycles() as u64;
         let home: Box<dyn Fn(BlockAddr) -> NodeId> = Box::new(move |b| space.home_of_block(b));
         let dir = SciDirectory::new(layout, home)?;
-        let nodes = workload
-            .into_streams()
-            .into_iter()
-            .map(|stream| SciNode {
-                stream,
-                ready_at: Time::ZERO,
-                instr_carry: 0.0,
-                refs_issued: 0,
-                warmup_refs: spec.warmup_refs_per_proc,
-                total_refs: spec.warmup_refs_per_proc + spec.data_refs_per_proc,
-                measuring: false,
-                measure_start: Time::ZERO,
-                busy: Time::ZERO,
-                finish_at: None,
-                txn: None,
-                misses: 0,
-                miss_lat: LatencyHistogram::new(),
-            })
-            .collect();
+        // Caches before streams, as in `BusSystem::new`.
+        let front = FrontEnd::new(workload, cfg.nodes(), cfg.proc_cycle)?;
         Ok(Self {
             cfg,
             dir,
-            nodes,
+            front,
+            txns: vec![None; cfg.nodes()],
             block_free: FnvMap::default(),
             revolution,
-            measuring_nodes: 0,
             queue: crate::EventQueue::new(),
             now: Time::ZERO,
             travel: Time::ZERO,
-            snapshot: None,
-            miss_lat: RunningMean::default(),
-            miss_hist: LatencyHistogram::new(),
-            upg_lat: RunningMean::default(),
-            class_lat: ClassLatencies::default(),
-            events: CoherenceEvents::default(),
+            book: LatencyBook::default(),
             obs: Obs::disabled(),
             sanitize: sanitize::enabled(false),
             obs_sci_tl: usize::MAX,
@@ -307,7 +241,7 @@ impl SciRingSystem {
 
     /// Runs to completion.
     pub fn run(&mut self) -> SimReport {
-        for i in 0..self.nodes.len() {
+        for i in 0..self.front.len() {
             self.schedule(Time::ZERO, Event::ProcReady { node: i });
         }
         while let Some((t, ev)) = self.queue.pop() {
@@ -316,73 +250,51 @@ impl SciRingSystem {
                 Event::ProcReady { node } => self.step_processor(node),
                 Event::Complete { node } => self.complete(node),
             }
-            if self.snapshot.is_none() && self.measuring_nodes == self.nodes.len() {
-                self.snapshot = Some((self.travel, self.now));
-            }
+            self.book.open_window(&self.front, || (self.travel, self.now));
             if self.obs.sample_due(self.now) {
                 self.sample_gauges();
             }
         }
-        self.build_report()
+        let travel = self.travel;
+        self.book.report("sci-linked-list".into(), &self.front, 0, |base, window| {
+            let ring_util = fraction(travel.saturating_sub(base), window);
+            // SCI messages are point-to-point packets on one ring; the
+            // request/data split of the slotted-ring backends does not
+            // apply, so all travel is reported as probe traffic.
+            (ring_util, ring_util, 0.0)
+        })
     }
 
     /// Pushes one row onto the `"sci"` gauge timeline: the travel fraction
     /// is the delta over the window since the previous sample.
     fn sample_gauges(&mut self) {
         let (prev, since) = self.obs_window;
-        let window = self.now.saturating_sub(since);
-        let frac = if window.is_zero() {
-            0.0
-        } else {
-            (self.travel.saturating_sub(prev).as_ps() as f64 / window.as_ps() as f64).min(1.0)
-        };
-        let outstanding = self.nodes.iter().filter(|n| n.txn.is_some()).count() as f64;
+        let frac = fraction(self.travel.saturating_sub(prev), self.now.saturating_sub(since));
+        let outstanding = self.txns.iter().filter(|t| t.is_some()).count() as f64;
         let wait = self.obs.acc_take_mean(ACC_HOME_WAIT);
         self.obs.sample(self.obs_sci_tl, self.now, vec![frac, outstanding, wait]);
         self.obs_window = (self.travel, self.now);
     }
 
     fn step_processor(&mut self, i: usize) {
-        let horizon = self.now + PROC_QUANTUM;
+        if self.txns[i].is_some() {
+            return;
+        }
+        debug_assert!(
+            self.front.ready_at(i) >= self.now,
+            "a processor resumes no earlier than now"
+        );
+        let horizon = quantum_horizon(self.now);
         loop {
-            let node = &mut self.nodes[i];
-            if node.finish_at.is_some() || node.txn.is_some() {
-                return;
-            }
-            if node.ready_at > horizon {
-                let at = node.ready_at;
-                self.schedule(at, Event::ProcReady { node: i });
-                return;
-            }
-            if node.refs_issued == node.total_refs {
-                node.finish_at = Some(node.ready_at);
-                return;
-            }
-            let icycles = node.instr_carry + node.stream.instr_per_data();
-            let whole = icycles.floor();
-            node.instr_carry = icycles - whole;
-            let cost = self.cfg.proc_cycle * (1 + whole as u64);
-            if node.measuring {
-                node.busy += cost;
-            }
-            node.ready_at += cost;
-            let r = node.stream.next_ref();
-            node.refs_issued += 1;
-            if !node.measuring && node.refs_issued > node.warmup_refs {
-                node.measuring = true;
-                self.measuring_nodes += 1;
-                node.measure_start = node.ready_at;
-                node.busy = cost;
-            }
-            let block = r.addr.block(BLOCK_BYTES);
-            if node.measuring {
-                match (r.region, r.kind) {
-                    (Region::Private, AccessKind::Read) => self.events.private_reads += 1,
-                    (Region::Private, AccessKind::Write) => self.events.private_writes += 1,
-                    (Region::Shared, AccessKind::Read) => self.events.shared_reads += 1,
-                    (Region::Shared, AccessKind::Write) => self.events.shared_writes += 1,
+            let r = match self.front.next(i, self.now, horizon, &mut self.book.events) {
+                Step::Ref(r) => r,
+                Step::Sleep(at) => {
+                    self.schedule(at, Event::ProcReady { node: i });
+                    return;
                 }
-            }
+                Step::Done => return,
+            };
+            let block = r.addr.block(BLOCK_BYTES);
             // The serialisation point: the home admits the request and the
             // engine applies list + cache mutations atomically; only the
             // latencies play out in event time.
@@ -396,8 +308,8 @@ impl SciRingSystem {
 
     fn issue_txn(&mut self, i: usize, r: MemRef, block: BlockAddr, step: SciStep) {
         let local = self.dir.home_of(block) == NodeId::new(i);
-        let measuring = self.nodes[i].measuring;
-        let start = self.nodes[i].ready_at;
+        let measuring = self.front.measuring(i);
+        let start = self.front.ready_at(i);
         let is_upgrade = step.kind == TxnKind::Upgrade;
 
         self.obs.txn_begin(i, if is_upgrade { "upgrade" } else { "miss" }, block.raw(), start);
@@ -426,143 +338,77 @@ impl SciRingSystem {
 
         // Event classification, mirroring the other backends' buckets.
         if measuring {
+            let e = &mut self.book.events;
             if r.region == Region::Private {
                 if is_upgrade {
-                    self.events.upgrade_nosharers_local += 1;
+                    e.upgrade_nosharers_local += 1;
                 } else {
-                    self.events.private_misses += 1;
+                    e.private_misses += 1;
                 }
             } else if is_upgrade {
                 match (step.invalidated > 0, local) {
-                    (false, true) => self.events.upgrade_nosharers_local += 1,
-                    (false, false) => self.events.upgrade_nosharers_remote += 1,
-                    (true, true) => self.events.upgrade_sharers_local += 1,
-                    (true, false) => self.events.upgrade_sharers_remote += 1,
+                    (false, true) => e.upgrade_nosharers_local += 1,
+                    (false, false) => e.upgrade_nosharers_remote += 1,
+                    (true, true) => e.upgrade_sharers_local += 1,
+                    (true, false) => e.upgrade_sharers_remote += 1,
                 }
-                self.events.invalidated_copies += step.invalidated as u64;
+                e.invalidated_copies += step.invalidated as u64;
             } else if r.kind == AccessKind::Read {
                 if step.dirty_supply {
                     if step.traversals >= 2 {
-                        self.events.read_dirty_2 += 1;
+                        e.read_dirty_2 += 1;
                     } else {
-                        self.events.read_dirty_1 += 1;
+                        e.read_dirty_1 += 1;
                     }
                 } else if local {
-                    self.events.read_clean_local += 1;
+                    e.read_clean_local += 1;
                 } else {
-                    self.events.read_clean_remote += 1;
+                    e.read_clean_remote += 1;
                 }
             } else {
                 if step.dirty_supply {
                     if step.traversals >= 2 {
-                        self.events.write_dirty_2 += 1;
+                        e.write_dirty_2 += 1;
                     } else {
-                        self.events.write_dirty_1 += 1;
+                        e.write_dirty_1 += 1;
                     }
                 } else {
                     match (step.invalidated > 0, local) {
-                        (false, true) => self.events.write_nosharers_local += 1,
-                        (false, false) => self.events.write_nosharers_remote += 1,
-                        (true, true) => self.events.write_sharers_local += 1,
-                        (true, false) => self.events.write_sharers_remote += 1,
+                        (false, true) => e.write_nosharers_local += 1,
+                        (false, false) => e.write_nosharers_remote += 1,
+                        (true, true) => e.write_sharers_local += 1,
+                        (true, false) => e.write_sharers_remote += 1,
                     }
                 }
-                self.events.invalidated_copies += step.invalidated as u64;
+                e.invalidated_copies += step.invalidated as u64;
             }
         }
 
-        let served = if step.dirty_supply {
-            Served::Dirty
+        let class = if is_upgrade {
+            TxnClass::Upgrade
+        } else if step.dirty_supply {
+            TxnClass::Dirty
         } else if local {
-            Served::Local
+            TxnClass::Local
         } else {
-            Served::CleanRemote
+            TxnClass::CleanRemote
         };
-        self.nodes[i].txn = Some(Txn { block, upgrade: is_upgrade, start, served });
+        self.txns[i] = Some(Txn { block, start, class });
         self.schedule(completion, Event::Complete { node: i });
     }
 
     fn complete(&mut self, i: usize) {
-        let t = self.nodes[i].txn.take().expect("completing absent txn");
+        let t = self.txns[i].take().expect("completing absent txn");
         if self.sanitize {
             // List and cache mutations are atomic at the serialisation
             // point, so SWMR must hold outright at every retire.
             let states: Vec<LineState> =
-                (0..self.nodes.len()).map(|j| self.dir.state_of(NodeId::new(j), t.block)).collect();
+                (0..self.txns.len()).map(|j| self.dir.state_of(NodeId::new(j), t.block)).collect();
             sanitize::check_swmr(t.block, &states, &vec![false; states.len()]);
         }
-        let node = &mut self.nodes[i];
-        node.ready_at = node.ready_at.max(self.now);
-        let latency = self.now.saturating_sub(t.start);
-        if node.measuring {
-            if t.upgrade {
-                self.upg_lat.push_time_ns(latency);
-                self.class_lat.upgrade.record_time(latency);
-                self.obs.txn_end(i, "upgrade", "upgrade", self.now);
-            } else {
-                self.miss_lat.push_time_ns(latency);
-                self.miss_hist.record_time(latency);
-                node.misses += 1;
-                node.miss_lat.record_time(latency);
-                let class = match t.served {
-                    Served::Local => {
-                        self.class_lat.local.record_time(latency);
-                        "local"
-                    }
-                    Served::Dirty => {
-                        self.class_lat.dirty.record_time(latency);
-                        "dirty"
-                    }
-                    Served::CleanRemote => {
-                        self.class_lat.clean_remote.record_time(latency);
-                        "clean_remote"
-                    }
-                };
-                self.obs.txn_end(i, "miss", class, self.now);
-            }
-        } else {
-            self.obs.txn_abandon(i);
-        }
+        self.front.resume(i, self.now);
+        self.book.record(&mut self.front, &mut self.obs, i, t.class, t.start, self.now);
         self.step_processor(i);
-    }
-
-    fn build_report(&mut self) -> SimReport {
-        let (per_node, proc_util, sim_end) =
-            crate::report::summarize_nodes(self.nodes.iter().map(|n| NodeMeasure {
-                finished_at: n.finish_at.expect("all nodes finished"),
-                measure_start: n.measure_start,
-                busy: n.busy,
-                misses: n.misses,
-                miss_lat: &n.miss_lat,
-            }));
-        let (base_travel, start) = self.snapshot.unwrap_or((Time::ZERO, Time::ZERO));
-        let window = sim_end.saturating_sub(start);
-        let travel = self.travel.saturating_sub(base_travel);
-        let ring_util = if window.is_zero() {
-            0.0
-        } else {
-            (travel.as_ps() as f64 / window.as_ps() as f64).min(1.0)
-        };
-        SimReport {
-            protocol: "sci-linked-list".into(),
-            nodes: self.cfg.nodes(),
-            proc_cycle: self.cfg.proc_cycle,
-            sim_end,
-            proc_util,
-            ring_util,
-            // SCI messages are point-to-point packets on one ring; the
-            // request/data split of the slotted-ring backends does not
-            // apply, so all travel is reported as probe traffic.
-            probe_util: ring_util,
-            block_util: 0.0,
-            miss_latency: self.miss_lat,
-            miss_histogram: self.miss_hist.clone(),
-            upgrade_latency: self.upg_lat,
-            class_latencies: self.class_lat.clone(),
-            events: self.events,
-            retries: 0,
-            per_node,
-        }
     }
 }
 
@@ -573,7 +419,7 @@ impl Simulator for SciRingSystem {
     fn run(&mut self, opts: &RunOptions) -> RunOutcome {
         self.sanitize = sanitize::enabled(opts.sanitize);
         if let Some(cfg) = opts.obs {
-            self.obs = Obs::enabled(cfg, self.nodes.len());
+            self.obs = Obs::enabled(cfg, self.front.len());
             self.obs_sci_tl =
                 self.obs.add_timeline("sci", &["travel", "outstanding", "home_wait_ns"]);
         }

@@ -22,7 +22,7 @@ use ringsim_ring::RingTopology;
 use ringsim_trace::Workload;
 use ringsim_types::{ConfigError, Time};
 
-use crate::bus_system::{BusProtocol, BusSystem, BusSystemConfig};
+use crate::bus_system::{BusSystem, BusSystemConfig};
 use crate::config::SystemConfig;
 use crate::hier_net::{HierNetConfig, HierNetSim};
 use crate::report::SimReport;
@@ -339,9 +339,9 @@ impl SimKind {
                     _ => BusSystemConfig::bus_50mhz(procs),
                 }
                 .with_protocol(match self {
-                    SimKind::Bus50Mesi => BusProtocol::Mesi,
-                    SimKind::Bus50Dragon => BusProtocol::Dragon,
-                    _ => BusProtocol::Msi,
+                    SimKind::Bus50Mesi => ProtocolKind::Mesi,
+                    SimKind::Bus50Dragon => ProtocolKind::Dragon,
+                    _ => ProtocolKind::Msi,
                 })
                 .with_proc_cycle(spec.proc_cycle);
                 Box::new(BusSystem::new(cfg, spec.workload.clone())?)

@@ -297,20 +297,6 @@ impl RingTopology {
         self.probe_time_between(0, self.leaf_rings() - 1)
     }
 
-    /// Expected contention-free travel time of a data reply on the farthest
-    /// path: half of each traversed ring.
-    #[must_use]
-    pub fn inter_ring_reply_time(&self) -> Time {
-        self.inter_ring_probe_time() / 2
-    }
-
-    /// Expected contention-free travel time of a reply that stays within one
-    /// leaf ring: half a revolution.
-    #[must_use]
-    pub fn intra_ring_reply_time(&self) -> Time {
-        self.round_trip(0) / 2
-    }
-
     /// Probability that a uniformly placed home lands in the requester's
     /// leaf ring (1.0 for a flat ring).
     #[must_use]

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 
 use ringsim::core::{
-    BusProtocol, BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions,
-    SciRingSystem, SciSystemConfig, SimReport, Simulator, SystemConfig,
+    BusSystem, BusSystemConfig, HierNetConfig, HierNetSim, RingSystem, RunOptions, SciRingSystem,
+    SciSystemConfig, SimReport, Simulator, SystemConfig,
 };
 use ringsim::proto::ProtocolKind;
 use ringsim::ring::RingTopology;
@@ -43,8 +43,8 @@ fn sanitized(mut sim: impl Simulator) -> SimReport {
 fn buses(procs: usize) -> [BusSystemConfig; 3] {
     [
         BusSystemConfig::bus_100mhz(procs),
-        BusSystemConfig::bus_50mhz(procs).with_protocol(BusProtocol::Mesi),
-        BusSystemConfig::bus_50mhz(procs).with_protocol(BusProtocol::Dragon),
+        BusSystemConfig::bus_50mhz(procs).with_protocol(ProtocolKind::Mesi),
+        BusSystemConfig::bus_50mhz(procs).with_protocol(ProtocolKind::Dragon),
     ]
 }
 
