@@ -26,13 +26,13 @@
 //! 6 flits for 32-bit links) so the raw bandwidth demand is identical; only
 //! the access-control discipline differs.
 
+use std::collections::VecDeque;
+
 use ringsim_proto::{MsgClass, MsgKind, RingMessage};
 use ringsim_ring::{RingConfig, SlotKind, SlotRing};
 use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, ConfigError, NodeId, Time};
-
-use crate::collections::RingBuf;
 
 /// Shared configuration of the two access-control simulators.
 #[derive(Debug, Clone, Copy)]
@@ -110,7 +110,7 @@ struct LoopNode {
     phase: Phase,
     issued: u64,
     started: Time,
-    out_q: RingBuf<OutMsg>,
+    out_q: VecDeque<OutMsg>,
     rng: Xoshiro256,
 }
 
@@ -121,7 +121,7 @@ fn make_nodes(cfg: &AccessNetConfig) -> Vec<LoopNode> {
             phase: Phase::Thinking { until: Time::from_ps(1 + i as u64 * 131) },
             issued: 0,
             started: Time::ZERO,
-            out_q: RingBuf::new(),
+            out_q: VecDeque::new(),
             rng: root.fork(i as u64),
         })
         .collect()
@@ -362,9 +362,9 @@ impl InsertionNetSim {
         // Each node keeps 3 pipeline stages like the slotted ring; model the
         // inter-node wire as a 3-deep shift register of flits.
         const STAGES: usize = 3;
-        let mut wires: Vec<RingBuf<Option<Flit>>> =
+        let mut wires: Vec<VecDeque<Option<Flit>>> =
             (0..n).map(|_| (0..STAGES).map(|_| None).collect()).collect();
-        let mut fifos: Vec<RingBuf<Flit>> = (0..n).map(|_| RingBuf::new()).collect();
+        let mut fifos: Vec<VecDeque<Flit>> = (0..n).map(|_| VecDeque::new()).collect();
         let mut out_state = vec![OutState::Idle; n];
         // Progress of the message each node is currently emitting.
         let mut emitting: Vec<Option<(RingMessage, u32, Time)>> = vec![None; n];

@@ -41,6 +41,8 @@
 //!   message is therefore eventually delivered. Per-bridge
 //!   occupancy/deflection gauges are recorded when a run asks for telemetry.
 
+use std::collections::VecDeque;
+
 use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::{MsgClass, MsgKind, RingMessage};
 use ringsim_ring::{RingTopology, SlotId, SlotKind, SlotRing};
@@ -48,7 +50,6 @@ use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Time};
 
-use crate::collections::RingBuf;
 use crate::report::{summarize_nodes, ClassLatencies, NodeMeasure, SimReport};
 use crate::sanitize;
 use crate::simulator::{RunOptions, RunOutcome, Simulator};
@@ -173,7 +174,7 @@ struct NetNode {
     /// Its own end-to-end latency distribution.
     lat_hist: LatencyHistogram,
     /// Pending leaf-ring insertions for this node.
-    out_q: RingBuf<RingMessage>,
+    out_q: VecDeque<RingMessage>,
     rng: Xoshiro256,
 }
 
@@ -185,9 +186,9 @@ struct NetNode {
 #[derive(Debug)]
 struct Bridge {
     /// Messages waiting to enter the parent ring.
-    up: RingBuf<RingMessage>,
+    up: VecDeque<RingMessage>,
     /// Messages waiting to enter this bridge's own (child) ring.
-    down: RingBuf<RingMessage>,
+    down: VecDeque<RingMessage>,
     /// `None`: unbounded classic queues. `Some(cap)`: deflection mode,
     /// at most `cap` entries per direction.
     cap: Option<usize>,
@@ -209,7 +210,7 @@ const ESCAPE_AGE: u64 = 8;
 
 impl Bridge {
     fn new(cap: Option<usize>) -> Self {
-        Self { up: RingBuf::new(), down: RingBuf::new(), cap, deflections: 0, transfers: 0 }
+        Self { up: VecDeque::new(), down: VecDeque::new(), cap, deflections: 0, transfers: 0 }
     }
 
     /// Arbitration for one queue entry. Unbounded bridges always admit.
@@ -312,7 +313,7 @@ impl HierNetSim {
                 wait_total: Time::ZERO,
                 finished: Time::ZERO,
                 lat_hist: LatencyHistogram::new(),
-                out_q: RingBuf::new(),
+                out_q: VecDeque::new(),
                 rng: root.fork(i as u64),
             })
             .collect();

@@ -32,7 +32,6 @@
 
 mod access_net;
 mod bus_system;
-mod collections;
 mod config;
 mod engine;
 mod front_end;
@@ -45,7 +44,6 @@ mod simulator;
 
 pub use access_net::{AccessNetConfig, AccessNetReport, InsertionNetSim, SlottedNetSim};
 pub use bus_system::{BusSystem, BusSystemConfig};
-pub use collections::{RingBuf, RingBufIter};
 pub use config::{SystemConfig, SystemConfigBuilder};
 pub use engine::EventQueue;
 pub use hier_net::{HierNetConfig, HierNetReport, HierNetSim};

@@ -22,7 +22,7 @@
 //!   "poisoned": the blocked load still completes (it is ordered before the
 //!   write) but the line is not cached.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use ringsim_cache::{AccessClass, CacheBank, LineState};
 use ringsim_obs::Obs;
@@ -35,7 +35,6 @@ use ringsim_ring::{RingStats, SlotId, SlotKind, SlotRing};
 use ringsim_trace::{AddressSpace, Workload, BLOCK_BYTES};
 use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
 
-use crate::collections::RingBuf;
 use crate::config::SystemConfig;
 use crate::front_end::{FrontEnd, Step};
 use crate::report::{LatencyBook, SimReport, TxnClass};
@@ -61,8 +60,8 @@ type Txn = ring_engine::Txn<Timing>;
 #[derive(Debug)]
 struct Node {
     txn: Option<Txn>,
-    probe_q: RingBuf<RingMessage>,
-    block_q: RingBuf<RingMessage>,
+    probe_q: VecDeque<RingMessage>,
+    block_q: VecDeque<RingMessage>,
     /// Dirty blocks evicted but not yet acknowledged by the home
     /// (directory mode): forwards are served from here.
     wb_buffer: HashSet<u64>,
@@ -172,8 +171,8 @@ impl RingSystem {
         let nodes = (0..n)
             .map(|_| Node {
                 txn: None,
-                probe_q: RingBuf::new(),
-                block_q: RingBuf::new(),
+                probe_q: VecDeque::new(),
+                block_q: VecDeque::new(),
                 wb_buffer: HashSet::new(),
             })
             .collect();

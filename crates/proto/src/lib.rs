@@ -8,8 +8,9 @@
 //!   dirty bit per block (paper §3.1),
 //! * [`Directory`] — the full-map directory: presence bits + dirty bit per
 //!   block (paper §3.2),
-//! * [`table1`] — the traversal histograms that regenerate Table 1, and
-//!   the idealised full-map accountant beside the linked-list column,
+//! * [`table1`] — the traversal histograms that regenerate Table 1 (the
+//!   full-map column replays through `ringsim-trace::RefInterpreter`, the
+//!   linked-list column through [`sci`]),
 //! * [`sci`] — the SCI-like linked-list directory's engine, driven by
 //!   Table 1, the timed `SciRingSystem` and the model checker,
 //! * [`guarded`] — the declarative guarded-action rule sets both protocols'

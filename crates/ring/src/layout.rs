@@ -274,7 +274,11 @@ impl RingLayout {
     /// describes a request to home plus a home-initiated multicast round
     /// (2 traversals). This is the quantity tabulated in the paper's
     /// Table 1. Because the path returns to its starting node, the total
-    /// stage distance is always a whole number of revolutions.
+    /// stage distance is always a whole number of revolutions. A path that
+    /// names one node twice in a row by accident pays that revolution too,
+    /// although the timed ring delivers such a message locally: a dirty miss
+    /// whose owner is the remote home counts 2 in Table 1's full-map column,
+    /// and SCI's detour via a home that heads its own list pays the same.
     ///
     /// # Panics
     ///

@@ -18,6 +18,20 @@ struct BlockInfo {
     owner: Option<NodeId>,
 }
 
+/// A miss or upgrade as [`RefInterpreter::process`] found it, before serving
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transaction {
+    /// [`AccessClass::Upgrade`] or [`AccessClass::Miss`].
+    pub class: AccessClass,
+    /// The block's home node.
+    pub home: NodeId,
+    /// The dirty owner, if the block was dirty (never set for an upgrade).
+    pub owner: Option<NodeId>,
+    /// Bitmask of the sharers other than the requester.
+    pub others: u64,
+}
+
 /// An untimed, sequentially interleaved coherent-memory interpreter.
 ///
 /// This is the reference semantics for every protocol in the workspace: it
@@ -27,9 +41,9 @@ struct BlockInfo {
 ///
 /// * **trace characterisation** (Table 2) — see [`characterize`],
 /// * deriving **analytic model parameters** without a timed simulation,
-/// * **protocol equivalence tests**: the timed snooping and directory
-///   simulators must agree with it on final sharing state for identical
-///   interleavings.
+/// * **Table 1's full-map column**: it is the idealised full-map directory,
+///   and the ring traversals of each shared miss and invalidation follow
+///   from the [`Transaction`] that [`RefInterpreter::process`] returns.
 ///
 /// # Examples
 ///
@@ -105,12 +119,13 @@ impl RefInterpreter {
         &self.caches
     }
 
-    /// Executes one reference to completion.
+    /// Executes one reference to completion. Returns the miss or upgrade it
+    /// served, as found beforehand, or `None` for a hit.
     ///
     /// # Panics
     ///
     /// Panics if `r.node` is out of range for this interpreter.
-    pub fn process(&mut self, r: MemRef) {
+    pub fn process(&mut self, r: MemRef) -> Option<Transaction> {
         let node = r.node;
         let block = r.addr.block(BLOCK_BYTES);
         let class = self.caches[node.index()].classify(block, r.kind);
@@ -125,9 +140,9 @@ impl RefInterpreter {
         }
 
         match class {
-            AccessClass::Hit => {}
-            AccessClass::Upgrade => self.do_upgrade(node, block),
-            AccessClass::Miss => self.do_miss(node, block, r.kind, r.region),
+            AccessClass::Hit => None,
+            AccessClass::Upgrade => Some(self.do_upgrade(node, block)),
+            AccessClass::Miss => Some(self.do_miss(node, block, r.kind, r.region)),
         }
     }
 
@@ -135,7 +150,7 @@ impl RefInterpreter {
         1 << node.index()
     }
 
-    fn do_upgrade(&mut self, node: NodeId, block: BlockAddr) {
+    fn do_upgrade(&mut self, node: NodeId, block: BlockAddr) -> Transaction {
         let home = self.space.home_of_block(block);
         let info = self.blocks.entry(block.raw()).or_default();
         debug_assert!(info.owner.is_none(), "upgrade on a dirty block");
@@ -159,13 +174,21 @@ impl RefInterpreter {
         }
         let promoted = self.caches[node.index()].promote(block);
         debug_assert!(promoted, "upgrade on absent line");
+        Transaction { class: AccessClass::Upgrade, home, owner: None, others }
     }
 
-    fn do_miss(&mut self, node: NodeId, block: BlockAddr, kind: AccessKind, region: Region) {
+    fn do_miss(
+        &mut self,
+        node: NodeId,
+        block: BlockAddr,
+        kind: AccessKind,
+        region: Region,
+    ) -> Transaction {
         let home = self.space.home_of_block(block);
         let local = home == node;
         let info = *self.blocks.get(&block.raw()).unwrap_or(&BlockInfo::default());
         debug_assert!(info.owner != Some(node), "miss on a block this cache owns");
+        let others = info.sharers & !Self::bit(node);
 
         if self.counting {
             match region {
@@ -192,15 +215,12 @@ impl RefInterpreter {
                             self.events.write_dirty_1 += 1;
                         }
                     }
-                    (AccessKind::Write, None) => {
-                        let others = info.sharers & !Self::bit(node);
-                        match (others != 0, local) {
-                            (false, true) => self.events.write_nosharers_local += 1,
-                            (false, false) => self.events.write_nosharers_remote += 1,
-                            (true, true) => self.events.write_sharers_local += 1,
-                            (true, false) => self.events.write_sharers_remote += 1,
-                        }
-                    }
+                    (AccessKind::Write, None) => match (others != 0, local) {
+                        (false, true) => self.events.write_nosharers_local += 1,
+                        (false, false) => self.events.write_nosharers_remote += 1,
+                        (true, true) => self.events.write_sharers_local += 1,
+                        (true, false) => self.events.write_sharers_remote += 1,
+                    },
                 },
             }
         }
@@ -234,6 +254,7 @@ impl RefInterpreter {
         if let Some((victim, vstate)) = self.caches[node.index()].fill(block, fill_state) {
             self.drop_copy(node, victim, vstate);
         }
+        Transaction { class: AccessClass::Miss, home, owner: info.owner, others }
     }
 
     /// Removes `node`'s copy of `victim` from the global map, accounting a

@@ -5,14 +5,15 @@
 //! documented substitution (see `DESIGN.md`): a deterministic stochastic
 //! reference generator whose knobs map onto the published per-trace
 //! statistics, plus the untimed coherent interpreter used to characterise
-//! workloads (Table 2) and to cross-check the timed protocol simulators.
+//! workloads (Table 2) and to replay Table 1's full-map column.
 //!
 //! * [`WorkloadSpec`] — the generator's parameter set,
 //! * [`Benchmark`] — calibrated specs for the paper's 12 configurations,
 //! * [`Workload`] / [`NodeStream`] — per-processor reference streams,
 //! * [`AddressSpace`] — region layout and home-node placement,
 //! * [`RefInterpreter`] / [`characterize`] — the zero-latency coherent
-//!   reference semantics and Table 2-style reporting.
+//!   reference semantics and Table 2-style reporting; [`Transaction`] is
+//!   what each miss or upgrade found, which Table 1 turns into traversals.
 //!
 //! # Examples
 //!
@@ -37,6 +38,6 @@ mod spec;
 pub use bench_specs::{Benchmark, DEFAULT_REFS_PER_PROC, DEFAULT_WARMUP_PER_PROC};
 pub use file::RecordedTrace;
 pub use gen::{NodeStream, Workload};
-pub use interp::{characterize, Characteristics, RefInterpreter};
+pub use interp::{characterize, Characteristics, RefInterpreter, Transaction};
 pub use space::{AddressSpace, BLOCK_BYTES, PAGE_BYTES};
 pub use spec::{WorkloadSpec, WorkloadSpecBuilder};
