@@ -1,14 +1,17 @@
 //! Scripted coherence scenarios, staged through hand-written traces and
-//! replayed on the timed simulators. Each scenario pins the block's home
-//! node (private-region addresses carry their home), sequences the
-//! processors with padding references, and asserts the exact event class
-//! and final cache states — for the snooping ring, the directory ring and
-//! the bus.
+//! replayed on every backend that classifies coherence events: the
+//! snooping ring, the directory ring, the bus, the SCI ring and the untimed
+//! reference interpreter. Each scenario pins the block's home node
+//! (private-region addresses carry their home), sequences the processors
+//! with padding references, and asserts each backend's exact Fig. 5 event
+//! bucket and final cache states.
 
 use ringsim::cache::LineState;
-use ringsim::core::{BusSystem, BusSystemConfig, RingSystem, SystemConfig};
+use ringsim::core::{
+    BusSystem, BusSystemConfig, RingSystem, SciRingSystem, SciSystemConfig, SystemConfig,
+};
 use ringsim::proto::ProtocolKind;
-use ringsim::trace::{AddressSpace, RecordedTrace, BLOCK_BYTES};
+use ringsim::trace::{AddressSpace, RecordedTrace, RefInterpreter, BLOCK_BYTES};
 use ringsim::types::{AccessKind, BlockAddr, CoherenceEvents, MemRef, NodeId, Region};
 
 const PROCS: usize = 4;
@@ -58,19 +61,51 @@ fn scripted(mut per_node: Vec<Vec<MemRef>>) -> RecordedTrace {
     RecordedTrace::from_refs(per_node, SEED, 0.0).unwrap()
 }
 
-fn run_ring(protocol: ProtocolKind, trace: &RecordedTrace) -> (CoherenceEvents, RingSystem) {
-    let cfg = SystemConfig::ring_500mhz(protocol, PROCS);
-    let mut sys = RingSystem::new(cfg, trace.workload_with_warmup(0)).unwrap();
-    let report = sys.run();
-    sys.check_coherence().unwrap();
-    (report.events, sys)
+/// One backend's outcome of a scripted run.
+struct Run {
+    backend: &'static str,
+    events: CoherenceEvents,
+    /// Node `n`'s final state for a block.
+    state: Box<dyn Fn(usize, BlockAddr) -> LineState>,
 }
 
-fn run_bus(trace: &RecordedTrace) -> (CoherenceEvents, BusSystem) {
-    let cfg = BusSystemConfig::bus_100mhz(PROCS);
-    let mut sys = BusSystem::new(cfg, trace.workload_with_warmup(0)).unwrap();
-    let report = sys.run();
-    (report.events, sys)
+/// Replays `trace` on every backend. The reference interpreter, which has
+/// no clock, takes the nodes' references round-robin, one per node in turn.
+fn every_backend(trace: &RecordedTrace) -> Vec<Run> {
+    let mut runs = Vec::new();
+    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
+        let cfg = SystemConfig::ring_500mhz(protocol, PROCS);
+        let mut sys = RingSystem::new(cfg, trace.workload_with_warmup(0)).unwrap();
+        let events = sys.run().events;
+        sys.check_coherence().unwrap();
+        runs.push(Run {
+            backend: protocol.name(),
+            events,
+            state: Box::new(move |n, b| sys.cache_state(n, b)),
+        });
+    }
+    let mut bus =
+        BusSystem::new(BusSystemConfig::bus_100mhz(PROCS), trace.workload_with_warmup(0)).unwrap();
+    let events = bus.run().events;
+    runs.push(Run { backend: "bus", events, state: Box::new(move |n, b| bus.cache_state(n, b)) });
+    let mut sci =
+        SciRingSystem::new(SciSystemConfig::sci_500mhz(PROCS), trace.workload_with_warmup(0))
+            .unwrap();
+    let events = sci.run().events;
+    runs.push(Run { backend: "sci", events, state: Box::new(move |n, b| sci.cache_state(n, b)) });
+    let mut interp = RefInterpreter::new(PROCS, space()).unwrap();
+    for k in 0..trace.node_refs(0).len() {
+        for n in 0..PROCS {
+            interp.process(trace.node_refs(n)[k]);
+        }
+    }
+    interp.check_invariants().unwrap();
+    runs.push(Run {
+        backend: "interp",
+        events: interp.events(),
+        state: Box::new(move |n, b| interp.caches()[n].state_of(b)),
+    });
+    runs
 }
 
 /// Clean remote read: P0 reads a block homed at P2 that nobody caches.
@@ -79,15 +114,11 @@ fn clean_remote_read_miss() {
     let r = shared_ref(0, 2, 100, AccessKind::Read);
     let b = block_of(r);
     let trace = scripted(vec![vec![r], vec![], vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        assert_eq!(e.read_clean_remote, 1, "{protocol}");
-        assert_eq!(e.shared_misses(), 1, "{protocol}");
-        assert_eq!(sys.cache_state(0, b), LineState::Rs, "{protocol}");
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.read_clean_remote, 1, "{backend}");
+        assert_eq!(e.shared_misses(), 1, "{backend}");
+        assert_eq!(state(0, b), LineState::Rs, "{backend}");
     }
-    let (e, sys) = run_bus(&trace);
-    assert_eq!(e.read_clean_remote, 1);
-    assert_eq!(sys.cache_state(0, b), LineState::Rs);
 }
 
 /// Local clean read: P0 reads a block homed at itself — no interconnect.
@@ -95,15 +126,16 @@ fn clean_remote_read_miss() {
 fn local_clean_read_miss() {
     let r = shared_ref(0, 0, 101, AccessKind::Read);
     let trace = scripted(vec![vec![r], vec![], vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        assert_eq!(e.read_clean_local, 1, "{protocol}");
-        assert_eq!(sys.cache_state(0, block_of(r)), LineState::Rs);
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.read_clean_local, 1, "{backend}");
+        assert_eq!(e.shared_misses(), 1, "{backend}");
+        assert_eq!(state(0, block_of(r)), LineState::Rs, "{backend}");
     }
 }
 
 /// Dirty read miss: P1 writes a block homed at P2, then P0 reads it —
-/// the dirty node supplies, both end up read-shared.
+/// the dirty node supplies, both end up read-shared. P1 lies on P0's path
+/// to the home, so the ring backends pay two traversals.
 #[test]
 fn dirty_read_miss_downgrades_owner() {
     let w = shared_ref(1, 2, 102, AccessKind::Write);
@@ -113,20 +145,38 @@ fn dirty_read_miss_downgrades_owner() {
     let mut p0 = vec![pad(0); 60];
     p0.push(r);
     let trace = scripted(vec![p0, vec![w], vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        assert_eq!(e.write_nosharers_remote, 1, "{protocol}: P1's write miss");
-        assert_eq!(
-            e.read_dirty_1 + e.read_dirty_2,
-            1,
-            "{protocol}: P0's read must find the block dirty ({e:#?})"
-        );
-        assert_eq!(sys.cache_state(0, b), LineState::Rs, "{protocol}");
-        assert_eq!(sys.cache_state(1, b), LineState::Rs, "{protocol}: owner downgraded");
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.write_nosharers_remote, 1, "{backend}: P1's write miss");
+        assert_eq!(e.read_dirty_2, 1, "{backend}: P0's read must find the block dirty ({e:#?})");
+        assert_eq!(e.shared_misses(), 2, "{backend}");
+        assert_eq!(state(0, b), LineState::Rs, "{backend}");
+        assert_eq!(state(1, b), LineState::Rs, "{backend}: owner downgraded");
     }
-    let (e, sys) = run_bus(&trace);
-    assert_eq!(e.read_dirty_1 + e.read_dirty_2, 1);
-    assert_eq!(sys.cache_state(1, b), LineState::Rs);
+}
+
+/// Dirty read miss whose owner is the block's home: P2 writes a block homed
+/// at itself, then P0 reads it. Four backends call this a 1-cycle dirty
+/// miss. SCI calls it 2-cycle: its message path names the home twice in a
+/// row (home, then the home as list head), and
+/// `RingLayout::closed_path_traversals` counts that hop as a full
+/// revolution (the `closed_path_traversals` FOUND in CHANGES.md). This pins
+/// today's answers.
+#[test]
+fn dirty_read_miss_owned_by_the_home() {
+    let w = shared_ref(2, 2, 104, AccessKind::Write);
+    let r = shared_ref(0, 2, 104, AccessKind::Read);
+    let b = block_of(r);
+    let mut p0 = vec![pad(0); 60];
+    p0.push(r);
+    let trace = scripted(vec![p0, vec![], vec![w], vec![]]);
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.write_nosharers_local, 1, "{backend}: P2's write miss");
+        let (one, two) = if backend == "sci" { (0, 1) } else { (1, 0) };
+        assert_eq!((e.read_dirty_1, e.read_dirty_2), (one, two), "{backend} ({e:#?})");
+        assert_eq!(e.shared_misses(), 2, "{backend}");
+        assert_eq!(state(0, b), LineState::Rs, "{backend}");
+        assert_eq!(state(2, b), LineState::Rs, "{backend}: owner downgraded");
+    }
 }
 
 /// Upgrade with a sharer: P1 reads, later P0 (who read first) writes.
@@ -144,21 +194,19 @@ fn upgrade_invalidates_sharers() {
     let mut p1 = vec![pad(1); 10];
     p1.push(r1);
     let trace = scripted(vec![p0, p1, vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        assert_eq!(e.upgrade_sharers_remote, 1, "{protocol}: upgrade must see P1's copy ({e:#?})");
-        assert!(e.invalidated_copies >= 1, "{protocol}");
-        assert_eq!(sys.cache_state(0, b), LineState::We, "{protocol}");
-        assert_eq!(sys.cache_state(1, b), LineState::Inv, "{protocol}");
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.read_clean_remote, 2, "{backend}");
+        assert_eq!(e.upgrade_sharers_remote, 1, "{backend}: upgrade must see P1's copy ({e:#?})");
+        assert_eq!(e.upgrades(), 1, "{backend}");
+        assert_eq!(e.invalidated_copies, 1, "{backend}");
+        assert_eq!(state(0, b), LineState::We, "{backend}");
+        assert_eq!(state(1, b), LineState::Inv, "{backend}");
     }
-    let (e, sys) = run_bus(&trace);
-    assert_eq!(e.upgrade_sharers_remote, 1);
-    assert_eq!(sys.cache_state(0, b), LineState::We);
-    assert_eq!(sys.cache_state(1, b), LineState::Inv);
 }
 
 /// Dirty eviction: P0 dirties two blocks that collide in its cache; the
-/// second fill writes the first back to its (remote) home.
+/// second fill writes the first back to its (remote) home. SCI counts no
+/// write-backs at all (a FOUND in CHANGES.md); this pins today's answer.
 #[test]
 fn dirty_eviction_writes_back() {
     // Same cache line: block indices 8192 apart within P2's region.
@@ -173,15 +221,17 @@ fn dirty_eviction_writes_back() {
     p0.extend(vec![pad(0); 40]);
     p0.push(w2);
     let trace = scripted(vec![p0, vec![], vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        assert_eq!(e.writeback_remote, 1, "{protocol} ({e:#?})");
-        assert_eq!(sys.cache_state(0, block_of(w1)), LineState::Inv, "{protocol}");
-        assert_eq!(sys.cache_state(0, block_of(w2)), LineState::We, "{protocol}");
-        // A later read by P3 must be served cleanly by the home again.
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.write_nosharers_remote, 2, "{backend} ({e:#?})");
+        if backend == "sci" {
+            assert_eq!(e.writebacks(), 0, "{backend} ({e:#?})");
+        } else {
+            assert_eq!(e.writeback_remote, 1, "{backend} ({e:#?})");
+            assert_eq!(e.writebacks(), 1, "{backend} ({e:#?})");
+        }
+        assert_eq!(state(0, block_of(w1)), LineState::Inv, "{backend}");
+        assert_eq!(state(0, block_of(w2)), LineState::We, "{backend}");
     }
-    let (e, _) = run_bus(&trace);
-    assert_eq!(e.writeback_remote, 1);
 }
 
 /// Write-back then re-read: after P0's dirty victim drains to the home,
@@ -198,13 +248,13 @@ fn writeback_restores_clean_home() {
     let mut p3 = vec![pad(3); 200];
     p3.push(r3);
     let trace = scripted(vec![p0, vec![], vec![], p3]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
+    for Run { backend, events: e, state } in every_backend(&trace) {
         assert_eq!(
             e.read_clean_remote, 1,
-            "{protocol}: read after write-back must be clean ({e:#?})"
+            "{backend}: read after write-back must be clean ({e:#?})"
         );
-        assert_eq!(sys.cache_state(3, block_of(r3)), LineState::Rs, "{protocol}");
+        assert_eq!(e.shared_read_misses(), 1, "{backend}");
+        assert_eq!(state(3, block_of(r3)), LineState::Rs, "{backend}");
     }
 }
 
@@ -226,19 +276,15 @@ fn racing_upgrades_leave_one_owner() {
     p1.extend(vec![pad(1); 40]);
     p1.push(w1);
     let trace = scripted(vec![p0, p1, vec![], vec![]]);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
-        let owners = (0..PROCS).filter(|&n| sys.cache_state(n, b) == LineState::We).count();
-        assert_eq!(owners, 1, "{protocol}: exactly one writer must survive ({e:#?})");
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        let owners = (0..PROCS).filter(|&n| state(n, b) == LineState::We).count();
+        assert_eq!(owners, 1, "{backend}: exactly one writer must survive ({e:#?})");
         assert_eq!(
             e.upgrades() + e.shared_write_misses(),
             2,
-            "{protocol}: both writes must be accounted ({e:#?})"
+            "{backend}: both writes must be accounted ({e:#?})"
         );
     }
-    let (_, sys) = run_bus(&trace);
-    let owners = (0..PROCS).filter(|&n| sys.cache_state(n, b) == LineState::We).count();
-    assert_eq!(owners, 1);
 }
 
 /// Write miss on a block with multiple readers: the multicast/broadcast
@@ -255,14 +301,52 @@ fn write_miss_invalidates_all_readers() {
     let mut per_node = readers;
     per_node.push(p3);
     let trace = scripted(per_node);
-    for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let (e, sys) = run_ring(protocol, &trace);
+    for Run { backend, events: e, state } in every_backend(&trace) {
         // P3's write is a local-home miss with sharers.
-        assert_eq!(e.write_sharers_local, 1, "{protocol} ({e:#?})");
-        assert!(e.invalidated_copies >= 3, "{protocol}: all readers invalidated");
+        assert_eq!(e.write_sharers_local, 1, "{backend} ({e:#?})");
+        assert_eq!(e.shared_write_misses(), 1, "{backend}");
+        assert!(e.invalidated_copies >= 3, "{backend}: all readers invalidated");
         for n in 0..3 {
-            assert_eq!(sys.cache_state(n, b), LineState::Inv, "{protocol} P{n}");
+            assert_eq!(state(n, b), LineState::Inv, "{backend} P{n}");
         }
-        assert_eq!(sys.cache_state(3, b), LineState::We, "{protocol}");
+        assert_eq!(state(3, b), LineState::We, "{backend}");
+    }
+}
+
+/// Dirty write miss: P1 writes a block homed at P2, then P0 writes it. The
+/// ring backends count no invalidated copy for it (the dirty owner hands
+/// its copy over); the bus, SCI and the reference interpreter count the
+/// owner's copy as invalidated. This pins today's answers.
+#[test]
+fn dirty_write_miss_takes_ownership() {
+    let w1 = shared_ref(1, 2, 105, AccessKind::Write);
+    let w0 = shared_ref(0, 2, 105, AccessKind::Write);
+    let b = block_of(w0);
+    let mut p0 = vec![pad(0); 60];
+    p0.push(w0);
+    let trace = scripted(vec![p0, vec![w1], vec![], vec![]]);
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.write_nosharers_remote, 1, "{backend}: P1's write miss");
+        assert_eq!(e.write_dirty_2, 1, "{backend} ({e:#?})");
+        assert_eq!(e.shared_write_misses(), 2, "{backend}");
+        let invalidated = u64::from(!matches!(backend, "snooping" | "directory"));
+        assert_eq!(e.invalidated_copies, invalidated, "{backend}");
+        assert_eq!(state(0, b), LineState::We, "{backend}");
+        assert_eq!(state(1, b), LineState::Inv, "{backend}");
+    }
+}
+
+/// Private read, then write: a private miss, then an upgrade with no
+/// sharers at the local home. P0's read is its padding block, so each node
+/// pays exactly one private miss.
+#[test]
+fn private_upgrade_is_local_and_unshared() {
+    let w = MemRef { kind: AccessKind::Write, ..pad(0) };
+    let trace = scripted(vec![vec![pad(0), w], vec![], vec![], vec![]]);
+    for Run { backend, events: e, state } in every_backend(&trace) {
+        assert_eq!(e.private_misses, PROCS as u64, "{backend} ({e:#?})");
+        assert_eq!(e.upgrade_nosharers_local, 1, "{backend}");
+        assert_eq!((e.shared_misses(), e.upgrades(), e.invalidated_copies), (0, 1, 0), "{backend}");
+        assert_eq!(state(0, block_of(w)), LineState::We, "{backend}");
     }
 }
