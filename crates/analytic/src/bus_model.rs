@@ -51,13 +51,6 @@ impl BusModel {
         self
     }
 
-    /// Overrides the memory latency.
-    #[must_use]
-    pub fn with_mem_latency(mut self, t: Time) -> Self {
-        self.mem_latency = t;
-        self
-    }
-
     /// The bus configuration the model describes.
     #[must_use]
     pub fn bus(&self) -> &BusConfig {

@@ -60,13 +60,6 @@ impl RingModel {
         self
     }
 
-    /// Overrides the memory latency.
-    #[must_use]
-    pub fn with_mem_latency(mut self, t: Time) -> Self {
-        self.mem_latency = t;
-        self
-    }
-
     /// The ring configuration the model describes.
     #[must_use]
     pub fn ring(&self) -> &RingConfig {

@@ -23,7 +23,9 @@ use ringsim_proto::bus_engine::{self, BusHost};
 use ringsim_proto::ring_engine::TxnKind;
 use ringsim_proto::ProtocolKind;
 use ringsim_trace::{AddressSpace, Workload, BLOCK_BYTES};
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, NodeId, Region, Time};
+use ringsim_types::{
+    AccessKind, BlockAddr, CoherenceOp, ConfigError, DirtySplit, FnvMap, NodeId, Region, Time,
+};
 
 use crate::front_end::{quantum_horizon, FrontEnd, Step};
 use crate::report::{fraction, LatencyBook, SimReport, TxnClass};
@@ -407,14 +409,14 @@ impl BusSystem {
         };
         if self.front.measuring(i) {
             let local = t.region == Region::Private || self.home_of(block) == me;
-            let e = &mut self.book.events;
-            match (sharers, local) {
-                (false, true) => e.upgrade_nosharers_local += 1,
-                (false, false) => e.upgrade_nosharers_remote += 1,
-                (true, true) => e.upgrade_sharers_local += 1,
-                (true, false) => e.upgrade_sharers_remote += 1,
-            }
-            e.invalidated_copies += invalidated;
+            self.book.events.record(
+                CoherenceOp::Upgrade,
+                t.region,
+                local,
+                DirtySplit::Clean,
+                sharers,
+                invalidated,
+            );
         }
         self.schedule(self.now, Event::Complete { node: i });
     }
@@ -436,7 +438,8 @@ impl BusSystem {
             // out of the directory map entirely (nothing ever reads their
             // entries, and a smaller map makes the shared lookups cheaper).
             if measuring {
-                self.book.events.private_misses += 1;
+                let clean = DirtySplit::Clean;
+                self.book.events.record(t.kind.into(), Region::Private, true, clean, false, 0);
             }
             let is_write = t.kind != TxnKind::Read;
             let completion = self.now + self.cfg.mem_latency;
@@ -473,28 +476,14 @@ impl BusSystem {
         // them: they count as sharers all the same.
         let sharers = g.others != 0;
 
-        // --- classification (mirrors the reference interpreter's buckets;
-        // the ring geometry keeps event counts comparable across
-        // interconnects, latency on a bus does not depend on it)
+        // --- classification: the dirty split by ring geometry keeps event
+        // counts comparable across interconnects, though bus latency does
+        // not depend on it.
         if measuring {
-            let n = self.cfg.nodes();
-            let e = &mut self.book.events;
-            let bucket = match (t.kind, owner) {
-                (TxnKind::Read, Some(d)) if me.dirty_on_path(home, d, n) => &mut e.read_dirty_2,
-                (TxnKind::Read, Some(_)) => &mut e.read_dirty_1,
-                (TxnKind::Read, None) if local => &mut e.read_clean_local,
-                (TxnKind::Read, None) => &mut e.read_clean_remote,
-                (_, Some(d)) if me.dirty_on_path(home, d, n) => &mut e.write_dirty_2,
-                (_, Some(_)) => &mut e.write_dirty_1,
-                (_, None) if sharers && local => &mut e.write_sharers_local,
-                (_, None) if sharers => &mut e.write_sharers_remote,
-                (_, None) if local => &mut e.write_nosharers_local,
-                (_, None) => &mut e.write_nosharers_remote,
-            };
-            *bucket += 1;
-            if is_write {
-                e.invalidated_copies += g.invalidated;
-            }
+            let dirty = DirtySplit::on_path(me, home, owner, self.cfg.nodes());
+            let invalidated = if is_write { g.invalidated } else { 0 };
+            let op = t.kind.into();
+            self.book.events.record(op, Region::Shared, local, dirty, sharers, invalidated);
         }
 
         // --- timing: who supplies, and when. The owner's copy takes the
@@ -548,11 +537,7 @@ impl BusSystem {
                 self.bus.acquire_kind(completion, self.cfg.bus.response_cycles(), PhaseKind::Data);
             }
             if measuring {
-                if vhome == me {
-                    self.book.events.writeback_local += 1;
-                } else {
-                    self.book.events.writeback_remote += 1;
-                }
+                self.book.events.record_writeback(vhome == me);
             }
         }
     }

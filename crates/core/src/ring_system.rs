@@ -33,7 +33,10 @@ use ringsim_proto::transitions::{DirAction, DirRequest, HomeSnoopAction, SnoopAc
 use ringsim_proto::{HomeMemory, MsgClass, MsgKind, ProtocolKind, RingMessage};
 use ringsim_ring::{RingStats, SlotId, SlotKind, SlotRing};
 use ringsim_trace::{AddressSpace, Workload, BLOCK_BYTES};
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, NodeId, Region, Time};
+use ringsim_types::{
+    AccessKind, BlockAddr, CoherenceEvents, CoherenceOp, ConfigError, DirtySplit, NodeId, Region,
+    Time,
+};
 
 use crate::config::SystemConfig;
 use crate::front_end::{FrontEnd, Step};
@@ -756,17 +759,9 @@ impl RingSystem {
                     self.enqueue_msg(i, wb, now);
                 }
                 self.outbox.clear();
-                self.count_writeback(i, self.home_of(victim) == me);
-            }
-        }
-    }
-
-    fn count_writeback(&mut self, i: usize, local: bool) {
-        if self.front.measuring(i) {
-            if local {
-                self.book.events.writeback_local += 1;
-            } else {
-                self.book.events.writeback_remote += 1;
+                if self.front.measuring(i) {
+                    self.book.events.record_writeback(self.home_of(victim) == me);
+                }
             }
         }
     }
@@ -806,72 +801,29 @@ impl RingSystem {
     /// transaction's own observations (who supplied, what got invalidated).
     fn classify_snooping(&mut self, i: usize, t: &Txn, reply: Option<RingMessage>) {
         let me = NodeId::new(i);
-        let block = t.block;
-        let home = self.home_of(block);
-        let local = home == me;
-        let ev = &mut self.book.events;
-        match t.ext.region {
-            Region::Private => {
-                if t.kind != TxnKind::Upgrade {
-                    ev.private_misses += 1;
-                }
-                if t.kind == TxnKind::Upgrade && t.ext.invalidated == 0 {
-                    if local {
-                        ev.upgrade_nosharers_local += 1;
-                    } else {
-                        ev.upgrade_nosharers_remote += 1;
-                    }
-                }
-                return;
-            }
-            Region::Shared => {}
+        let private = t.ext.region == Region::Private;
+        let invalidated = t.ext.invalidated;
+        // A private upgrade is counted only when it invalidated nothing.
+        if private && t.kind == TxnKind::Upgrade && invalidated > 0 {
+            return;
         }
-        let dirty_src = reply.and_then(|m| if m.from_dirty { Some(m.src) } else { None });
-        match t.kind {
-            TxnKind::Read => match dirty_src {
-                Some(d) => {
-                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
-                        ev.read_dirty_2 += 1;
-                    } else {
-                        ev.read_dirty_1 += 1;
-                    }
-                }
-                None => {
-                    if local {
-                        ev.read_clean_local += 1;
-                    } else {
-                        ev.read_clean_remote += 1;
-                    }
-                }
-            },
-            TxnKind::Write => match dirty_src {
-                Some(d) => {
-                    if me.dirty_on_path(home, d, self.cfg.nodes()) {
-                        ev.write_dirty_2 += 1;
-                    } else {
-                        ev.write_dirty_1 += 1;
-                    }
-                }
-                None => {
-                    match (t.ext.invalidated > 0, local) {
-                        (false, true) => ev.write_nosharers_local += 1,
-                        (false, false) => ev.write_nosharers_remote += 1,
-                        (true, true) => ev.write_sharers_local += 1,
-                        (true, false) => ev.write_sharers_remote += 1,
-                    }
-                    ev.invalidated_copies += t.ext.invalidated;
-                }
-            },
-            TxnKind::Upgrade => {
-                match (t.ext.invalidated > 0, local) {
-                    (false, true) => ev.upgrade_nosharers_local += 1,
-                    (false, false) => ev.upgrade_nosharers_remote += 1,
-                    (true, true) => ev.upgrade_sharers_local += 1,
-                    (true, false) => ev.upgrade_sharers_remote += 1,
-                }
-                ev.invalidated_copies += t.ext.invalidated;
-            }
-        }
+        let home = self.home_of(t.block);
+        let owner = reply.and_then(|m| m.from_dirty.then_some(m.src));
+        // Reads and private misses invalidate nothing, and neither does a
+        // dirty write miss: the owner hands its copy over.
+        let counted = match t.kind {
+            TxnKind::Read => 0,
+            TxnKind::Write if private || owner.is_some() => 0,
+            TxnKind::Write | TxnKind::Upgrade => invalidated,
+        };
+        self.book.events.record(
+            t.kind.into(),
+            t.ext.region,
+            home == me,
+            DirtySplit::on_path(me, home, owner, self.cfg.nodes()),
+            invalidated > 0,
+            counted,
+        );
     }
 
     // ------------------------------------------------ directory home side
@@ -897,58 +849,43 @@ impl RingSystem {
         }
         let private =
             self.nodes[requester.index()].txn.is_some_and(|t| t.ext.region == Region::Private);
-        let home = self.home_of(block);
-        let local = home == requester;
-        let n = self.cfg.nodes();
-        let ev = &mut self.book.events;
-        let sharers = |ev: &mut CoherenceEvents, upgrade: bool| {
-            let counter = match (upgrade, others != 0, local) {
-                (false, false, true) => &mut ev.write_nosharers_local,
-                (false, false, false) => &mut ev.write_nosharers_remote,
-                (false, true, true) => &mut ev.write_sharers_local,
-                (false, true, false) => &mut ev.write_sharers_remote,
-                (true, false, true) => &mut ev.upgrade_nosharers_local,
-                (true, false, false) => &mut ev.upgrade_nosharers_remote,
-                (true, true, true) => &mut ev.upgrade_sharers_local,
-                (true, true, false) => &mut ev.upgrade_sharers_remote,
-            };
-            *counter += 1;
-            ev.invalidated_copies += u64::from(others.count_ones());
-        };
-        match (req, action) {
-            (DirRequest::Read | DirRequest::Write, _) if private && !converted => {
-                ev.private_misses += 1;
-            }
+        let (op, owner) = match (req, action) {
             (DirRequest::Read, DirAction::ForwardRead { owner }) => {
-                if requester.dirty_on_path(home, owner, n) {
-                    ev.read_dirty_2 += 1;
-                } else {
-                    ev.read_dirty_1 += 1;
-                }
+                (CoherenceOp::Read, Some(owner))
             }
-            (DirRequest::Read, _) if local => ev.read_clean_local += 1,
-            (DirRequest::Read, _) => ev.read_clean_remote += 1,
+            (DirRequest::Read, _) => (CoherenceOp::Read, None),
             (DirRequest::Write, DirAction::ForwardWrite { owner }) => {
-                if private {
-                    ev.private_misses += 1;
-                } else if requester.dirty_on_path(home, owner, n) {
-                    ev.write_dirty_2 += 1;
-                } else {
-                    ev.write_dirty_1 += 1;
-                }
+                (CoherenceOp::Write, Some(owner))
             }
-            (DirRequest::Write, _) if private => {}
-            (DirRequest::Write, _) => sharers(ev, false),
-            (DirRequest::Upgrade, _) if !private => sharers(ev, true),
-            (DirRequest::Upgrade, _) if others == 0 => {
-                if local {
-                    ev.upgrade_nosharers_local += 1;
-                } else {
-                    ev.upgrade_nosharers_remote += 1;
-                }
-            }
-            (DirRequest::Upgrade, _) => {}
+            (DirRequest::Write, _) => (CoherenceOp::Write, None),
+            (DirRequest::Upgrade, _) => (CoherenceOp::Upgrade, None),
+        };
+        // Not counted: a converted private upgrade that found no owner, and
+        // a private upgrade that found sharers.
+        let uncounted = match op {
+            CoherenceOp::Read => false,
+            CoherenceOp::Write => converted && owner.is_none(),
+            CoherenceOp::Upgrade => others != 0,
+        };
+        if private && uncounted {
+            return;
         }
+        // Reads and private misses invalidate nothing, and neither does a
+        // dirty write miss: the owner hands its copy over.
+        let invalidated = match op {
+            CoherenceOp::Read => 0,
+            CoherenceOp::Write if private || owner.is_some() => 0,
+            CoherenceOp::Write | CoherenceOp::Upgrade => u64::from(others.count_ones()),
+        };
+        let home = self.home_of(block);
+        self.book.events.record(
+            op,
+            if private { Region::Private } else { Region::Shared },
+            home == requester,
+            DirtySplit::on_path(requester, home, owner, self.cfg.nodes()),
+            others != 0,
+            invalidated,
+        );
     }
 
     // ------------------------------------------------------------ report

@@ -33,7 +33,7 @@ use ringsim_proto::sci::{SciDirectory, SciHost, SciStep};
 use ringsim_proto::table1::TraversalReport;
 use ringsim_ring::RingConfig;
 use ringsim_trace::{Workload, BLOCK_BYTES};
-use ringsim_types::{AccessKind, BlockAddr, ConfigError, FnvMap, MemRef, NodeId, Region, Time};
+use ringsim_types::{BlockAddr, ConfigError, DirtySplit, FnvMap, MemRef, NodeId, Region, Time};
 
 use crate::front_end::{quantum_horizon, FrontEnd, Step};
 use crate::report::{fraction, LatencyBook, SimReport, TxnClass};
@@ -336,52 +336,29 @@ impl SciRingSystem {
             self.block_free.insert(block.raw(), completion);
         }
 
-        // Event classification, mirroring the other backends' buckets.
+        // Event classification. The dirty split counts traversals; a
+        // private block has a local home and no other copies; reads
+        // invalidate nothing.
         if measuring {
-            let e = &mut self.book.events;
-            if r.region == Region::Private {
-                if is_upgrade {
-                    e.upgrade_nosharers_local += 1;
-                } else {
-                    e.private_misses += 1;
-                }
-            } else if is_upgrade {
-                match (step.invalidated > 0, local) {
-                    (false, true) => e.upgrade_nosharers_local += 1,
-                    (false, false) => e.upgrade_nosharers_remote += 1,
-                    (true, true) => e.upgrade_sharers_local += 1,
-                    (true, false) => e.upgrade_sharers_remote += 1,
-                }
-                e.invalidated_copies += step.invalidated as u64;
-            } else if r.kind == AccessKind::Read {
-                if step.dirty_supply {
-                    if step.traversals >= 2 {
-                        e.read_dirty_2 += 1;
-                    } else {
-                        e.read_dirty_1 += 1;
-                    }
-                } else if local {
-                    e.read_clean_local += 1;
-                } else {
-                    e.read_clean_remote += 1;
-                }
-            } else {
-                if step.dirty_supply {
-                    if step.traversals >= 2 {
-                        e.write_dirty_2 += 1;
-                    } else {
-                        e.write_dirty_1 += 1;
-                    }
-                } else {
-                    match (step.invalidated > 0, local) {
-                        (false, true) => e.write_nosharers_local += 1,
-                        (false, false) => e.write_nosharers_remote += 1,
-                        (true, true) => e.write_sharers_local += 1,
-                        (true, false) => e.write_sharers_remote += 1,
-                    }
-                }
-                e.invalidated_copies += step.invalidated as u64;
-            }
+            let private = r.region == Region::Private;
+            let dirty = match (step.dirty_supply, step.traversals) {
+                (false, _) => DirtySplit::Clean,
+                (true, 0 | 1) => DirtySplit::OneCycle,
+                (true, _) => DirtySplit::TwoCycle,
+            };
+            let invalidated = match step.kind {
+                TxnKind::Read => 0,
+                TxnKind::Write | TxnKind::Upgrade if private => 0,
+                TxnKind::Write | TxnKind::Upgrade => step.invalidated as u64,
+            };
+            self.book.events.record(
+                step.kind.into(),
+                r.region,
+                local || private,
+                dirty,
+                !private && step.invalidated > 0,
+                invalidated,
+            );
         }
 
         let class = if is_upgrade {

@@ -27,7 +27,7 @@
 //! state is reached through the host on every access.
 
 use ringsim_cache::{Cache, CacheBank, LineState};
-use ringsim_types::{BlockAddr, FnvMap, NodeId};
+use ringsim_types::{BlockAddr, CoherenceOp, FnvMap, NodeId};
 
 use crate::guarded::{self, FireCounts};
 use crate::transitions::{self, DirAction, DirRequest, HomeSnoopAction, SnoopAction};
@@ -77,6 +77,17 @@ impl TxnKind {
             TxnKind::Write
         } else {
             self
+        }
+    }
+}
+
+impl From<TxnKind> for CoherenceOp {
+    #[inline]
+    fn from(kind: TxnKind) -> Self {
+        match kind {
+            TxnKind::Read => CoherenceOp::Read,
+            TxnKind::Write => CoherenceOp::Write,
+            TxnKind::Upgrade => CoherenceOp::Upgrade,
         }
     }
 }

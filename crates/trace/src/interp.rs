@@ -3,7 +3,10 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use ringsim_cache::{AccessClass, Cache, CacheConfig, LineState};
-use ringsim_types::{AccessKind, BlockAddr, CoherenceEvents, ConfigError, MemRef, NodeId, Region};
+use ringsim_types::{
+    AccessKind, BlockAddr, CoherenceEvents, CoherenceOp, ConfigError, DirtySplit, MemRef, NodeId,
+    Region,
+};
 
 use crate::space::{AddressSpace, BLOCK_BYTES};
 use crate::{Workload, WorkloadSpec};
@@ -141,7 +144,7 @@ impl RefInterpreter {
 
         match class {
             AccessClass::Hit => None,
-            AccessClass::Upgrade => Some(self.do_upgrade(node, block)),
+            AccessClass::Upgrade => Some(self.do_upgrade(node, block, r.region)),
             AccessClass::Miss => Some(self.do_miss(node, block, r.kind, r.region)),
         }
     }
@@ -150,20 +153,20 @@ impl RefInterpreter {
         1 << node.index()
     }
 
-    fn do_upgrade(&mut self, node: NodeId, block: BlockAddr) -> Transaction {
+    fn do_upgrade(&mut self, node: NodeId, block: BlockAddr, region: Region) -> Transaction {
         let home = self.space.home_of_block(block);
         let info = self.blocks.entry(block.raw()).or_default();
         debug_assert!(info.owner.is_none(), "upgrade on a dirty block");
         let others = info.sharers & !Self::bit(node);
-        let local = home == node;
         if self.counting {
-            match (others != 0, local) {
-                (false, true) => self.events.upgrade_nosharers_local += 1,
-                (false, false) => self.events.upgrade_nosharers_remote += 1,
-                (true, true) => self.events.upgrade_sharers_local += 1,
-                (true, false) => self.events.upgrade_sharers_remote += 1,
-            }
-            self.events.invalidated_copies += others.count_ones() as u64;
+            self.events.record(
+                CoherenceOp::Upgrade,
+                region,
+                home == node,
+                DirtySplit::Clean,
+                others != 0,
+                u64::from(others.count_ones()),
+            );
         }
         info.sharers = Self::bit(node);
         info.owner = Some(node);
@@ -185,44 +188,21 @@ impl RefInterpreter {
         region: Region,
     ) -> Transaction {
         let home = self.space.home_of_block(block);
-        let local = home == node;
         let info = *self.blocks.get(&block.raw()).unwrap_or(&BlockInfo::default());
         debug_assert!(info.owner != Some(node), "miss on a block this cache owns");
         let others = info.sharers & !Self::bit(node);
 
         if self.counting {
-            match region {
-                Region::Private => self.events.private_misses += 1,
-                Region::Shared => match (kind, info.owner) {
-                    (AccessKind::Read, Some(d)) => {
-                        if node.dirty_on_path(home, d, self.space.nodes()) {
-                            self.events.read_dirty_2 += 1;
-                        } else {
-                            self.events.read_dirty_1 += 1;
-                        }
-                    }
-                    (AccessKind::Read, None) => {
-                        if local {
-                            self.events.read_clean_local += 1;
-                        } else {
-                            self.events.read_clean_remote += 1;
-                        }
-                    }
-                    (AccessKind::Write, Some(d)) => {
-                        if node.dirty_on_path(home, d, self.space.nodes()) {
-                            self.events.write_dirty_2 += 1;
-                        } else {
-                            self.events.write_dirty_1 += 1;
-                        }
-                    }
-                    (AccessKind::Write, None) => match (others != 0, local) {
-                        (false, true) => self.events.write_nosharers_local += 1,
-                        (false, false) => self.events.write_nosharers_remote += 1,
-                        (true, true) => self.events.write_sharers_local += 1,
-                        (true, false) => self.events.write_sharers_remote += 1,
-                    },
-                },
-            }
+            // A write invalidates every other copy, the dirty owner's too.
+            let invalidated = if kind.is_write() { u64::from(others.count_ones()) } else { 0 };
+            self.events.record(
+                kind.into(),
+                region,
+                home == node,
+                DirtySplit::on_path(node, home, info.owner, self.space.nodes()),
+                others != 0,
+                invalidated,
+            );
         }
 
         // Coherence actions.
@@ -236,14 +216,10 @@ impl RefInterpreter {
                 entry.sharers |= Self::bit(node);
             }
             AccessKind::Write => {
-                let victims = entry.sharers & !Self::bit(node);
-                if self.counting {
-                    self.events.invalidated_copies += victims.count_ones() as u64;
-                }
                 entry.owner = Some(node);
                 entry.sharers = Self::bit(node);
                 for peer in NodeId::all(self.caches.len()) {
-                    if victims & Self::bit(peer) != 0 {
+                    if others & Self::bit(peer) != 0 {
                         self.caches[peer.index()].snoop_invalidate(block);
                     }
                 }
@@ -260,7 +236,6 @@ impl RefInterpreter {
     /// Removes `node`'s copy of `victim` from the global map, accounting a
     /// write-back when the victim was dirty.
     fn drop_copy(&mut self, node: NodeId, victim: BlockAddr, vstate: LineState) {
-        let vhome = self.space.home_of_block(victim);
         if let Some(info) = self.blocks.get_mut(&victim.raw()) {
             info.sharers &= !Self::bit(node);
             if info.owner == Some(node) {
@@ -268,11 +243,7 @@ impl RefInterpreter {
             }
         }
         if vstate.is_dirty() && self.counting {
-            if vhome == node {
-                self.events.writeback_local += 1;
-            } else {
-                self.events.writeback_remote += 1;
-            }
+            self.events.record_writeback(self.space.home_of_block(victim) == node);
         }
     }
 

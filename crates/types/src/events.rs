@@ -2,6 +2,57 @@ use core::ops::{Add, AddAssign};
 
 use serde::{Deserialize, Serialize};
 
+use crate::{AccessKind, NodeId, Region};
+
+/// What a finished transaction did, as [`CoherenceEvents::record`] buckets
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoherenceOp {
+    /// A read miss.
+    Read,
+    /// A write miss.
+    Write,
+    /// A write hit on a read-shared line.
+    Upgrade,
+}
+
+impl From<AccessKind> for CoherenceOp {
+    #[inline]
+    fn from(kind: AccessKind) -> Self {
+        match kind {
+            AccessKind::Read => CoherenceOp::Read,
+            AccessKind::Write => CoherenceOp::Write,
+        }
+    }
+}
+
+/// Whether a miss found the block dirty in another cache, and if so how
+/// many ring traversals that cost (the `_1` / `_2` of the dirty buckets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DirtySplit {
+    /// No cache held the block dirty.
+    Clean,
+    /// Dirty, resolved in one traversal.
+    OneCycle,
+    /// Dirty, needing two traversals.
+    TwoCycle,
+}
+
+impl DirtySplit {
+    /// The split by position on the ring: two cycles when the dirty `owner`
+    /// lies on the `requester` → `home` path ([`NodeId::dirty_on_path`]
+    /// over `nodes` nodes), one otherwise.
+    #[inline]
+    #[must_use]
+    pub fn on_path(requester: NodeId, home: NodeId, owner: Option<NodeId>, nodes: usize) -> Self {
+        match owner {
+            None => DirtySplit::Clean,
+            Some(d) if requester.dirty_on_path(home, d, nodes) => DirtySplit::TwoCycle,
+            Some(_) => DirtySplit::OneCycle,
+        }
+    }
+}
+
 /// Counts of every coherence-relevant event class in a run.
 ///
 /// The classes are chosen so that each of the paper's protocols can derive
@@ -18,6 +69,10 @@ use serde::{Deserialize, Serialize};
 /// relative to the requester. `_1` / `_2` on dirty-miss classes is the ring
 /// traversal count: `_1` when the dirty node is *not* on the requester→home
 /// path (the "fortunate" placement of paper Figure 2), `_2` otherwise.
+///
+/// Every backend classifies a finished miss or upgrade through
+/// [`CoherenceEvents::record`] and a dirty victim through
+/// [`CoherenceEvents::record_writeback`]; only the inputs it passes differ.
 ///
 /// # Examples
 ///
@@ -73,6 +128,71 @@ pub struct CoherenceEvents {
 }
 
 impl CoherenceEvents {
+    /// Counts one finished miss or upgrade in exactly one bucket and adds
+    /// `invalidated` to `invalidated_copies`.
+    ///
+    /// * An upgrade lands in `upgrade_{sharers,nosharers}_{local,remote}`,
+    ///   whatever its region and dirty split.
+    /// * A private miss lands in `private_misses`.
+    /// * A shared read miss lands in `read_dirty_1`/`read_dirty_2` when
+    ///   `dirty`, else in `read_clean_{local,remote}`; `sharers` is unused.
+    /// * A shared write miss lands in `write_dirty_1`/`write_dirty_2` when
+    ///   `dirty`, else in `write_{sharers,nosharers}_{local,remote}`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ringsim_types::{CoherenceEvents, CoherenceOp, DirtySplit, Region};
+    ///
+    /// let mut e = CoherenceEvents::default();
+    /// e.record(CoherenceOp::Write, Region::Shared, false, DirtySplit::Clean, true, 3);
+    /// assert_eq!((e.write_sharers_remote, e.invalidated_copies), (1, 3));
+    /// ```
+    #[inline]
+    pub fn record(
+        &mut self,
+        op: CoherenceOp,
+        region: Region,
+        local: bool,
+        dirty: DirtySplit,
+        sharers: bool,
+        invalidated: u64,
+    ) {
+        let bucket = match (op, region, dirty) {
+            (CoherenceOp::Upgrade, ..) => match (sharers, local) {
+                (false, true) => &mut self.upgrade_nosharers_local,
+                (false, false) => &mut self.upgrade_nosharers_remote,
+                (true, true) => &mut self.upgrade_sharers_local,
+                (true, false) => &mut self.upgrade_sharers_remote,
+            },
+            (_, Region::Private, _) => &mut self.private_misses,
+            (CoherenceOp::Read, _, DirtySplit::OneCycle) => &mut self.read_dirty_1,
+            (CoherenceOp::Read, _, DirtySplit::TwoCycle) => &mut self.read_dirty_2,
+            (CoherenceOp::Read, _, DirtySplit::Clean) if local => &mut self.read_clean_local,
+            (CoherenceOp::Read, _, DirtySplit::Clean) => &mut self.read_clean_remote,
+            (CoherenceOp::Write, _, DirtySplit::OneCycle) => &mut self.write_dirty_1,
+            (CoherenceOp::Write, _, DirtySplit::TwoCycle) => &mut self.write_dirty_2,
+            (CoherenceOp::Write, _, DirtySplit::Clean) => match (sharers, local) {
+                (false, true) => &mut self.write_nosharers_local,
+                (false, false) => &mut self.write_nosharers_remote,
+                (true, true) => &mut self.write_sharers_local,
+                (true, false) => &mut self.write_sharers_remote,
+            },
+        };
+        *bucket += 1;
+        self.invalidated_copies += invalidated;
+    }
+
+    /// Counts one write-back of a dirty victim, by its home's locality.
+    #[inline]
+    pub fn record_writeback(&mut self, local: bool) {
+        if local {
+            self.writeback_local += 1;
+        } else {
+            self.writeback_remote += 1;
+        }
+    }
+
     /// All data references.
     #[must_use]
     pub fn data_refs(&self) -> u64 {
@@ -319,6 +439,73 @@ mod tests {
         assert_eq!(sum.data_refs(), 2 * e.data_refs());
         assert_eq!(sum.misses(), 2 * e.misses());
         assert_eq!(sum.invalidated_copies, 22);
+    }
+
+    /// Every combination of inputs lands in exactly one bucket, adds exactly
+    /// its invalidated count, and keeps the Figure 5 partition whole.
+    #[test]
+    fn record_classifies_every_input_once() {
+        use CoherenceOp::{Read, Upgrade, Write};
+        use DirtySplit::{Clean, OneCycle, TwoCycle};
+
+        let mut total = CoherenceEvents::default();
+        let mut invalidated = 0;
+        for op in [Read, Write, Upgrade] {
+            for region in [Region::Private, Region::Shared] {
+                for local in [false, true] {
+                    for dirty in [Clean, OneCycle, TwoCycle] {
+                        for sharers in [false, true] {
+                            let input = format!("{op:?} {region:?} {local} {dirty:?} {sharers}");
+                            let before = total;
+                            invalidated += 1;
+                            total.record(op, region, local, dirty, sharers, invalidated);
+                            let moved = |f: fn(&CoherenceEvents) -> u64| f(&total) - f(&before);
+                            assert_eq!(moved(|e| e.misses() + e.upgrades()), 1, "{input}");
+                            assert_eq!(
+                                moved(CoherenceEvents::upgrades),
+                                u64::from(op == Upgrade),
+                                "{input}"
+                            );
+                            let private_miss = op != Upgrade && region == Region::Private;
+                            assert_eq!(
+                                moved(|e| e.private_misses),
+                                u64::from(private_miss),
+                                "{input}"
+                            );
+                            assert_eq!(moved(|e| e.invalidated_copies), invalidated, "{input}");
+                            assert_eq!(
+                                total.shared_misses(),
+                                total.remote_misses()
+                                    + total.read_clean_local
+                                    + total.write_nosharers_local,
+                                "{input}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // 3 ops x 2 regions x 2 localities x 3 dirty splits x 2 sharer bits.
+        assert_eq!(total.misses() + total.upgrades(), 72);
+        assert_eq!(total.private_misses, 24);
+    }
+
+    #[test]
+    fn dirty_split_follows_the_ring_path() {
+        let n = NodeId::new;
+        assert_eq!(DirtySplit::on_path(n(0), n(2), None, 4), DirtySplit::Clean);
+        assert_eq!(DirtySplit::on_path(n(0), n(2), Some(n(1)), 4), DirtySplit::TwoCycle);
+        assert_eq!(DirtySplit::on_path(n(0), n(2), Some(n(3)), 4), DirtySplit::OneCycle);
+        assert_eq!(DirtySplit::on_path(n(0), n(2), Some(n(2)), 4), DirtySplit::OneCycle);
+    }
+
+    #[test]
+    fn record_writeback_splits_by_home() {
+        let mut e = CoherenceEvents::default();
+        e.record_writeback(true);
+        e.record_writeback(false);
+        e.record_writeback(false);
+        assert_eq!((e.writeback_local, e.writeback_remote, e.writebacks()), (1, 2, 3));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   trace generator and the simulators,
 //! * [`rng`] — a small deterministic PRNG ([`rng::Xoshiro256`]) so that every
 //!   simulation is exactly reproducible across platforms,
-//! * [`stats`] — counters, running means and histograms used for metrics,
+//! * [`CoherenceEvents`] — the Figure 5 event buckets, filled by one
+//!   classifier, [`CoherenceEvents::record`],
+//! * [`stats`] — the running mean used for latency and delay metrics,
 //! * [`fnv1a`] / [`FnvMap`] — the FNV-1a hash for digests and block-keyed
 //!   maps.
 //!
@@ -45,7 +47,7 @@ mod time;
 
 pub use addr::{Addr, BlockAddr, PageAddr};
 pub use error::ConfigError;
-pub use events::CoherenceEvents;
+pub use events::{CoherenceEvents, CoherenceOp, DirtySplit};
 pub use hash::{fnv1a, FnvBuildHasher, FnvHasher, FnvMap};
 pub use ids::NodeId;
 pub use mem::{AccessKind, MemRef, Region};

@@ -1,65 +1,9 @@
-//! Lightweight metric primitives shared by the simulators.
-//!
-//! * [`Counter`] — monotonically increasing event count,
-//! * [`RunningMean`] — streaming mean/min/max of a series,
-//! * [`Histogram`] — fixed-bin histogram with overflow bin,
-//! * [`BusyTracker`] — time-weighted busy fraction (processor, bus and slot
-//!   utilisation are all computed with it).
-
-use core::fmt;
+//! Metric primitives shared by the simulators: [`RunningMean`], the
+//! streaming mean/min/max of a series (latencies and network delays).
 
 use serde::{Deserialize, Serialize};
 
 use crate::Time;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use ringsim_types::stats::Counter;
-///
-/// let mut c = Counter::default();
-/// c.incr();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[must_use]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-
-    /// This count as a fraction of `total` (0 when `total` is 0).
-    #[must_use]
-    pub fn frac_of(self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.0 as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
-    }
-}
 
 /// Streaming mean, minimum and maximum of an `f64` series.
 ///
@@ -145,208 +89,9 @@ impl RunningMean {
     }
 }
 
-/// Fixed-width-bin histogram with an overflow bin.
-///
-/// # Examples
-///
-/// ```
-/// use ringsim_types::stats::Histogram;
-///
-/// let mut h = Histogram::new(10.0, 5); // bins [0,10), [10,20), ... [40,50), overflow
-/// h.record(3.0);
-/// h.record(47.0);
-/// h.record(500.0);
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.bin_count(4), 1);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` bins of width `bin_width` starting at
-    /// zero, plus an overflow bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_width` is not positive or `bins` is zero.
-    #[must_use]
-    pub fn new(bin_width: f64, bins: usize) -> Self {
-        assert!(bin_width > 0.0, "bin width must be positive");
-        assert!(bins > 0, "need at least one bin");
-        Self { bin_width, bins: vec![0; bins], overflow: 0 }
-    }
-
-    /// Records one sample (negative samples count in bin 0).
-    pub fn record(&mut self, x: f64) {
-        let idx = (x.max(0.0) / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of regular bins.
-    #[must_use]
-    pub fn bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Samples that exceeded the last bin.
-    #[must_use]
-    pub const fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of samples recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.overflow
-    }
-
-    /// Approximate `q`-quantile (0–1) of the recorded samples: the upper
-    /// edge of the bin containing the quantile, or infinity when it falls
-    /// into the overflow bin. Returns `None` with no samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not within `[0, 1]`.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &count) in self.bins.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return Some((i as f64 + 1.0) * self.bin_width);
-            }
-        }
-        Some(f64::INFINITY)
-    }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bin widths or counts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bin_width, other.bin_width, "bin widths differ");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin counts differ");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-    }
-}
-
-/// Tracks the fraction of simulated time a resource is busy.
-///
-/// Call [`BusyTracker::set_busy`] on every state change and
-/// [`BusyTracker::finish`] at the end of the simulation; the busy fraction is
-/// time-weighted.
-///
-/// # Examples
-///
-/// ```
-/// use ringsim_types::stats::BusyTracker;
-/// use ringsim_types::Time;
-///
-/// let mut b = BusyTracker::new();
-/// b.set_busy(true, Time::ZERO);
-/// b.set_busy(false, Time::from_ns(30));
-/// b.finish(Time::from_ns(100));
-/// assert!((b.busy_fraction(Time::from_ns(100)) - 0.3).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BusyTracker {
-    busy: bool,
-    since: Time,
-    busy_time: Time,
-    finished: bool,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker at time zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a state change at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous state change.
-    pub fn set_busy(&mut self, busy: bool, now: Time) {
-        if self.busy {
-            self.busy_time += now - self.since;
-        } else {
-            // Idle interval: just validate monotonicity.
-            assert!(now >= self.since, "time went backwards");
-        }
-        self.busy = busy;
-        self.since = now;
-    }
-
-    /// Closes the measurement interval at `end`.
-    pub fn finish(&mut self, end: Time) {
-        if self.busy {
-            self.busy_time += end - self.since;
-            self.busy = false;
-        }
-        self.since = end;
-        self.finished = true;
-    }
-
-    /// Total busy time accumulated so far.
-    #[must_use]
-    pub const fn busy_time(&self) -> Time {
-        self.busy_time
-    }
-
-    /// Busy time as a fraction of `total` (0 when `total` is zero).
-    #[must_use]
-    pub fn busy_fraction(&self, total: Time) -> f64 {
-        if total.is_zero() {
-            0.0
-        } else {
-            self.busy_time.as_ps() as f64 / total.as_ps() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_fraction() {
-        let mut c = Counter::default();
-        c.add(25);
-        assert!((c.frac_of(100) - 0.25).abs() < 1e-12);
-        assert_eq!(Counter::default().frac_of(0), 0.0);
-    }
 
     #[test]
     fn running_mean_merge() {
@@ -367,65 +112,5 @@ mod tests {
         let m = RunningMean::default();
         assert_eq!(m.mean(), 0.0);
         assert_eq!(m.min(), None);
-    }
-
-    #[test]
-    fn histogram_bins() {
-        let mut h = Histogram::new(1.0, 3);
-        for x in [0.5, 1.5, 1.9, 2.5, 7.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(1), 2);
-        assert_eq!(h.bin_count(2), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bins(), 3);
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut h = Histogram::new(10.0, 10);
-        for x in [5.0, 15.0, 25.0, 35.0] {
-            h.record(x);
-        }
-        assert_eq!(h.quantile(0.25), Some(10.0));
-        assert_eq!(h.quantile(0.5), Some(20.0));
-        assert_eq!(h.quantile(1.0), Some(40.0));
-        assert_eq!(Histogram::new(1.0, 2).quantile(0.5), None);
-        h.record(1e9);
-        assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
-    }
-
-    #[test]
-    fn merge_adds_bins() {
-        let mut a = Histogram::new(1.0, 3);
-        let mut b = Histogram::new(1.0, 3);
-        a.record(0.5);
-        b.record(0.7);
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.bin_count(0), 2);
-        assert_eq!(a.overflow(), 1);
-    }
-
-    #[test]
-    fn busy_tracker_interleaved() {
-        let mut b = BusyTracker::new();
-        b.set_busy(true, Time::from_ns(10));
-        b.set_busy(false, Time::from_ns(20));
-        b.set_busy(true, Time::from_ns(50));
-        b.finish(Time::from_ns(100));
-        assert_eq!(b.busy_time(), Time::from_ns(60));
-        assert!((b.busy_fraction(Time::from_ns(100)) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_tracker_idempotent_state() {
-        let mut b = BusyTracker::new();
-        b.set_busy(true, Time::from_ns(0));
-        b.set_busy(true, Time::from_ns(10)); // still busy: accumulates
-        b.finish(Time::from_ns(20));
-        assert_eq!(b.busy_time(), Time::from_ns(20));
     }
 }

@@ -23,7 +23,9 @@
 //!    engine dispatch SCI's, so the model checker and the simulators share
 //!    every effect. The same scan keeps cache effects (`snoop_invalidate`,
 //!    `snoop_downgrade`) inside the cache crate, the three engines, the
-//!    reference interpreter and the two host hooks that invalidate a sharer.
+//!    reference interpreter and the two host hooks that invalidate a sharer,
+//!    and writes to the Figure 5 event buckets (`private_misses` and
+//!    `writeback_*` included) inside `CoherenceEvents`' one classifier.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -260,8 +262,12 @@ fn no_rule_is_dead_at_four_nodes() {
 /// engines, only `ringsim_trace::RefInterpreter` (the idealised full map
 /// behind Table 2 and Table 1's full-map column) and the two hosts' sharer
 /// invalidation hooks (`BusSystem::invalidate_sharer`,
-/// `Model::invalidate_at` in the checker) apply them. Test code is exempt
-/// (everything from a file's `#[cfg(test)]` on).
+/// `Model::invalidate_at` in the checker) apply them. Likewise every
+/// backend classifies a finished miss, upgrade or write-back through
+/// `CoherenceEvents::record` and `record_writeback`, so only
+/// `crates/types/src/events.rs` writes a Figure 5 bucket (`<field> +=` or
+/// `&mut <x>.<field>`). Test code is exempt (everything from a file's
+/// `#[cfg(test)]` on).
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {
     // (family, dispatch calls, the only files, or directories ending in
@@ -306,6 +312,39 @@ fn only_the_engines_dispatch_protocol_rules() {
             ],
         ),
     ];
+    // The fig5-buckets family: fields only the classifier may write.
+    const FIG5_BUCKETS: [&str; 17] = [
+        "private_misses",
+        "read_clean_local",
+        "read_clean_remote",
+        "read_dirty_1",
+        "read_dirty_2",
+        "write_nosharers_local",
+        "write_nosharers_remote",
+        "write_sharers_local",
+        "write_sharers_remote",
+        "write_dirty_1",
+        "write_dirty_2",
+        "upgrade_nosharers_local",
+        "upgrade_nosharers_remote",
+        "upgrade_sharers_local",
+        "upgrade_sharers_remote",
+        "writeback_local",
+        "writeback_remote",
+    ];
+    const FIG5_OWNER: &str = "crates/types/src/events.rs";
+    /// Whether `code` writes `field`: `<field> +=` or `&mut <x>.<field>`.
+    fn writes(code: &str, field: &str) -> bool {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        code.match_indices(field).any(|(at, _)| {
+            let (before, after) = (&code[..at], &code[at + field.len()..]);
+            if before.ends_with(ident) || after.starts_with(ident) {
+                return false;
+            }
+            let place = before.trim_end_matches(|c: char| ident(c) || c == '.');
+            after.trim_start().starts_with("+=") || place.ends_with("&mut ")
+        })
+    }
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
         for entry in std::fs::read_dir(dir).expect("readable source dir") {
             let path = entry.expect("dir entry").path();
@@ -345,11 +384,18 @@ fn only_the_engines_dispatch_protocol_rules() {
                     ));
                 }
             }
+            if rel != FIG5_OWNER && FIG5_BUCKETS.iter().any(|field| writes(code, field)) {
+                offenders.push(format!(
+                    "fig5-buckets write at {rel}:{}: `{}`",
+                    lineno + 1,
+                    line.trim()
+                ));
+            }
         }
     }
     assert!(
         offenders.is_empty(),
-        "protocol rules dispatched outside their engine:\n{}",
+        "protocol rules dispatched, or events classified, outside their one owner:\n{}",
         offenders.join("\n")
     );
 }
