@@ -25,7 +25,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use ringsim_obs::MetricsSink;
-use ringsim_sweep::{default_jobs, run_experiment, Experiment, SweepConfig};
+use ringsim_sweep::{run_experiment, Experiment, SweepConfig};
+use ringsim_types::par::default_jobs;
 
 use crate::experiments;
 use crate::EXPERIMENT_REFS;

@@ -197,9 +197,9 @@ pub struct CheckConfig {
     pub check_liveness: bool,
     /// Include explicit eviction moves (conflict-miss stand-ins).
     pub evictions: bool,
-    /// Worker threads for frontier expansion; `0` = one per available core
-    /// (the sweep engine's convention). Reports are byte-identical for any
-    /// value.
+    /// Worker threads for frontier expansion on the shared pool
+    /// ([`ringsim_types::par`]); `0` = [`par::default_jobs`](ringsim_types::par::default_jobs),
+    /// as for the sweep. Reports are byte-identical for any value.
     pub jobs: usize,
     /// Store one representative per symmetry orbit instead of every state.
     /// Off, the checker degenerates to the plain (slower, larger) BFS —

@@ -3,8 +3,8 @@
 //! Every paper artifact (tables, figures, validation runs) is produced by a
 //! type implementing [`Experiment`]. An experiment receives a [`SweepCtx`]
 //! and fans its sweep points out through [`SweepCtx::map`], which runs them
-//! on a thread pool (`--jobs N`) while guaranteeing the **determinism
-//! contract**:
+//! on up to `--jobs N` threads of the workspace's one ordered pool,
+//! [`ringsim_types::par`], while guaranteeing the **determinism contract**:
 //!
 //! * each point's RNG seed is a pure function of
 //!   `(experiment, bench, procs, protocol, cycle, detail)` — see
@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod engine;
 mod point;
 mod shard;
 
@@ -30,11 +29,12 @@ pub use shard::Shard;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ringsim_obs::MetricsSink;
+use ringsim_types::par;
 use serde::{Deserialize, Serialize};
 
 /// A progress event emitted while [`SweepCtx::map`] runs points, so a
@@ -105,6 +105,7 @@ impl fmt::Debug for SweepConfig {
             .field("progress", &self.progress.is_some())
             .field("cache_dir", &self.cache_dir)
             .field("shard", &self.shard)
+            .field("shard_wait", &self.shard_wait)
             .field("metrics", &self.metrics.is_some())
             .field("sanitize", &self.sanitize)
             .finish()
@@ -117,7 +118,7 @@ impl SweepConfig {
     #[must_use]
     pub fn new(refs_per_proc: u64) -> Self {
         Self {
-            jobs: default_jobs(),
+            jobs: par::default_jobs(),
             refs_per_proc,
             out_dir: PathBuf::from("results"),
             use_cache: true,
@@ -202,12 +203,12 @@ impl SweepConfig {
     pub fn cache_root(&self) -> &Path {
         self.cache_dir.as_deref().unwrap_or(&self.out_dir)
     }
-}
 
-/// The default `--jobs` value: the machine's available parallelism.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    /// Whether the cache is in use: when asked for, and always when
+    /// sharded (it is the merge substrate).
+    fn caching(&self) -> bool {
+        self.use_cache || self.shard.is_some()
+    }
 }
 
 /// Per-point context handed to the work closure of [`SweepCtx::map`].
@@ -364,6 +365,18 @@ impl SweepCtx {
     /// computed on a miss — which is why results must round-trip through
     /// serde (`Serialize + Deserialize`). Hit/miss counts land in the meta
     /// twin via [`RunMeta`].
+    ///
+    /// One body serves every shard count, in two phases. **Phase 1** runs
+    /// the points this process owns (all of them without a [`Shard`]) on
+    /// the [`par`] pool, publishing each result into the cache and
+    /// announcing it to the progress callback, so across all shards the
+    /// per-point events sum to exactly the sweep size. **Phase 2**, empty
+    /// without a shard, polls the shared cache for every peer-owned point;
+    /// peers advance through the same map calls in lockstep, so the wait is
+    /// bounded by shard skew, and since the slowest shard bounds the run
+    /// anyway the poll adds nothing to wall clock. If the deadline
+    /// ([`SweepConfig::shard_wait`]) expires — a peer died — the point is
+    /// computed locally so the run still terminates with correct results.
     pub fn map<P, R>(
         &self,
         points: &[P],
@@ -375,85 +388,10 @@ impl SweepCtx {
         R: Send + Serialize + Deserialize,
     {
         let map_call = self.map_calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(shard) = self.cfg.shard {
-            return self.map_sharded(map_call, shard, points, key, work);
-        }
-        let use_cache = self.cfg.use_cache;
+        let caching = self.cfg.caching();
         let progress = self.cfg.progress.as_ref();
-        if let Some(p) = progress {
-            p(&Progress::MapStarted { points: points.len() });
-        }
-        let wrapped = |pctx: &PointCtx, p: &P| -> (R, bool) {
-            let entry = cache::entry_path(
-                self.cfg.cache_root(),
-                self.experiment,
-                map_call,
-                pctx.refs_per_proc,
-                &pctx.label,
-                pctx.seed,
-            );
-            if use_cache {
-                if let Some(r) = cache::read::<R>(&entry) {
-                    if let Some(pf) = progress {
-                        pf(&Progress::PointDone { label: pctx.label.clone(), cached: true });
-                    }
-                    return (r, true);
-                }
-            }
-            let r = work(pctx, p);
-            if use_cache {
-                cache::write(&entry, &r);
-            }
-            if let Some(pf) = progress {
-                pf(&Progress::PointDone { label: pctx.label.clone(), cached: false });
-            }
-            (r, false)
-        };
-        let (results, mut stats) =
-            engine::run_points(self.experiment, &self.cfg, points, key, wrapped);
-        let mut out = Vec::with_capacity(results.len());
-        for ((r, cached), stat) in results.into_iter().zip(&mut stats) {
-            stat.cached = cached;
-            let counter = if cached { &self.cache_hits } else { &self.cache_misses };
-            counter.fetch_add(1, Ordering::Relaxed);
-            out.push(r);
-        }
-        self.stats.lock().expect("stats lock").extend(stats);
-        out
-    }
-
-    /// The multi-process path of [`map`](Self::map): this process computes
-    /// only the points its [`Shard`] owns, then fills the rest of the
-    /// result vector from the shared cache its peers write into.
-    ///
-    /// Two phases keep the critical path clean. **Phase 1** runs the owned
-    /// stripe on the thread pool exactly like an unsharded `map` (cache
-    /// consulted first, results written atomically into the shared
-    /// `.cache/`), emitting progress for owned points only — so across all
-    /// shards the per-point events sum to exactly the sweep size. **Phase
-    /// 2** polls the shared cache for every peer-owned point; peers advance
-    /// through the same map calls in lockstep, so the wait is bounded by
-    /// shard skew, and since the slowest shard bounds the run anyway the
-    /// poll adds nothing to wall clock. If the deadline
-    /// ([`SweepConfig::shard_wait`]) expires — a peer died — the point is
-    /// computed locally so the run still terminates with correct results.
-    fn map_sharded<P, R>(
-        &self,
-        map_call: u64,
-        shard: Shard,
-        points: &[P],
-        key: impl Fn(&P) -> SweepPoint + Sync,
-        work: impl Fn(&PointCtx, &P) -> R + Sync,
-    ) -> Vec<R>
-    where
-        P: Sync,
-        R: Send + Serialize + Deserialize,
-    {
-        let n = points.len();
-        let progress = self.cfg.progress.as_ref();
-        // Per-point identity (label, seed, cache entry) in submission
-        // order; `PointCtx::index` stays the *global* index so work
-        // closures see the same context as in a single-pool run.
+        // Per-point identity (context and cache entry) in submission order;
+        // `PointCtx::index` is the index into `points`, whatever the shard.
         let metas: Vec<(PointCtx, PathBuf)> = points
             .iter()
             .enumerate()
@@ -470,114 +408,71 @@ impl SweepCtx {
                 (pctx, entry)
             })
             .collect();
-        let owned: Vec<usize> = (0..n).filter(|&i| shard.owns(i)).collect();
+        let owned: Vec<usize> =
+            (0..points.len()).filter(|&i| self.cfg.shard.is_none_or(|s| s.owns(i))).collect();
         if let Some(p) = progress {
             p(&Progress::MapStarted { points: owned.len() });
         }
 
-        // Runs one owned (or fallback) point: cache-consult, compute,
-        // atomic publish into the shared cache.
-        let run_one = |i: usize, announce: bool| -> (R, bool, PointStat) {
+        let stat = |i: usize, start: Instant, cached: bool| {
+            let pctx = &metas[i].0;
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached }
+        };
+        // One point: cache read, else compute and publish; then the
+        // progress event when `announce`.
+        let run_one = |i: usize, announce: bool| -> (R, PointStat) {
             let (pctx, entry) = &metas[i];
             let start = Instant::now();
-            if let Some(r) = cache::read::<R>(entry) {
-                if announce {
-                    if let Some(pf) = progress {
-                        pf(&Progress::PointDone { label: pctx.label.clone(), cached: true });
-                    }
+            let hit = if caching { cache::read::<R>(entry) } else { None };
+            let cached = hit.is_some();
+            let r = hit.unwrap_or_else(|| {
+                let r = work(pctx, &points[i]);
+                if caching {
+                    cache::write(entry, &r);
                 }
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let stat =
-                    PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached: true };
-                return (r, true, stat);
+                r
+            });
+            if let Some(pf) = progress.filter(|_| announce) {
+                pf(&Progress::PointDone { label: pctx.label.clone(), cached });
             }
-            let r = work(pctx, &points[i]);
-            cache::write(entry, &r);
-            if announce {
-                if let Some(pf) = progress {
-                    pf(&Progress::PointDone { label: pctx.label.clone(), cached: false });
-                }
-            }
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            let stat =
-                PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached: false };
-            (r, false, stat)
+            (r, stat(i, start, cached))
         };
 
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut stats: Vec<Option<PointStat>> = (0..n).map(|_| None).collect();
-
-        // Phase 1: this shard's stripe, on the thread pool.
-        let jobs = self.cfg.jobs.clamp(1, owned.len().max(1));
-        if jobs == 1 {
-            for &i in &owned {
-                let (r, cached, stat) = run_one(i, true);
-                self.count_cache(cached);
-                results[i] = Some(r);
-                stats[i] = Some(stat);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, (R, bool, PointStat))>();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let owned = &owned;
-                    let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= owned.len() {
-                            break;
-                        }
-                        let i = owned[k];
-                        let out = run_one(i, true);
-                        if tx.send((i, out)).is_err() {
-                            break;
-                        }
-                    });
-                }
-            });
-            drop(tx);
-            for (i, (r, cached, stat)) in rx {
-                self.count_cache(cached);
-                results[i] = Some(r);
-                stats[i] = Some(stat);
-            }
+        // Phase 1: the owned points, on the pool.
+        let mut done: Vec<Option<(R, PointStat)>> = points.iter().map(|_| None).collect();
+        let computed = par::map_indexed(self.cfg.jobs, owned.len(), |k| run_one(owned[k], true));
+        for (&i, out) in owned.iter().zip(computed) {
+            done[i] = Some(out);
         }
 
-        // Phase 2: peers' points, from the shared cache. Poll order is
-        // submission order; no progress events for these (the owning shard
-        // already announced them).
+        // Phase 2: peers' points, from the shared cache, in submission
+        // order; no progress events (the owning shard announced them).
         let deadline = Instant::now() + self.cfg.shard_wait;
-        for i in 0..n {
-            if results[i].is_some() {
-                continue;
-            }
-            let (pctx, entry) = &metas[i];
+        for (i, slot) in done.iter_mut().enumerate().filter(|(_, slot)| slot.is_none()) {
             let start = Instant::now();
             let (r, cached) = loop {
-                if let Some(r) = cache::read::<R>(entry) {
+                if let Some(r) = cache::read::<R>(&metas[i].1) {
                     break (r, true);
                 }
                 if Instant::now() >= deadline {
-                    // Liveness fallback: the owning peer is gone; compute
-                    // the point locally so the run still completes.
-                    let (r, cached, _) = run_one(i, false);
-                    break (r, cached);
+                    // Liveness fallback: the owning peer is gone.
+                    let (r, s) = run_one(i, false);
+                    break (r, s.cached);
                 }
                 std::thread::sleep(Duration::from_millis(15));
             };
-            self.count_cache(cached);
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            stats[i] =
-                Some(PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached });
-            results[i] = Some(r);
+            *slot = Some((r, stat(i, start, cached)));
         }
 
-        let stats: Vec<PointStat> = stats.into_iter().map(|s| s.expect("point filled")).collect();
+        let (results, stats): (Vec<R>, Vec<PointStat>) =
+            done.into_iter().map(|slot| slot.expect("every point filled")).unzip();
+        for s in &stats {
+            let counter = if s.cached { &self.cache_hits } else { &self.cache_misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
         self.stats.lock().expect("stats lock").extend(stats);
-        results.into_iter().map(|r| r.expect("point filled")).collect()
+        results
     }
 
     /// Returns the value `key` names, computing it at most once per cache
@@ -598,7 +493,7 @@ impl SweepCtx {
     /// Two threads missing the same key at once both compute it; they
     /// write identical bytes and the rename is atomic, so either wins.
     pub fn shared<R: Serialize + Deserialize>(&self, key: &str, compute: impl FnOnce() -> R) -> R {
-        if !self.cfg.use_cache && self.cfg.shard.is_none() {
+        if !self.cfg.caching() {
             return compute();
         }
         let entry = cache::shared_path(self.cfg.cache_root(), key);
@@ -608,11 +503,6 @@ impl SweepCtx {
         let r = compute();
         cache::write(&entry, &r);
         r
-    }
-
-    fn count_cache(&self, hit: bool) {
-        let counter = if hit { &self.cache_hits } else { &self.cache_misses };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(hits, misses)` of the per-point cache across this context's `map`
@@ -758,6 +648,7 @@ pub fn run_experiment(exp: &dyn Experiment, cfg: &SweepConfig) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     struct Doubler;
 
@@ -790,6 +681,57 @@ mod tests {
     }
 
     #[test]
+    fn point_seeds_do_not_depend_on_jobs() {
+        let dir = std::env::temp_dir().join(format!("ringsim-sweep-seeds-{}", std::process::id()));
+        let points: Vec<u64> = (0..32).collect();
+        let seeds = |jobs| {
+            let ctx =
+                SweepCtx::new("seeds", SweepConfig::new(0).jobs(jobs).out_dir(&dir).cache(false));
+            ctx.map(&points, |p| SweepPoint::new().detail(p.to_string()), |c, _| c.seed)
+        };
+        assert_eq!(seeds(1), seeds(7));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    struct FailsAtThree;
+
+    impl Experiment for FailsAtThree {
+        fn name(&self) -> &'static str {
+            "fails_at_three"
+        }
+        fn description(&self) -> &'static str {
+            "panics at one point"
+        }
+        fn run(&self, ctx: &SweepCtx) -> Vec<Artifact> {
+            let points: Vec<u64> = (0..8).collect();
+            ctx.map(
+                &points,
+                |p| SweepPoint::new().detail(p.to_string()),
+                |_c, p| {
+                    assert_ne!(*p, 3, "point {p} failed");
+                    *p
+                },
+            );
+            ctx.artifacts()
+        }
+    }
+
+    #[test]
+    fn a_failing_point_keeps_its_message() {
+        let dir = std::env::temp_dir().join(format!("ringsim-sweep-fail-{}", std::process::id()));
+        let cfg = SweepConfig::new(0).jobs(2).out_dir(&dir).cache(false);
+        let run = std::panic::AssertUnwindSafe(|| run_experiment(&FailsAtThree, &cfg));
+        let payload =
+            std::panic::catch_unwind(run).expect_err("the point's panic reaches the caller");
+        let msg = payload.downcast_ref::<String>().map_or_else(
+            || payload.downcast_ref::<&str>().copied().unwrap_or_default(),
+            String::as_str,
+        );
+        assert!(msg.contains("point 3 failed"), "lost the message: {msg:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn warm_run_is_all_hits_with_identical_artifacts() {
         let dir = std::env::temp_dir().join(format!("ringsim-cache-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -817,8 +759,6 @@ mod tests {
 
     #[test]
     fn progress_callback_counts_points_and_cache_hits() {
-        use std::sync::atomic::AtomicUsize;
-
         let dir =
             std::env::temp_dir().join(format!("ringsim-sweep-progress-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

@@ -19,6 +19,8 @@
 //! discipline lifted one level: artifacts may not depend on the shard
 //! count, just as they may not depend on the thread count.
 //!
+//! A worker computes its stripe exactly as an unsharded run computes every
+//! point: `map` has one body, and without a shard every point is owned.
 //! Workers still need the *values* of points they do not own (experiment
 //! code consumes the full result vector between `map` calls), so after
 //! computing its stripe a worker polls the shared cache for its peers'

@@ -15,7 +15,9 @@
 //!   classifier, [`CoherenceEvents::record`],
 //! * [`stats`] — the running mean used for latency and delay metrics,
 //! * [`fnv1a`] / [`FnvMap`] — the FNV-1a hash for digests and block-keyed
-//!   maps.
+//!   maps,
+//! * [`par`] — the ordered worker pool the sweep engine and the model
+//!   checker run on.
 //!
 //! # Examples
 //!
@@ -41,6 +43,7 @@ mod events;
 mod hash;
 mod ids;
 mod mem;
+pub mod par;
 pub mod rng;
 pub mod stats;
 mod time;

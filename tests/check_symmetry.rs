@@ -89,27 +89,43 @@ fn stats_report_reduction_and_no_dead_rules() {
 }
 
 /// Reports are byte-identical across worker counts: `--jobs 8` must not
-/// reorder state ids, traces, or stats relative to `--jobs 1`.
+/// reorder state ids, traces, stats or fire counts relative to `--jobs 1`,
+/// for any protocol. The fault rows send the first-violation pick through
+/// the pool.
 #[test]
 fn reports_are_byte_identical_across_jobs() {
-    for (protocol, fault) in
-        [(ProtocolKind::Snooping, Fault::None), (ProtocolKind::Directory, Fault::ParkBusyForwards)]
-    {
+    // The report line (counts, depth, verdict), the `--stats` block (raw
+    // successors and every rule's fire count) and the counterexample.
+    let text = |r: &CheckReport| {
+        let mut lines = vec![r.to_string()];
+        if let Some(stats) = &r.stats {
+            lines.extend(stats.render(r.states, r.protocol));
+        }
+        if let Some(v) = &r.violation {
+            lines.extend(v.trace.iter().cloned());
+        }
+        lines.join("\n")
+    };
+    for (protocol, fault) in [
+        (ProtocolKind::Snooping, Fault::None),
+        (ProtocolKind::Directory, Fault::ParkBusyForwards),
+        (ProtocolKind::Sci, Fault::None),
+        (ProtocolKind::Msi, Fault::None),
+        (ProtocolKind::Mesi, Fault::None),
+        (ProtocolKind::Dragon, Fault::None),
+        (ProtocolKind::Mesi, Fault::ForgetOwner),
+    ] {
         let mut serial = check(protocol, 3, 1);
         serial.fault = fault;
         serial.stats = true;
-        serial.check_liveness = false;
         serial.max_states = 500_000;
         let mut wide = serial;
         serial.jobs = 1;
         wide.jobs = 8;
         let (a, b) = (run(&serial), run(&wide));
-        assert_eq!(format!("{a}"), format!("{b}"), "{protocol}: report must not depend on jobs");
-        assert_eq!(
-            a.violation.map(|v| v.trace),
-            b.violation.map(|v| v.trace),
-            "{protocol}: counterexample traces must not depend on jobs"
-        );
+        assert_eq!(a.passed(), fault == Fault::None, "{protocol}/{fault}: {a}");
+        assert_eq!(a.stats.is_some(), a.passed(), "{protocol}/{fault}: stats only on a pass");
+        assert_eq!(text(&a), text(&b), "{protocol}/{fault}: report must not depend on jobs");
     }
 }
 

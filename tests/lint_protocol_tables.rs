@@ -24,8 +24,10 @@
 //!    every effect. The same scan keeps cache effects (`snoop_invalidate`,
 //!    `snoop_downgrade`) inside the cache crate, the three engines, the
 //!    reference interpreter and the two host hooks that invalidate a sharer,
-//!    and writes to the Figure 5 event buckets (`private_misses` and
-//!    `writeback_*` included) inside `CoherenceEvents`' one classifier.
+//!    writes to the Figure 5 event buckets (`private_misses` and
+//!    `writeback_*` included) inside `CoherenceEvents`' one classifier, and
+//!    worker pools (`thread::scope(`) inside `ringsim_types::par`, the
+//!    service's per-shard supervisors and the load-test clients.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -266,13 +268,16 @@ fn no_rule_is_dead_at_four_nodes() {
 /// backend classifies a finished miss, upgrade or write-back through
 /// `CoherenceEvents::record` and `record_writeback`, so only
 /// `crates/types/src/events.rs` writes a Figure 5 bucket (`<field> +=` or
-/// `&mut <x>.<field>`). Test code is exempt (everything from a file's
-/// `#[cfg(test)]` on).
+/// `&mut <x>.<field>`). The sweep and the model checker run on one ordered
+/// pool, `ringsim_types::par`, so `thread::scope(` appears only there, in
+/// the service's one-supervisor-per-shard-worker loop and in the load-test
+/// clients. Test code is exempt (everything from a file's `#[cfg(test)]`
+/// on).
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {
     // (family, dispatch calls, the only files, or directories ending in
     // `/`, that may make them)
-    const FAMILIES: [(&str, &[&str], &[&str]); 4] = [
+    const FAMILIES: [(&str, &[&str], &[&str]); 5] = [
         (
             "ring-protocol",
             &[
@@ -309,6 +314,15 @@ fn only_the_engines_dispatch_protocol_rules() {
                 "crates/trace/src/interp.rs",
                 "crates/core/src/bus_system.rs",
                 "crates/check/src/model.rs",
+            ],
+        ),
+        (
+            "worker-pools",
+            &["thread::scope("],
+            &[
+                "crates/types/src/par.rs",
+                "crates/serve/src/jobs.rs",
+                "crates/bench/src/loadtest.rs",
             ],
         ),
     ];
@@ -395,7 +409,8 @@ fn only_the_engines_dispatch_protocol_rules() {
     }
     assert!(
         offenders.is_empty(),
-        "protocol rules dispatched, or events classified, outside their one owner:\n{}",
+        "protocol rules dispatched, events classified or worker pools spawned outside their \
+         owners:\n{}",
         offenders.join("\n")
     );
 }
