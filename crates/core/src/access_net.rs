@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 
 use ringsim_proto::{MsgClass, MsgKind, RingMessage};
-use ringsim_ring::{RingConfig, SlotKind, SlotRing};
+use ringsim_ring::{RingConfig, SlotRing};
 use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, ConfigError, NodeId, Time};
@@ -258,14 +258,9 @@ impl SlottedNetSim {
                         }
                     }
                 } else if let Some(&out) = self.nodes[i].out_q.front() {
-                    let kind = self.ring.kind_of(slot);
-                    let ok = match (out.msg.class(), kind) {
-                        (MsgClass::Probe, SlotKind::Block) => false,
-                        (MsgClass::Probe, k) => k.parity().accepts(out.msg.block.is_even()),
-                        (MsgClass::Block, SlotKind::Block) => true,
-                        (MsgClass::Block, _) => false,
-                    };
-                    if ok && self.ring.try_insert(slot, pos, out.msg).is_ok() {
+                    if out.msg.fits(self.ring.kind_of(slot))
+                        && self.ring.try_insert(slot, pos, out.msg).is_ok()
+                    {
                         self.nodes[i].out_q.pop_front();
                         access.push_time_ns(now.saturating_sub(out.ready_at));
                     }

@@ -45,34 +45,9 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Starts a [`SystemConfigBuilder`] seeded with the paper's 500 MHz
-    /// baseline; override only the fields that differ and call
-    /// [`build`](SystemConfigBuilder::build) to validate.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ringsim_core::SystemConfig;
-    /// use ringsim_proto::ProtocolKind;
-    ///
-    /// let cfg = SystemConfig::builder(ProtocolKind::Directory, 16)
-    ///     .mips(100)
-    ///     .model_bank_contention(true)
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.nodes(), 16);
-    /// ```
-    #[must_use]
-    pub fn builder(protocol: ProtocolKind, nodes: usize) -> SystemConfigBuilder {
-        SystemConfigBuilder { cfg: Self::ring_500mhz(protocol, nodes) }
-    }
-
     /// The paper's baseline: 500 MHz 32-bit ring, 128 KB caches, 140 ns
-    /// memory, 50 MIPS (20 ns) processors.
-    ///
-    /// Positional constructor kept for backwards compatibility; prefer
-    /// [`SystemConfig::builder`], which validates at `build()`, when
-    /// overriding more than the protocol and node count.
+    /// memory, 50 MIPS (20 ns) processors. Override any other field in
+    /// place, then check the result with [`validate`](Self::validate).
     #[must_use]
     pub fn ring_500mhz(protocol: ProtocolKind, nodes: usize) -> Self {
         Self {
@@ -88,10 +63,6 @@ impl SystemConfig {
     }
 
     /// Same system on a 250 MHz ring.
-    ///
-    /// Positional constructor kept for backwards compatibility; prefer
-    /// [`SystemConfig::builder`] with
-    /// [`ring_250mhz`](SystemConfigBuilder::ring_250mhz) for new code.
     #[must_use]
     pub fn ring_250mhz(protocol: ProtocolKind, nodes: usize) -> Self {
         Self { ring: RingConfig::standard_250mhz(nodes), ..Self::ring_500mhz(protocol, nodes) }
@@ -163,94 +134,6 @@ impl SystemConfig {
     }
 }
 
-/// Builder for [`SystemConfig`], started by [`SystemConfig::builder`].
-///
-/// Every setter overrides one field of the 500 MHz paper baseline; nothing
-/// is checked until [`build`](Self::build), which runs
-/// [`SystemConfig::validate`] and surfaces the first offending field as a
-/// [`ConfigError`].
-#[derive(Debug, Clone)]
-pub struct SystemConfigBuilder {
-    cfg: SystemConfig,
-}
-
-impl SystemConfigBuilder {
-    /// Replaces the whole ring configuration (node count included).
-    #[must_use]
-    pub fn ring(mut self, ring: RingConfig) -> Self {
-        self.cfg.ring = ring;
-        self
-    }
-
-    /// Swaps the interconnect for the 250 MHz ring, keeping the node count.
-    #[must_use]
-    pub fn ring_250mhz(mut self) -> Self {
-        self.cfg.ring = RingConfig::standard_250mhz(self.cfg.ring.nodes);
-        self
-    }
-
-    /// Replaces the per-processor cache geometry.
-    #[must_use]
-    pub fn cache(mut self, cache: CacheConfig) -> Self {
-        self.cfg.cache = cache;
-        self
-    }
-
-    /// Sets the processor cycle time.
-    #[must_use]
-    pub fn proc_cycle(mut self, proc_cycle: Time) -> Self {
-        self.cfg.proc_cycle = proc_cycle;
-        self
-    }
-
-    /// Sets the processor speed in MIPS (million single-cycle instructions
-    /// per second). Zero is rejected at [`build`](Self::build), not here.
-    #[must_use]
-    pub fn mips(mut self, mips: u64) -> Self {
-        self.cfg.proc_cycle = 1_000_000u64.checked_div(mips).map_or(Time::ZERO, Time::from_ps);
-        self
-    }
-
-    /// Sets the memory bank access latency.
-    #[must_use]
-    pub fn mem_latency(mut self, mem_latency: Time) -> Self {
-        self.cfg.mem_latency = mem_latency;
-        self
-    }
-
-    /// Sets the dirty-cache supply latency.
-    #[must_use]
-    pub fn supply_latency(mut self, supply_latency: Time) -> Self {
-        self.cfg.supply_latency = supply_latency;
-        self
-    }
-
-    /// Sets the nack retry backoff, in ring cycles.
-    #[must_use]
-    pub fn retry_backoff_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.retry_backoff_cycles = cycles;
-        self
-    }
-
-    /// Enables or disables memory-bank queueing.
-    #[must_use]
-    pub fn model_bank_contention(mut self, on: bool) -> Self {
-        self.cfg.model_bank_contention = on;
-        self
-    }
-
-    /// Validates the assembled configuration and returns it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] found by
-    /// [`SystemConfig::validate`].
-    pub fn build(self) -> Result<SystemConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,28 +160,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_positional_constructors() {
-        let built = SystemConfig::builder(ProtocolKind::Snooping, 16).build().unwrap();
-        assert_eq!(built, SystemConfig::ring_500mhz(ProtocolKind::Snooping, 16));
-        let built =
-            SystemConfig::builder(ProtocolKind::Directory, 8).ring_250mhz().build().unwrap();
-        assert_eq!(built, SystemConfig::ring_250mhz(ProtocolKind::Directory, 8));
-    }
-
-    #[test]
-    fn builder_validates_at_build() {
-        // 0 MIPS maps to a zero cycle time, caught by build().
-        assert!(SystemConfig::builder(ProtocolKind::Snooping, 8).mips(0).build().is_err());
+    fn validate_rejects_more_than_64_nodes() {
         // Too many nodes for the directory bitmap.
-        assert!(SystemConfig::builder(ProtocolKind::Snooping, 65).build().is_err());
-        let cfg = SystemConfig::builder(ProtocolKind::Snooping, 8)
-            .mips(400)
-            .retry_backoff_cycles(10)
-            .model_bank_contention(true)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.proc_cycle, Time::from_ps(2_500));
-        assert!(cfg.model_bank_contention);
+        SystemConfig::ring_500mhz(ProtocolKind::Snooping, 64).validate().unwrap();
+        assert!(SystemConfig::ring_500mhz(ProtocolKind::Snooping, 65).validate().is_err());
     }
 
     #[test]

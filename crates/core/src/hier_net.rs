@@ -44,8 +44,8 @@
 use std::collections::VecDeque;
 
 use ringsim_obs::{LatencyHistogram, Obs};
-use ringsim_proto::{MsgClass, MsgKind, RingMessage};
-use ringsim_ring::{RingTopology, SlotId, SlotKind, SlotRing};
+use ringsim_proto::{MsgKind, RingMessage};
+use ringsim_ring::{RingTopology, SlotId, SlotRing};
 use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Time};
@@ -259,8 +259,6 @@ pub struct HierNetSim {
     intra_hist: LatencyHistogram,
     inter_hist: LatencyHistogram,
     completed: u64,
-    /// Total deflections across all bridges.
-    deflections: u64,
     max_cycles: u64,
     obs: Obs,
     obs_hier_tl: usize,
@@ -328,7 +326,6 @@ impl HierNetSim {
             intra_hist: LatencyHistogram::new(),
             inter_hist: LatencyHistogram::new(),
             completed: 0,
-            deflections: 0,
             max_cycles: 500_000_000,
             obs: Obs::disabled(),
             sanitize: sanitize::enabled(false),
@@ -582,7 +579,7 @@ impl HierNetSim {
             global_util,
             completed: self.completed,
             sim_end,
-            deflections: self.deflections,
+            deflections: self.bridges.iter().flatten().map(|b| b.deflections).sum(),
         }
     }
 
@@ -760,13 +757,7 @@ impl HierNetSim {
                     _ => {}
                 }
             } else if let Some(msg) = self.nodes[global_node].out_q.front().copied() {
-                let kind = ring.kind_of(slot);
-                let ok = match (msg.class(), kind) {
-                    (MsgClass::Probe, SlotKind::Block) => false,
-                    (MsgClass::Probe, k) => k.parity().accepts(msg.block.is_even()),
-                    (MsgClass::Block, SlotKind::Block) => true,
-                    (MsgClass::Block, _) => false,
-                };
+                let ok = msg.fits(ring.kind_of(slot));
                 if ok && ring.try_insert(slot, pos, msg).is_ok() {
                     self.nodes[global_node].out_q.pop_front();
                 }
@@ -803,7 +794,6 @@ impl HierNetSim {
                                 // Deflected: the original keeps circulating
                                 // and retries next revolution, aged.
                                 self.bridges[0][ring_idx].deflections += 1;
-                                self.deflections += 1;
                                 Self::bump_age(ring, slot);
                             }
                         }
@@ -824,7 +814,6 @@ impl HierNetSim {
                                 bridge.transfers += 1;
                             } else {
                                 self.bridges[0][ring_idx].deflections += 1;
-                                self.deflections += 1;
                                 Self::bump_age(ring, slot);
                             }
                         }
@@ -832,13 +821,7 @@ impl HierNetSim {
                     _ => {}
                 }
             } else if let Some(msg) = self.bridges[0][ring_idx].down.front().copied() {
-                let kind = ring.kind_of(slot);
-                let ok = match (msg.class(), kind) {
-                    (MsgClass::Probe, SlotKind::Block) => false,
-                    (MsgClass::Probe, k) => k.parity().accepts(msg.block.is_even()),
-                    (MsgClass::Block, SlotKind::Block) => true,
-                    (MsgClass::Block, _) => false,
-                };
+                let ok = msg.fits(ring.kind_of(slot));
                 // Re-address the message for this ring.
                 let mut m = msg;
                 match m.kind {
@@ -901,7 +884,6 @@ impl HierNetSim {
                                 }
                             } else {
                                 self.bridges[level][ring_idx].deflections += 1;
-                                self.deflections += 1;
                                 Self::bump_age(ring, slot);
                             }
                         }
@@ -924,7 +906,6 @@ impl HierNetSim {
                                 }
                             } else {
                                 self.bridges[level - 1][child_ring].deflections += 1;
-                                self.deflections += 1;
                                 Self::bump_age(ring, slot);
                             }
                         }
@@ -955,7 +936,6 @@ impl HierNetSim {
                                     bridge.transfers += 1;
                                 } else {
                                     self.bridges[level][ring_idx].deflections += 1;
-                                    self.deflections += 1;
                                     Self::bump_age(ring, slot);
                                 }
                             }
@@ -976,7 +956,6 @@ impl HierNetSim {
                                     bridge.transfers += 1;
                                 } else {
                                     self.bridges[level - 1][child_ring].deflections += 1;
-                                    self.deflections += 1;
                                     Self::bump_age(ring, slot);
                                 }
                             }
@@ -996,13 +975,7 @@ impl HierNetSim {
                 self.bridges[level - 1][child_ring].up.front().copied()
             };
             if let Some(msg) = queued {
-                let kind = ring.kind_of(slot);
-                let ok = match (msg.class(), kind) {
-                    (MsgClass::Probe, SlotKind::Block) => false,
-                    (MsgClass::Probe, k) => k.parity().accepts(msg.block.is_even()),
-                    (MsgClass::Block, SlotKind::Block) => true,
-                    (MsgClass::Block, _) => false,
-                };
+                let ok = msg.fits(ring.kind_of(slot));
                 let mut m = msg;
                 if m.kind == MsgKind::SnoopRead {
                     // Probes circle this ring exactly once.

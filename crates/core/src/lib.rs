@@ -44,7 +44,7 @@ mod simulator;
 
 pub use access_net::{AccessNetConfig, AccessNetReport, InsertionNetSim, SlottedNetSim};
 pub use bus_system::{BusSystem, BusSystemConfig};
-pub use config::{SystemConfig, SystemConfigBuilder};
+pub use config::SystemConfig;
 pub use engine::EventQueue;
 pub use hier_net::{HierNetConfig, HierNetReport, HierNetSim};
 pub use report::{summarize_nodes, ClassLatencies, NodeMeasure, NodeSummary, SimReport};

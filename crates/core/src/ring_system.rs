@@ -555,11 +555,7 @@ impl RingSystem {
         };
         // First queued message that fits this slot (parity filter for
         // probes).
-        let parity = kind.parity();
-        let pos = q.iter().position(|m| match kind {
-            SlotKind::Block => true,
-            _ => parity.accepts(m.block.is_even()),
-        });
+        let pos = q.iter().position(|m| m.fits(kind));
         if let Some(pos) = pos {
             let msg = q.remove(pos).expect("position valid");
             let drained = q.is_empty();

@@ -2,6 +2,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use ringsim_ring::SlotKind;
 use ringsim_types::{BlockAddr, NodeId};
 
 /// Which slot class a message needs.
@@ -190,6 +191,20 @@ impl RingMessage {
     pub const fn class(&self) -> MsgClass {
         self.kind.class()
     }
+
+    /// Whether the message may take an empty slot of `kind`: a block
+    /// message only a block slot, a probe only a probe slot whose parity
+    /// accepts its block.
+    #[inline]
+    #[must_use]
+    pub fn fits(&self, kind: SlotKind) -> bool {
+        match (self.class(), kind) {
+            (MsgClass::Probe, SlotKind::Block) => false,
+            (MsgClass::Probe, k) => k.parity().accepts(self.block.is_even()),
+            (MsgClass::Block, SlotKind::Block) => true,
+            (MsgClass::Block, _) => false,
+        }
+    }
 }
 
 impl fmt::Display for RingMessage {
@@ -210,6 +225,20 @@ mod tests {
         assert_eq!(MsgKind::BlockData.class(), MsgClass::Block);
         assert_eq!(MsgKind::WriteBack.class(), MsgClass::Block);
         assert_eq!(MsgKind::MemUpdate.class(), MsgClass::Block);
+    }
+
+    #[test]
+    fn slot_fit() {
+        let msg = |kind, block| {
+            RingMessage::new(kind, BlockAddr::new(block), NodeId::new(0), NodeId::new(1))
+        };
+        let even_probe = msg(MsgKind::SnoopRead, 2);
+        assert!(even_probe.fits(SlotKind::ProbeEven) && even_probe.fits(SlotKind::ProbeAny));
+        assert!(!even_probe.fits(SlotKind::ProbeOdd) && !even_probe.fits(SlotKind::Block));
+        assert!(msg(MsgKind::DirAck, 3).fits(SlotKind::ProbeOdd));
+        let data = msg(MsgKind::BlockData, 2);
+        assert!(data.fits(SlotKind::Block));
+        assert!(!data.fits(SlotKind::ProbeEven) && !data.fits(SlotKind::ProbeAny));
     }
 
     #[test]

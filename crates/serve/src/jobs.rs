@@ -340,8 +340,6 @@ struct PoolShared {
     shards: usize,
     /// Executable spawned as `serve-worker` (`None` = this executable).
     worker_exe: Option<PathBuf>,
-    /// Peer-wait deadline handed to shard workers.
-    shard_wait: Duration,
     /// Where in-process points fold their simulator metrics.
     metrics: Arc<MetricsSink>,
 }
@@ -372,7 +370,6 @@ impl JobPool {
             sweep_jobs: cfg.sweep_jobs,
             shards: cfg.shards,
             worker_exe: cfg.worker_exe.clone(),
-            shard_wait: cfg.shard_wait,
             metrics,
         });
         let handles = (0..cfg.workers.max(1))
@@ -554,14 +551,12 @@ fn run_job(pool: &PoolShared, job: &Arc<JobInner>) {
     fold_and_finish(pool, job, &dir, pool.shards >= 2);
 }
 
-/// Runs the sweep's points in `pool.shards` `serve-worker` processes, the
-/// shared `<run>` directory as their common cache root. Worker stdout is
-/// the wire protocol (see [`crate::worker`]): each worker announces only
-/// the points its shard owns, so the coordinator's per-point counters sum
-/// to exactly the sweep size across all workers. A worker that dies is
-/// respawned once (its finished points replay from the warm cache); a
-/// worker that stays dead is survivable too, because the fold recomputes
-/// whatever the cache is missing.
+/// Runs the sweep's points in `pool.shards` `serve-worker` processes, each
+/// caching its stripe in the `<run>` directory. Worker stdout is the wire
+/// protocol (see [`crate::worker`]): each worker announces only the points
+/// its shard owns, so the coordinator's per-point counters sum to exactly
+/// the sweep size across all workers. A worker that dies, fails or never
+/// starts is only logged: the fold computes whatever the cache lacks.
 fn run_shard_workers(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path) {
     let exe = pool
         .worker_exe
@@ -573,17 +568,8 @@ fn run_shard_workers(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Pa
         for index in 0..shards {
             let exe = &exe;
             scope.spawn(move || {
-                for attempt in 0..2 {
-                    match spawn_and_track_worker(exe, pool, job, dir, index, shards) {
-                        Ok(()) => return,
-                        Err(e) => {
-                            eprintln!(
-                                "serve: shard {index}/{shards} of run {} failed \
-                                 (attempt {attempt}): {e}",
-                                job.id
-                            );
-                        }
-                    }
+                if let Err(e) = spawn_and_track_worker(exe, pool, job, dir, index, shards) {
+                    eprintln!("serve: shard {index}/{shards} of run {} failed: {e}", job.id);
                 }
             });
         }
@@ -608,16 +594,12 @@ fn spawn_and_track_worker(
         .arg(job.exp.name())
         .arg("--refs")
         .arg(job.refs.to_string())
-        .arg("--out")
-        .arg(dir.join("shards").join(index.to_string()))
         .arg("--cache-dir")
         .arg(dir)
         .arg("--shard")
         .arg(shard.to_string())
         .arg("--jobs")
         .arg(pool.sweep_jobs.to_string())
-        .arg("--shard-wait-secs")
-        .arg(pool.shard_wait.as_secs().max(1).to_string())
         .stdin(std::process::Stdio::null())
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::inherit());
@@ -649,9 +631,10 @@ fn spawn_and_track_worker(
 
 /// Runs the experiment in-process against `<dir>/.cache` and finalises the
 /// job. For a single-pool job this *is* the run; after shard workers it is
-/// the fold — every point replays from the warm shared cache (a miss here
-/// means a shard died without a successor, and the fold computes the gap
-/// itself), and the artifacts are rendered by exactly one process, which
+/// the fold, the only merge and the only recovery path: the points the
+/// workers cached replay as hits, whatever a worker left out (it died,
+/// failed or never started) and every later `map` call are computed here
+/// as misses, and the artifacts are rendered by exactly one process, which
 /// is what makes them byte-identical to the single-pool path.
 fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path, folded: bool) {
     let progress: ProgressFn = {
@@ -664,7 +647,7 @@ fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path
             }
             Progress::PointDone { cached, label } => {
                 // After shard workers, hits replay points a worker already
-                // announced — only the gap points (misses) are news.
+                // announced; only the points the fold computes are news.
                 if !folded || !*cached {
                     job.point_done(label, *cached);
                 }
@@ -683,17 +666,15 @@ fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path
     match catch_unwind(AssertUnwindSafe(|| run_experiment(exp, &cfg))) {
         Ok(report) => {
             // The meta twin is authoritative for totals; the hit/miss split
-            // of a sharded run keeps the workers' counters (the fold's
-            // all-hit replay says nothing about how points were computed).
+            // of a sharded run keeps the counters the workers and the fold's
+            // own computes fed (the fold's replay hits say nothing about how
+            // points were computed).
             job.total.store(report.meta.points as u64, Ordering::Relaxed);
             job.completed.store(report.meta.points as u64, Ordering::Relaxed);
             if !folded {
                 job.hits.store(report.meta.cache_hits, Ordering::Relaxed);
                 job.misses.store(report.meta.cache_misses, Ordering::Relaxed);
             }
-            // Shard scratch dirs are not servable artifacts; drop them so
-            // retention accounting sees only the run's real footprint.
-            let _ = std::fs::remove_dir_all(dir.join("shards"));
             let mut st = job.state.lock().expect("job state lock");
             st.artifacts = report
                 .artifacts

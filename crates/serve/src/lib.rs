@@ -80,15 +80,14 @@ pub struct ServeConfig {
     /// Per-connection read/write timeout.
     pub request_timeout: Duration,
     /// Shard-worker processes per run; `0`/`1` keeps the in-process pool,
-    /// `N >= 2` executes each run as N `serve-worker` processes merging
-    /// through the run's shared cache (see [`jobs`] and [`worker`]).
+    /// `N >= 2` first runs N `serve-worker` processes, each caching one
+    /// stripe of the sweep in the run directory, then folds in-process:
+    /// the fold renders the artifacts and computes whatever a worker left
+    /// out (see [`jobs`] and [`worker`]).
     pub shards: usize,
     /// Executable to spawn as `serve-worker` (`None` = this executable;
     /// tests point it at the `ringsim` binary explicitly).
     pub worker_exe: Option<PathBuf>,
-    /// Peer-wait deadline shard workers use before computing a dead peer's
-    /// points themselves.
-    pub shard_wait: Duration,
     /// Retention: total size budget for `<out>/runs` (`0` = unlimited).
     pub gc_max_bytes: u64,
     /// Retention: runs older than this expire (zero = never).
@@ -111,7 +110,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(10),
             shards: 0,
             worker_exe: None,
-            shard_wait: Duration::from_secs(600),
             gc_max_bytes: 0,
             gc_max_age: Duration::ZERO,
             gc_min_age: Duration::from_secs(60),

@@ -1,10 +1,11 @@
 //! The `serve-worker` side of the multi-process sweep coordinator, plus the
 //! stdout wire protocol both sides share.
 //!
-//! A sharded run spawns N `ringsim serve-worker` processes, each executing
-//! one [`Shard`] of the sweep with a private artifact directory
-//! (`<run>/shards/<i>`) and the run directory itself as the shared cache
-//! root — the cache is the merge substrate (see `ringsim_sweep::Shard`).
+//! A sharded run spawns N `ringsim serve-worker` processes. Each runs one
+//! [`Shard`] of the sweep through [`run_shard`] with the run directory as
+//! its out dir: it caches its stripe of the experiment's first `map` call
+//! and exits, rendering nothing. The coordinator's fold then renders the
+//! artifacts from that cache (see `ringsim_sweep::Shard`).
 //! Workers report progress by printing [`WireEvent`] lines to stdout,
 //! prefixed with [`PROGRESS_PREFIX`] so the coordinator can filter them out
 //! of the experiment's own table output (experiments print human-readable
@@ -19,9 +20,8 @@
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::Duration;
 
-use ringsim_sweep::{run_experiment, Progress, ProgressFn, Shard, SweepConfig};
+use ringsim_sweep::{run_shard, Progress, ProgressFn, Shard, SweepConfig};
 use serde::{Serialize, Value};
 
 /// Line prefix marking a protocol event on a worker's stdout; everything
@@ -43,13 +43,13 @@ pub enum WireEvent {
         /// Whether it was served from the shared cache.
         cached: bool,
     },
-    /// The worker's whole run finished cleanly.
+    /// The worker's stripe finished cleanly.
     Done {
-        /// Total points the worker assembled (owned + peer).
+        /// Points of the worker's own stripe.
         points: u64,
-        /// Cache hits across the run.
+        /// Stripe points served from the cache.
         hits: u64,
-        /// Cache misses (points this worker computed).
+        /// Stripe points this worker computed.
         misses: u64,
     },
     /// The worker's run panicked.
@@ -150,16 +150,14 @@ pub struct WorkerSpec {
     pub experiment: String,
     /// Per-processor reference budget.
     pub refs: u64,
-    /// Private artifact directory (`<run>/shards/<i>`).
-    pub out_dir: PathBuf,
-    /// Shared cache root (the run directory).
+    /// The run directory: the worker's out dir and the cache it shares
+    /// with its peers and the fold. The worker writes only cache entries
+    /// there.
     pub cache_dir: PathBuf,
     /// This worker's shard.
     pub shard: Shard,
     /// Sweep-engine threads (`0` = engine default).
     pub jobs: usize,
-    /// Peer-wait deadline before locally computing a missing point.
-    pub shard_wait: Duration,
 }
 
 /// Emits one protocol line, flushing so the coordinator's line reader sees
@@ -170,9 +168,9 @@ fn emit(ev: &WireEvent) {
     let _ = out.flush();
 }
 
-/// Runs one shard worker to completion: executes the experiment under the
-/// spec's shard config, streaming protocol events to stdout. Returns the
-/// process exit code (`0` clean, `1` unknown experiment or panic).
+/// Runs one shard worker to completion: caches the spec's stripe through
+/// [`run_shard`], streaming protocol events to stdout. Returns the process
+/// exit code (`0` clean, `1` unknown experiment or panic).
 #[must_use]
 pub fn run_worker(spec: &WorkerSpec) -> i32 {
     let Some(exp) = ringsim_bench::experiments::find(&spec.experiment) else {
@@ -187,21 +185,16 @@ pub fn run_worker(spec: &WorkerSpec) -> i32 {
             emit(&WireEvent::PointDone { label: label.clone(), cached: *cached });
         }
     });
-    let mut cfg = SweepConfig::new(spec.refs)
-        .out_dir(&spec.out_dir)
-        .cache_dir(&spec.cache_dir)
-        .shard(spec.shard)
-        .shard_wait(spec.shard_wait)
-        .on_progress(progress);
+    let mut cfg = SweepConfig::new(spec.refs).out_dir(&spec.cache_dir).on_progress(progress);
     if spec.jobs > 0 {
         cfg = cfg.jobs(spec.jobs);
     }
-    match catch_unwind(AssertUnwindSafe(|| run_experiment(exp, &cfg))) {
+    match catch_unwind(AssertUnwindSafe(|| run_shard(exp, &cfg, spec.shard))) {
         Ok(report) => {
             emit(&WireEvent::Done {
-                points: report.meta.points as u64,
-                hits: report.meta.cache_hits,
-                misses: report.meta.cache_misses,
+                points: report.points,
+                hits: report.hits,
+                misses: report.misses,
             });
             0
         }

@@ -27,8 +27,8 @@
 //! reads and writes it: the key is `v{SCHEMA}|shared|<key>`, so entries are
 //! scoped to the cache root rather than to an experiment, and any run
 //! against the same out dir reuses them. It follows the per-point cache's
-//! on/off rules (off under `--no-cache`, forced on under sharding) and the
-//! same atomic-write and corrupt-entry-is-a-miss rules, but its lookups
+//! on/off rules (off under `--no-cache`, always on under `run_shard`) and
+//! the same atomic-write and corrupt-entry-is-a-miss rules, but its lookups
 //! are not sweep points: they never appear in a meta twin's `points`,
 //! `cache_hits` or `cache_misses`.
 
@@ -42,9 +42,9 @@ use ringsim_types::fnv1a;
 const SCHEMA: u64 = 1;
 
 /// Where the entry for one `(experiment, map call, point)` lives.
-/// `cache_root` is the directory the `.cache/` tree hangs under — the out
-/// dir by default, or a shared run directory when several shard workers
-/// merge through one cache (see [`SweepConfig::cache_dir`](crate::SweepConfig::cache_dir)).
+/// `cache_root` is the directory the `.cache/` tree hangs under: the out
+/// dir, which for shard workers and the coordinator's fold is the one run
+/// directory they merge through (see [`run_shard`](crate::run_shard)).
 pub(crate) fn entry_path(
     cache_root: &Path,
     experiment: &str,
@@ -73,11 +73,10 @@ pub(crate) fn read<R: Deserialize>(path: &Path) -> Option<R> {
 
 /// Writes a result entry; failures are non-fatal (the next run recomputes).
 ///
-/// The write is **atomic** (temp file + rename): shard workers in other
-/// processes poll entries while they land, and a reader must only ever see
-/// a complete entry or none at all. Two writers racing on the same entry
-/// write identical bytes (results are pure functions of the key), so the
-/// last rename winning is harmless.
+/// The write is **atomic** (temp file + rename): a worker killed mid-write
+/// must leave a complete entry or none at all for the fold to read. Two
+/// writers racing on the same entry write identical bytes (results are
+/// pure functions of the key), so the last rename winning is harmless.
 pub(crate) fn write<R: Serialize>(path: &Path, value: &R) {
     let Some(dir) = path.parent() else { return };
     let _ = std::fs::create_dir_all(dir);

@@ -28,10 +28,11 @@ pub use shard::Shard;
 
 use std::fmt;
 use std::fs;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ringsim_obs::MetricsSink;
 use ringsim_types::par;
@@ -77,16 +78,6 @@ pub struct SweepConfig {
     pub use_cache: bool,
     /// Optional per-point progress callback (see [`Progress`]).
     pub progress: Option<ProgressFn>,
-    /// Directory the `.cache/` tree hangs under; `None` means the out
-    /// dir. Shard workers point this at the shared run directory so every
-    /// shard merges through one cache (see [`Shard`]).
-    pub cache_dir: Option<PathBuf>,
-    /// This process's slice of a multi-process sweep, if sharded. Sharding
-    /// forces the cache on — it is the merge substrate.
-    pub shard: Option<Shard>,
-    /// How long a shard worker polls the shared cache for a peer's point
-    /// before computing it itself (liveness fallback; see [`Shard`]).
-    pub shard_wait: Duration,
     /// Where computed points fold their simulator metrics (`None`: no
     /// metrics). Handed to every work closure through [`PointCtx`].
     pub metrics: Option<Arc<MetricsSink>>,
@@ -103,9 +94,6 @@ impl fmt::Debug for SweepConfig {
             .field("out_dir", &self.out_dir)
             .field("use_cache", &self.use_cache)
             .field("progress", &self.progress.is_some())
-            .field("cache_dir", &self.cache_dir)
-            .field("shard", &self.shard)
-            .field("shard_wait", &self.shard_wait)
             .field("metrics", &self.metrics.is_some())
             .field("sanitize", &self.sanitize)
             .finish()
@@ -123,9 +111,6 @@ impl SweepConfig {
             out_dir: PathBuf::from("results"),
             use_cache: true,
             progress: None,
-            cache_dir: None,
-            shard: None,
-            shard_wait: Duration::from_secs(600),
             metrics: None,
             sanitize: false,
         }
@@ -159,30 +144,6 @@ impl SweepConfig {
         self
     }
 
-    /// Points the `.cache/` tree at a directory other than the out dir
-    /// (shard workers share one cache under the run directory while
-    /// keeping their scratch artifacts apart).
-    #[must_use]
-    pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Restricts this process to one [`Shard`] of the sweep (multi-process
-    /// execution; forces the cache on).
-    #[must_use]
-    pub fn shard(mut self, shard: Shard) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Overrides the peer-wait deadline of the sharded path.
-    #[must_use]
-    pub fn shard_wait(mut self, wait: Duration) -> Self {
-        self.shard_wait = wait;
-        self
-    }
-
     /// Folds the metrics of every computed point into `sink`. A point
     /// served from the cache runs nothing and folds nothing.
     #[must_use]
@@ -196,18 +157,6 @@ impl SweepConfig {
     pub fn sanitize(mut self, on: bool) -> Self {
         self.sanitize = on;
         self
-    }
-
-    /// The directory the `.cache/` tree hangs under.
-    #[must_use]
-    pub fn cache_root(&self) -> &Path {
-        self.cache_dir.as_deref().unwrap_or(&self.out_dir)
-    }
-
-    /// Whether the cache is in use: when asked for, and always when
-    /// sharded (it is the merge substrate).
-    fn caching(&self) -> bool {
-        self.use_cache || self.shard.is_some()
     }
 }
 
@@ -302,6 +251,8 @@ pub trait Experiment: Sync {
 pub struct SweepCtx {
     experiment: &'static str,
     cfg: SweepConfig,
+    /// Set by [`run_shard`]: `map` runs only this stripe, then ends the run.
+    shard: Option<Shard>,
     stats: Mutex<Vec<PointStat>>,
     artifacts: Mutex<Vec<Artifact>>,
     /// Ordinal of the next [`SweepCtx::map`] call, part of the cache key
@@ -320,6 +271,7 @@ impl SweepCtx {
         Self {
             experiment,
             cfg,
+            shard: None,
             stats: Mutex::new(Vec::new()),
             artifacts: Mutex::new(Vec::new()),
             map_calls: AtomicU64::new(0),
@@ -366,17 +318,14 @@ impl SweepCtx {
     /// serde (`Serialize + Deserialize`). Hit/miss counts land in the meta
     /// twin via [`RunMeta`].
     ///
-    /// One body serves every shard count, in two phases. **Phase 1** runs
-    /// the points this process owns (all of them without a [`Shard`]) on
-    /// the [`par`] pool, publishing each result into the cache and
-    /// announcing it to the progress callback, so across all shards the
-    /// per-point events sum to exactly the sweep size. **Phase 2**, empty
-    /// without a shard, polls the shared cache for every peer-owned point;
-    /// peers advance through the same map calls in lockstep, so the wait is
-    /// bounded by shard skew, and since the slowest shard bounds the run
-    /// anyway the poll adds nothing to wall clock. If the deadline
-    /// ([`SweepConfig::shard_wait`]) expires — a peer died — the point is
-    /// computed locally so the run still terminates with correct results.
+    /// Under [`run_shard`], `map` runs only the points the [`Shard`] owns,
+    /// publishing each into the cache and announcing it to the progress
+    /// callback (so across all shards the per-point events sum to exactly
+    /// the sweep size), and then ends the run instead of returning: the
+    /// worker never needs its peers' values, because the coordinator's
+    /// fold renders the artifacts. A shard worker therefore only ever
+    /// reaches an experiment's first `map` call; the fold computes any
+    /// later call in-process.
     pub fn map<P, R>(
         &self,
         points: &[P],
@@ -388,115 +337,79 @@ impl SweepCtx {
         R: Send + Serialize + Deserialize,
     {
         let map_call = self.map_calls.fetch_add(1, Ordering::Relaxed);
-        let caching = self.cfg.caching();
         let progress = self.cfg.progress.as_ref();
-        // Per-point identity (context and cache entry) in submission order;
-        // `PointCtx::index` is the index into `points`, whatever the shard.
-        let metas: Vec<(PointCtx, PathBuf)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let pctx = PointCtx::new(self.experiment, &self.cfg, i, &key(p));
-                let entry = cache::entry_path(
-                    self.cfg.cache_root(),
-                    self.experiment,
-                    map_call,
-                    self.cfg.refs_per_proc,
-                    &pctx.label,
-                    pctx.seed,
-                );
-                (pctx, entry)
-            })
-            .collect();
         let owned: Vec<usize> =
-            (0..points.len()).filter(|&i| self.cfg.shard.is_none_or(|s| s.owns(i))).collect();
+            (0..points.len()).filter(|&i| self.shard.is_none_or(|s| s.owns(i))).collect();
         if let Some(p) = progress {
             p(&Progress::MapStarted { points: owned.len() });
         }
-
-        let stat = |i: usize, start: Instant, cached: bool| {
-            let pctx = &metas[i].0;
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            PointStat { label: pctx.label.clone(), seed: pctx.seed, wall_ms, cached }
-        };
-        // One point: cache read, else compute and publish; then the
-        // progress event when `announce`.
-        let run_one = |i: usize, announce: bool| -> (R, PointStat) {
-            let (pctx, entry) = &metas[i];
-            let start = Instant::now();
-            let hit = if caching { cache::read::<R>(entry) } else { None };
-            let cached = hit.is_some();
-            let r = hit.unwrap_or_else(|| {
-                let r = work(pctx, &points[i]);
-                if caching {
-                    cache::write(entry, &r);
-                }
-                r
-            });
-            if let Some(pf) = progress.filter(|_| announce) {
-                pf(&Progress::PointDone { label: pctx.label.clone(), cached });
-            }
-            (r, stat(i, start, cached))
-        };
-
-        // Phase 1: the owned points, on the pool.
-        let mut done: Vec<Option<(R, PointStat)>> = points.iter().map(|_| None).collect();
-        let computed = par::map_indexed(self.cfg.jobs, owned.len(), |k| run_one(owned[k], true));
-        for (&i, out) in owned.iter().zip(computed) {
-            done[i] = Some(out);
-        }
-
-        // Phase 2: peers' points, from the shared cache, in submission
-        // order; no progress events (the owning shard announced them).
-        let deadline = Instant::now() + self.cfg.shard_wait;
-        for (i, slot) in done.iter_mut().enumerate().filter(|(_, slot)| slot.is_none()) {
-            let start = Instant::now();
-            let (r, cached) = loop {
-                if let Some(r) = cache::read::<R>(&metas[i].1) {
-                    break (r, true);
-                }
-                if Instant::now() >= deadline {
-                    // Liveness fallback: the owning peer is gone.
-                    let (r, s) = run_one(i, false);
-                    break (r, s.cached);
-                }
-                std::thread::sleep(Duration::from_millis(15));
-            };
-            *slot = Some((r, stat(i, start, cached)));
-        }
-
+        // `PointCtx::index` is the index into `points`, whatever the shard.
         let (results, stats): (Vec<R>, Vec<PointStat>) =
-            done.into_iter().map(|slot| slot.expect("every point filled")).unzip();
+            par::map_indexed(self.cfg.jobs, owned.len(), |k| {
+                let i = owned[k];
+                let pctx = PointCtx::new(self.experiment, &self.cfg, i, &key(&points[i]));
+                let entry = self.cfg.use_cache.then(|| {
+                    cache::entry_path(
+                        &self.cfg.out_dir,
+                        self.experiment,
+                        map_call,
+                        self.cfg.refs_per_proc,
+                        &pctx.label,
+                        pctx.seed,
+                    )
+                });
+                let start = Instant::now();
+                let hit = entry.as_deref().and_then(cache::read::<R>);
+                let cached = hit.is_some();
+                let r = hit.unwrap_or_else(|| {
+                    let r = work(&pctx, &points[i]);
+                    if let Some(entry) = &entry {
+                        cache::write(entry, &r);
+                    }
+                    r
+                });
+                if let Some(p) = progress {
+                    p(&Progress::PointDone { label: pctx.label.clone(), cached });
+                }
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                (r, PointStat { label: pctx.label, seed: pctx.seed, wall_ms, cached })
+            })
+            .into_iter()
+            .unzip();
         for s in &stats {
             let counter = if s.cached { &self.cache_hits } else { &self.cache_misses };
             counter.fetch_add(1, Ordering::Relaxed);
         }
         self.stats.lock().expect("stats lock").extend(stats);
+        if self.shard.is_some() {
+            // No panic message: `run_shard` catches this payload.
+            resume_unwind(Box::new(StripeDone));
+        }
         results
     }
 
-    /// Returns the value `key` names, computing it at most once per cache
-    /// root.
+    /// Returns the value `key` names, computing it at most once per out
+    /// dir.
     ///
-    /// The result is stored under `<cache_root>/.cache/shared/` (see the
+    /// The result is stored under `<out_dir>/.cache/shared/` (see the
     /// `cache` module docs), so any later call with the same key — from
     /// another point, another `map` call or another experiment run against
     /// the same out dir — deserialises it instead of calling `compute`.
     /// `compute` must be a pure function of `key`. The cache rules are
     /// [`map`](Self::map)'s: off when the per-point cache is off
-    /// (`compute` then runs on every call and nothing is written), forced
-    /// on when sharded, so shard workers share values through
-    /// [`SweepConfig::cache_dir`]. A corrupt entry is a miss and is
+    /// (`compute` then runs on every call and nothing is written), always
+    /// on under [`run_shard`], so shard workers and the fold share values
+    /// through the run directory. A corrupt entry is a miss and is
     /// rewritten. Lookups are not sweep points and leave
     /// [`cache_counts`](Self::cache_counts) alone.
     ///
     /// Two threads missing the same key at once both compute it; they
     /// write identical bytes and the rename is atomic, so either wins.
     pub fn shared<R: Serialize + Deserialize>(&self, key: &str, compute: impl FnOnce() -> R) -> R {
-        if !self.cfg.caching() {
+        if !self.cfg.use_cache {
             return compute();
         }
-        let entry = cache::shared_path(self.cfg.cache_root(), key);
+        let entry = cache::shared_path(&self.cfg.out_dir, key);
         if let Some(r) = cache::read(&entry) {
             return r;
         }
@@ -608,6 +521,47 @@ pub struct RunReport {
     pub artifacts: Vec<Artifact>,
     /// The meta twin (also written to `<out_dir>/<name>.meta.json`).
     pub meta: RunMeta,
+}
+
+/// The unwind payload with which [`SweepCtx::map`] ends a shard worker's
+/// run once its stripe is cached; private, so only [`run_shard`] catches it.
+struct StripeDone;
+
+/// What one shard worker did ([`run_shard`]): its stripe of the
+/// experiment's first `map` call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardReport {
+    /// Points of the stripe (served plus computed).
+    pub points: u64,
+    /// Stripe points served from the cache.
+    pub hits: u64,
+    /// Stripe points computed and cached.
+    pub misses: u64,
+}
+
+/// Runs `shard`'s stripe of `exp` under `cfg`: the experiment runs until
+/// [`SweepCtx::map`] has computed and cached the points the shard owns,
+/// then stops. The cache is always on (it is what the coordinator's fold
+/// reads), under `cfg.out_dir`, which for a shard worker is the run
+/// directory.
+///
+/// Writes no meta twin, and no artifact as long as the experiment calls
+/// `map` before it renders anything, which every registered experiment
+/// does (`crates/bench/tests/shard_stops_before_render.rs`).
+///
+/// # Panics
+///
+/// Re-raises, unchanged, any panic of the experiment's own.
+pub fn run_shard(exp: &dyn Experiment, cfg: &SweepConfig, shard: Shard) -> ShardReport {
+    let mut ctx = SweepCtx::new(exp.name(), cfg.clone().cache(true));
+    ctx.shard = Some(shard);
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| exp.run(&ctx))) {
+        if !payload.is::<StripeDone>() {
+            resume_unwind(payload);
+        }
+    }
+    let (hits, misses) = ctx.cache_counts();
+    ShardReport { points: hits + misses, hits, misses }
 }
 
 /// Runs `exp` under `cfg`, writes the `<name>.meta.json` twin, and returns
@@ -912,8 +866,8 @@ mod tests {
         let cold = run_experiment(&Doubler, &cfg);
         let cold_bytes = std::fs::read(dir.join("doubler.json")).unwrap();
         // Truncate every entry; the warm run must notice and recompute.
-        let cache_dir = dir.join(".cache").join("doubler");
-        for entry in std::fs::read_dir(&cache_dir).unwrap() {
+        let entries = dir.join(".cache").join("doubler");
+        for entry in std::fs::read_dir(&entries).unwrap() {
             std::fs::write(entry.unwrap().path(), "{").unwrap();
         }
         let warm = run_experiment(&Doubler, &cfg);

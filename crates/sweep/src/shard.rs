@@ -11,26 +11,21 @@
 //! Ownership is a pure function of `(submission index, shard count)`:
 //! never of timing, hostnames or pids, which is what makes the sharded
 //! path reproducible. The **merge substrate is the per-point result
-//! cache**: every worker writes its owned points into the *shared*
-//! `.cache/` (see [`SweepConfig::cache_dir`](crate::SweepConfig::cache_dir)),
-//! and the coordinator afterwards re-runs the experiment against that warm
-//! cache — zero points recomputed — to render artifacts that are
-//! byte-identical to a single-pool run. This is the `--jobs`-invariance
-//! discipline lifted one level: artifacts may not depend on the shard
-//! count, just as they may not depend on the thread count.
+//! cache**. A worker runs [`run_shard`](crate::run_shard) with the run
+//! directory as its out dir: it computes its stripe of the experiment's
+//! first `map` call exactly as an unsharded run computes every point,
+//! writes each result into the run's `.cache/`, and stops. It renders
+//! nothing and never waits for a peer.
 //!
-//! A worker computes its stripe exactly as an unsharded run computes every
-//! point: `map` has one body, and without a shard every point is owned.
-//! Workers still need the *values* of points they do not own (experiment
-//! code consumes the full result vector between `map` calls), so after
-//! computing its stripe a worker polls the shared cache for its peers'
-//! entries. Peers advance through the same map calls at roughly the same
-//! pace, so the wait is bounded by shard skew — and because the slowest
-//! shard bounds the whole run anyway, waiting adds nothing to the critical
-//! path. If a peer dies, the wait deadline
-//! ([`SweepConfig::shard_wait`](crate::SweepConfig::shard_wait)) expires
-//! and the worker computes the missing point itself: liveness never
-//! depends on every shard surviving.
+//! The coordinator then runs the experiment once more, unsharded, against
+//! that cache: the **fold**. It is the only merge and the only recovery
+//! path. Points a worker cached replay as hits; points a dead, failed or
+//! never-started worker left out are computed as ordinary misses, as is
+//! every point of any later `map` call, which no worker reaches. The fold
+//! renders the artifacts in one process, so they are byte-identical to a
+//! single-pool run. This is the `--jobs`-invariance discipline lifted one
+//! level: artifacts may not depend on the shard count, just as they may
+//! not depend on the thread count.
 
 use std::fmt;
 use std::str::FromStr;

@@ -22,7 +22,8 @@ pub fn default_jobs() -> usize {
 ///
 /// A panic in `f` is re-raised on the calling thread with its original
 /// payload (not std's generic "a scoped thread panicked"), so a caller's
-/// `catch_unwind` reads the real message.
+/// `catch_unwind` reads the real message. The other workers stop at their
+/// next claim rather than run every remaining item first.
 ///
 /// ```
 /// let squares = ringsim_types::par::map_indexed(4, 5, |i| i * i);
@@ -35,6 +36,7 @@ pub fn map_indexed<R: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> R + Sync
     }
     let next = AtomicUsize::new(0);
     let worker = || {
+        let _stop = EndOnUnwind { next: &next, n };
         let mut out = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -52,6 +54,21 @@ pub fn map_indexed<R: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> R + Sync
     });
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Moves the cursor past the last index when its worker unwinds, so no
+/// worker claims another item after a panic.
+struct EndOnUnwind<'a> {
+    next: &'a AtomicUsize,
+    n: usize,
+}
+
+impl Drop for EndOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.next.store(self.n, Ordering::Relaxed);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -86,5 +103,21 @@ mod tests {
             let msg = payload.downcast_ref::<String>().map(String::as_str);
             assert_eq!(msg, Some("item 7 failed"), "jobs {jobs}");
         }
+    }
+
+    #[test]
+    fn a_worker_panic_stops_the_other_workers() {
+        let ran = AtomicUsize::new(0);
+        let payload = catch_unwind(|| {
+            map_indexed(2, 200, |i| {
+                assert!(i != 0, "item {i} failed");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+        })
+        .expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<String>().map(String::as_str), Some("item 0 failed"));
+        let ran = ran.into_inner();
+        assert!(ran < 50, "{ran} of 199 items ran after item 0 panicked");
     }
 }

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Simulate it on both ring protocols.
     println!();
     for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let cfg = SystemConfig::builder(protocol, spec.procs).build()?;
+        let cfg = SystemConfig::ring_500mhz(protocol, spec.procs);
         let report = RingSystem::new(cfg, Workload::new(spec.clone())?)?.run();
         println!(
             "{:<10}: proc util {:5.1} %, miss latency {:4.0} ns",

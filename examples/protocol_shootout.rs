@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut sim_events = None;
     for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let cfg = SystemConfig::builder(protocol, procs).proc_cycle(proc_cycle).build()?;
+        let cfg = SystemConfig::ring_500mhz(protocol, procs).with_proc_cycle(proc_cycle);
         let workload = Workload::new(spec.clone())?;
         let report = RingSystem::new(cfg, workload)?.run();
         println!(

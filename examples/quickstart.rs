@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An 8-processor, 500 MHz slotted ring with the snooping protocol and
     // 100 MIPS processors.
     let cfg =
-        SystemConfig::builder(ProtocolKind::Snooping, 8).proc_cycle(Time::from_ns(10)).build()?;
+        SystemConfig::ring_500mhz(ProtocolKind::Snooping, 8).with_proc_cycle(Time::from_ns(10));
 
     // A small synthetic workload with a healthy amount of read-write
     // sharing.

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let proc_cycle = Time::from_ps(1_000_000 / mips);
 
         let ring_cfg =
-            SystemConfig::builder(ProtocolKind::Snooping, procs).proc_cycle(proc_cycle).build()?;
+            SystemConfig::ring_500mhz(ProtocolKind::Snooping, procs).with_proc_cycle(proc_cycle);
         let ring = RingSystem::new(ring_cfg, Workload::new(spec.clone())?)?.run();
 
         let bus_cfg = BusSystemConfig::bus_100mhz(procs).with_proc_cycle(proc_cycle);

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{:-<66}", "");
     for protocol in [ProtocolKind::Snooping, ProtocolKind::Directory] {
-        let cfg = SystemConfig::builder(protocol, 8).proc_cycle(proc).build()?;
+        let cfg = SystemConfig::ring_500mhz(protocol, 8).with_proc_cycle(proc);
         let r = RingSystem::new(cfg, trace.workload())?.run();
         println!(
             "{:<26} | {:>10.1} {:>10.1} {:>14.0}",

@@ -14,11 +14,11 @@
 //!               [--jobs N] [--stats] [--no-symmetry] [--no-evictions]
 //!               [--no-liveness] [--max-states N]
 //! ringsim serve [--addr host:port] [--out DIR] [--workers N] [--queue-cap N]
-//!               [--sweep-jobs N] [--refs N] [--shards N] [--shard-wait-secs S]
+//!               [--sweep-jobs N] [--refs N] [--shards N]
 //!               [--gc-max-bytes B] [--gc-max-age-secs S] [--gc-min-age-secs S]
 //!               [--gc-interval-secs S]
-//! ringsim serve-worker --experiment NAME --refs N --out DIR --cache-dir DIR
-//!                      --shard I/N [--jobs N] [--shard-wait-secs S]
+//! ringsim serve-worker --experiment NAME --refs N --cache-dir DIR --shard I/N
+//!                      [--jobs N]
 //! ```
 //!
 //! Networks: `ring500`, `ring250` (32-bit slotted rings), `bus50`, `bus100`
@@ -123,9 +123,9 @@ commands:
                             (--workers N concurrent jobs) (--queue-cap N)
                             (--sweep-jobs N threads per sweep, 0 = auto)
                             (--refs N default per-processor reference budget)
-                            (--shards N run each job as N serve-worker
-                            processes sharing the run cache, 0/1 = in-process)
-                            (--shard-wait-secs S peer-wait deadline, default 600)
+                            (--shards N run each job's sweep as N serve-worker
+                            processes caching into the run dir, then fold
+                            in-process; 0/1 = in-process only)
                             (--gc-max-bytes B | --gc-max-age-secs S artifact
                             retention budget, 0 = unlimited/never)
                             (--gc-min-age-secs S never delete younger runs)
@@ -133,9 +133,9 @@ commands:
                             SIGINT drains in-flight jobs and exits 0
   serve-worker              one shard of a sharded serve run (spawned by
                             serve; not for interactive use)
-                            (--experiment NAME) (--refs N) (--out DIR)
-                            (--cache-dir DIR shared cache root)
-                            (--shard I/N) (--jobs N) (--shard-wait-secs S)
+                            (--experiment NAME) (--refs N)
+                            (--cache-dir DIR the run dir; only cache entries
+                            are written) (--shard I/N) (--jobs N)
 
 options:
   --benchmark <name>        mp3d | water | cholesky | fft | weather | simple
@@ -670,9 +670,6 @@ fn serve_cmd(args: &[String]) -> CliResult {
     if let Some(s) = flags.get("shards") {
         cfg.shards = s.parse::<usize>()?;
     }
-    if let Some(s) = flags.get("shard-wait-secs") {
-        cfg.shard_wait = std::time::Duration::from_secs(s.parse::<u64>()?);
-    }
     if let Some(b) = flags.get("gc-max-bytes") {
         cfg.gc_max_bytes = b.parse::<u64>()?;
     }
@@ -690,8 +687,8 @@ fn serve_cmd(args: &[String]) -> CliResult {
 }
 
 /// `ringsim serve-worker`: one shard of a sharded serve run. Spawned by the
-/// serve coordinator — executes its shard of the sweep against the shared
-/// run cache and streams `@ringsim-progress` protocol lines on stdout.
+/// serve coordinator — caches its stripe of the sweep in the run directory
+/// and streams `@ringsim-progress` protocol lines on stdout.
 fn serve_worker_cmd(args: &[String]) -> ExitCode {
     match serve_worker_spec(args) {
         Ok(spec) => match ringsim::serve::worker::run_worker(&spec) {
@@ -714,13 +711,9 @@ fn serve_worker_spec(
     Ok(ringsim::serve::worker::WorkerSpec {
         experiment: need("experiment")?,
         refs: need("refs")?.parse::<u64>()?,
-        out_dir: need("out")?.into(),
         cache_dir: need("cache-dir")?.into(),
         shard: need("shard")?.parse::<ringsim::sweep::Shard>()?,
         jobs: flags.get("jobs").map_or(Ok(0), |j| j.parse::<usize>())?,
-        shard_wait: std::time::Duration::from_secs(
-            flags.get("shard-wait-secs").map_or(Ok(600), |s| s.parse::<u64>())?,
-        ),
     })
 }
 

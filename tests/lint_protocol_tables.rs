@@ -27,7 +27,9 @@
 //!    writes to the Figure 5 event buckets (`private_misses` and
 //!    `writeback_*` included) inside `CoherenceEvents`' one classifier, and
 //!    worker pools (`thread::scope(`) inside `ringsim_types::par`, the
-//!    service's per-shard supervisors and the load-test clients.
+//!    service's per-shard supervisors and the load-test clients, and
+//!    polling sleeps (`thread::sleep(`) inside the service's accept back-off
+//!    and signal poll and the benchmark's client harness.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -271,13 +273,15 @@ fn no_rule_is_dead_at_four_nodes() {
 /// `&mut <x>.<field>`). The sweep and the model checker run on one ordered
 /// pool, `ringsim_types::par`, so `thread::scope(` appears only there, in
 /// the service's one-supervisor-per-shard-worker loop and in the load-test
-/// clients. Test code is exempt (everything from a file's `#[cfg(test)]`
-/// on).
+/// clients. Nothing waits by polling: `thread::sleep(` appears only in
+/// `crates/serve/src/lib.rs` (the accept back-off and the signal poll in
+/// `run()`) and in the benchmark's client harness. Test code is exempt
+/// (everything from a file's `#[cfg(test)]` on).
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {
     // (family, dispatch calls, the only files, or directories ending in
     // `/`, that may make them)
-    const FAMILIES: [(&str, &[&str], &[&str]); 5] = [
+    const FAMILIES: [(&str, &[&str], &[&str]); 6] = [
         (
             "ring-protocol",
             &[
@@ -324,6 +328,11 @@ fn only_the_engines_dispatch_protocol_rules() {
                 "crates/serve/src/jobs.rs",
                 "crates/bench/src/loadtest.rs",
             ],
+        ),
+        (
+            "sleep-polls",
+            &["thread::sleep("],
+            &["crates/serve/src/lib.rs", "crates/bench/src/bin/benchmark/"],
         ),
     ];
     // The fig5-buckets family: fields only the classifier may write.
@@ -409,8 +418,8 @@ fn only_the_engines_dispatch_protocol_rules() {
     }
     assert!(
         offenders.is_empty(),
-        "protocol rules dispatched, events classified or worker pools spawned outside their \
-         owners:\n{}",
+        "protocol rules dispatched, events classified, worker pools spawned or sleeps polled \
+         outside their owners:\n{}",
         offenders.join("\n")
     );
 }

@@ -8,6 +8,9 @@
 //! stream replays monotonically non-decreasing progress and ends with a
 //! terminal `done` event that matches `GET /runs/:id`, and `POST
 //! /runs/:id/pin` drops the retention marker.
+//!
+//! A second run points the workers at an executable that exits non-zero at
+//! once: the fold, the one recovery path, computes the whole sweep itself.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -15,7 +18,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ringsim::serve::{ServeConfig, Server};
-use ringsim::sweep::{run_experiment, SweepConfig};
+use ringsim::sweep::{run_experiment, Artifact, SweepConfig};
 use ringsim_bench::experiments;
 use serde::Value;
 
@@ -127,6 +130,18 @@ fn read_stream(addr: &str, id: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Byte-identity of every artifact against the direct run, through the
+/// artifact route.
+fn assert_artifacts_match(addr: &str, id: &str, artifacts: &[Artifact]) {
+    for artifact in artifacts {
+        let file = artifact.path.file_name().unwrap().to_string_lossy().into_owned();
+        let (status, served) = http(addr, "GET", &format!("/runs/{id}/artifacts/{file}"), "");
+        assert_eq!(status, 200, "artifact {file}");
+        let direct = std::fs::read(&artifact.path).expect("reference artifact");
+        assert_eq!(served, direct, "artifact {file} differs between sharded and direct runs");
+    }
+}
+
 #[test]
 fn four_shard_workers_fold_to_byte_identical_artifacts() {
     // Reference: a direct, serial, in-process run of the same submission.
@@ -172,20 +187,10 @@ fn four_shard_workers_fold_to_byte_identical_artifacts() {
     assert_eq!(u64_of(cache, "misses"), total, "duplicated compute: {status_doc:?}");
     assert_eq!(u64_of(cache, "hits"), 0, "cold run must not report hits: {status_doc:?}");
 
-    // The shard scratch directories are cleaned up after the fold.
-    assert!(
-        !out_dir.join("runs").join(&id).join("shards").exists(),
-        "shard scratch dirs must be removed after a successful fold"
-    );
+    // Workers render nothing, so they leave no scratch directories.
+    assert!(!out_dir.join("runs").join(&id).join("shards").exists());
 
-    // Byte-identity against the direct run, through the artifact route.
-    for artifact in &report.artifacts {
-        let file = artifact.path.file_name().unwrap().to_string_lossy().into_owned();
-        let (status, served) = http(&addr, "GET", &format!("/runs/{id}/artifacts/{file}"), "");
-        assert_eq!(status, 200, "artifact {file}");
-        let direct = std::fs::read(&artifact.path).expect("reference artifact");
-        assert_eq!(served, direct, "artifact {file} differs between sharded and direct runs");
-    }
+    assert_artifacts_match(&addr, &id, &report.artifacts);
 
     // The SSE stream (late subscriber: the run is already done) replays the
     // whole history — monotone progress, then a terminal event that agrees
@@ -229,6 +234,50 @@ fn four_shard_workers_fold_to_byte_identical_artifacts() {
     assert_eq!(u64_of(pool, "workers"), 1);
     let gc = metrics.get("gc").expect("gc stats");
     assert_eq!(u64_of(gc, "deleted_runs"), 0);
+
+    server.join();
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn failing_workers_leave_the_whole_sweep_to_the_fold() {
+    let ref_dir = tmp("fault-reference");
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let exp = experiments::find("fig3").expect("fig3 registered");
+    let report = run_experiment(exp, &SweepConfig::new(REFS).jobs(1).out_dir(&ref_dir));
+
+    // Every worker "process" exits non-zero before caching anything.
+    let out_dir = tmp("fault-service");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        out_dir: out_dir.clone(),
+        workers: 1,
+        queue_cap: 4,
+        sweep_jobs: 2,
+        default_refs: REFS,
+        shards: 2,
+        worker_exe: Some(PathBuf::from("/bin/false")),
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr().to_string();
+
+    let submission = format!("{{\"experiment\": \"fig3\", \"refs\": {REFS}}}");
+    let (status, body) = http(&addr, "POST", "/runs", &submission);
+    assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&body));
+    let id = str_of(&json(&body), "id").to_owned();
+
+    let status_doc = wait_done(&addr, &id);
+    let points = status_doc.get("points").expect("points progress");
+    let total = u64_of(points, "total");
+    assert_eq!(total, report.meta.points as u64);
+    assert_eq!(u64_of(points, "completed"), total);
+    let cache = status_doc.get("cache").expect("cache counts");
+    assert_eq!(u64_of(cache, "misses"), total, "the fold computes every point: {status_doc:?}");
+    assert_eq!(u64_of(cache, "hits"), 0);
+    assert_artifacts_match(&addr, &id, &report.artifacts);
 
     server.join();
     let _ = std::fs::remove_dir_all(&ref_dir);
