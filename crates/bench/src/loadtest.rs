@@ -13,7 +13,8 @@
 //! `ringsim-bench` rather than `ringsim-serve` because serve depends on
 //! bench for the experiment registry — the dependency only works this way
 //! around — and because a load generator that shares zero code with the
-//! server it tests is a feature, not an accident.
+//! server it tests is a feature, not an accident. [`request`] is also
+//! the client of the service's end-to-end tests.
 //!
 //! CI gates on the [`Report`]: any 5xx response, any dropped (I/O-failed)
 //! connection, or a p99 above a generous bound fails the job. 429
@@ -207,15 +208,24 @@ impl Rng {
     }
 }
 
-/// A parsed (enough) HTTP response: status code and body.
-struct HttpResponse {
-    status: u16,
-    body: String,
+/// A parsed (enough) HTTP response.
+#[derive(Debug)]
+pub struct HttpResponse {
+    /// Status code.
+    pub status: u16,
+    /// Status line and headers, without the blank line that ends them.
+    pub head: String,
+    /// The body bytes, de-chunked when the server used chunked encoding.
+    pub body: Vec<u8>,
 }
 
 /// One blocking request against the service. The server closes after every
 /// response, so the body is simply everything after the header block.
-fn request(
+///
+/// # Errors
+///
+/// Connection and I/O failures, and a response without a status line.
+pub fn request(
     addr: &str,
     timeout: Duration,
     method: &str,
@@ -242,27 +252,30 @@ fn request(
 /// Splits a raw `Connection: close` response into status + body, decoding
 /// chunked transfer encoding when the server used it.
 fn parse_response(raw: &[u8]) -> Option<HttpResponse> {
-    let text = String::from_utf8_lossy(raw);
-    let (head, body) = text.split_once("\r\n\r\n")?;
+    let split = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&raw[..split]).into_owned();
     let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
+    let body = &raw[split + 4..];
     let chunked = head.to_ascii_lowercase().contains("transfer-encoding: chunked");
-    let body = if chunked { decode_chunked(body) } else { body.to_owned() };
-    Some(HttpResponse { status, body })
+    let body = if chunked { decode_chunked(body) } else { body.to_vec() };
+    Some(HttpResponse { status, head, body })
 }
 
 /// Decodes chunked transfer encoding (tolerantly: a truncated tail — the
 /// norm when a stream client disconnected mid-run — keeps what arrived).
-fn decode_chunked(body: &str) -> String {
-    let mut out = String::new();
+fn decode_chunked(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
     let mut rest = body;
-    while let Some((size_line, after)) = rest.split_once("\r\n") {
+    while let Some(eol) = rest.windows(2).position(|w| w == b"\r\n") {
+        let size_line = String::from_utf8_lossy(&rest[..eol]);
         let Ok(size) = usize::from_str_radix(size_line.trim(), 16) else { break };
+        let after = &rest[eol + 2..];
         if size == 0 || after.len() < size {
-            out.push_str(&after[..size.min(after.len())]);
+            out.extend_from_slice(&after[..size.min(after.len())]);
             break;
         }
-        out.push_str(&after[..size]);
-        rest = after[size..].strip_prefix("\r\n").unwrap_or(&after[size..]);
+        out.extend_from_slice(&after[..size]);
+        rest = after[size..].strip_prefix(b"\r\n").unwrap_or(&after[size..]);
     }
     out
 }
@@ -325,7 +338,7 @@ fn do_submit(cfg: &LoadConfig, board: &Board, experiment: &str) {
     match request(&cfg.addr, cfg.timeout, "POST", "/runs", Some(&body)) {
         Ok(resp) => {
             if classify(resp.status) == Outcome::Ok {
-                if let Some(id) = extract_id(&resp.body) {
+                if let Some(id) = extract_id(&String::from_utf8_lossy(&resp.body)) {
                     board.saw_run(id);
                 }
             }
@@ -486,21 +499,24 @@ mod tests {
 
     #[test]
     fn chunked_decoding_reassembles_and_tolerates_truncation() {
-        let body = "5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n";
-        assert_eq!(decode_chunked(body), "hello world");
+        let body = b"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n";
+        assert_eq!(decode_chunked(body), b"hello world");
         // Truncated mid-chunk: keep what arrived.
-        assert_eq!(decode_chunked("5\r\nhel"), "hel");
+        assert_eq!(decode_chunked(b"5\r\nhel"), b"hel");
+        // Chunk data is bytes: a split multi-byte character survives.
+        assert_eq!(decode_chunked(b"1\r\n\xc3\r\n1\r\n\xa9\r\n0\r\n\r\n"), "\u{e9}".as_bytes());
     }
 
     #[test]
     fn response_parsing_handles_plain_and_chunked() {
         let plain = b"HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n\r\nmissing";
         let r = parse_response(plain).unwrap();
-        assert_eq!((r.status, r.body.as_str()), (404, "missing"));
+        assert_eq!((r.status, r.body.as_slice()), (404, b"missing".as_slice()));
+        assert_eq!(r.head, "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain");
         let chunked =
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\ndata\r\n0\r\n\r\n";
         let r = parse_response(chunked).unwrap();
-        assert_eq!((r.status, r.body.as_str()), (200, "data"));
+        assert_eq!((r.status, r.body.as_slice()), (200, b"data".as_slice()));
     }
 
     #[test]

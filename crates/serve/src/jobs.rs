@@ -18,9 +18,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::BufRead as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -31,7 +30,7 @@ use ringsim_sweep::{
 use serde::{Serialize, Value};
 
 use crate::worker::WireEvent;
-use crate::ServeConfig;
+use crate::{lock, panic_message, ServeConfig};
 
 /// Lifecycle state of a job. Serialises as its lower-case name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,14 +129,6 @@ pub enum SubmitOutcome {
     Draining,
 }
 
-/// Mutable (lock-guarded) portion of a job.
-#[derive(Debug)]
-struct JobStateData {
-    state: JobState,
-    artifacts: Vec<String>,
-    error: Option<String>,
-}
-
 /// One server-sent event in a job's live stream (`GET /runs/:id/events`).
 /// Kinds: `state` (lifecycle transition), `progress` (one point finished),
 /// `done` / `failed` (terminal — the stream closes after one of these).
@@ -157,63 +148,43 @@ impl SseEvent {
     }
 }
 
-/// One job: identity plus live progress counters and the event log every
-/// SSE subscriber replays (late subscribers see the full history, so a
-/// stream over a finished job is the whole run followed by the terminal
-/// event).
-struct JobInner {
-    id: String,
-    exp: &'static dyn Experiment,
-    refs: u64,
-    total: AtomicU64,
-    completed: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    state: Mutex<JobStateData>,
-    events: Mutex<Vec<SseEvent>>,
-    events_cv: Condvar,
+/// Everything about a job that changes while it runs, behind the job's one
+/// lock: a status snapshot and the event log always agree.
+struct JobData {
+    state: JobState,
+    artifacts: Vec<String>,
+    error: Option<String>,
+    total: u64,
+    completed: u64,
+    hits: u64,
+    misses: u64,
+    /// Points this process's own run has submitted across its `map`
+    /// calls (after shard workers: the fold's).
+    mapped: u64,
+    /// The log every SSE subscriber replays (late subscribers see the full
+    /// history, so a stream over a finished job is the whole run followed
+    /// by the terminal event).
+    events: Vec<SseEvent>,
 }
 
-impl JobInner {
-    fn new(id: String, exp: &'static dyn Experiment, refs: u64) -> Self {
-        let job = Self {
-            id,
-            exp,
-            refs,
-            total: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            state: Mutex::new(JobStateData {
-                state: JobState::Queued,
-                artifacts: Vec::new(),
-                error: None,
-            }),
-            events: Mutex::new(Vec::new()),
-            events_cv: Condvar::new(),
-        };
-        job.push_state_event(JobState::Queued);
-        job
+impl JobData {
+    fn push_event(&mut self, event: &'static str, data: String) {
+        self.events.push(SseEvent { event, data });
     }
 
-    fn push_event(&self, event: &'static str, data: String) {
-        self.events.lock().expect("events lock").push(SseEvent { event, data });
-        self.events_cv.notify_all();
-    }
-
-    fn push_state_event(&self, state: JobState) {
+    fn set_state(&mut self, state: JobState) {
         #[derive(Serialize)]
         struct Data {
             state: String,
         }
+        self.state = state;
         self.push_event("state", render_event(&Data { state: state.as_str().to_owned() }));
     }
 
     /// Records one finished point (counter bump + `progress` event).
-    fn point_done(&self, label: &str, cached: bool) {
-        let counter = if cached { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-        let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+    fn point_done(&mut self, label: &str, cached: bool) {
+        *if cached { &mut self.hits } else { &mut self.misses } += 1;
+        self.completed += 1;
         #[derive(Serialize)]
         struct Data {
             completed: u64,
@@ -221,21 +192,14 @@ impl JobInner {
             label: String,
             cached: bool,
         }
-        self.push_event(
-            "progress",
-            render_event(&Data {
-                completed,
-                total: self.total.load(Ordering::Relaxed),
-                label: label.to_owned(),
-                cached,
-            }),
-        );
+        let data =
+            Data { completed: self.completed, total: self.total, label: label.to_owned(), cached };
+        self.push_event("progress", render_event(&data));
     }
 
-    /// Pushes the terminal event matching the job's final status.
-    fn push_terminal_event(&self) {
-        let status = self.status();
-        match status.state {
+    /// Pushes the terminal event matching the job's final state.
+    fn push_terminal_event(&mut self) {
+        match self.state {
             JobState::Done => {
                 #[derive(Serialize)]
                 struct Data {
@@ -245,16 +209,14 @@ impl JobInner {
                     misses: u64,
                     artifacts: u64,
                 }
-                self.push_event(
-                    "done",
-                    render_event(&Data {
-                        state: "done".to_owned(),
-                        points: status.points.total,
-                        hits: status.cache.hits,
-                        misses: status.cache.misses,
-                        artifacts: status.artifacts.len() as u64,
-                    }),
-                );
+                let data = Data {
+                    state: "done".to_owned(),
+                    points: self.total,
+                    hits: self.hits,
+                    misses: self.misses,
+                    artifacts: self.artifacts.len() as u64,
+                };
+                self.push_event("done", render_event(&data));
             }
             JobState::Failed => {
                 #[derive(Serialize)]
@@ -262,35 +224,65 @@ impl JobInner {
                     state: String,
                     error: String,
                 }
-                self.push_event(
-                    "failed",
-                    render_event(&Data {
-                        state: "failed".to_owned(),
-                        error: status.error.clone().unwrap_or_else(|| "unknown".to_owned()),
-                    }),
-                );
+                let data = Data {
+                    state: "failed".to_owned(),
+                    error: self.error.clone().unwrap_or_else(|| "unknown".to_owned()),
+                };
+                self.push_event("failed", render_event(&data));
             }
             JobState::Queued | JobState::Running => {}
         }
     }
+}
+
+/// One job: its identity, plus one lock over everything that changes and
+/// one condvar that SSE subscribers wait on.
+struct JobInner {
+    id: String,
+    exp: &'static dyn Experiment,
+    refs: u64,
+    data: Mutex<JobData>,
+    changed: Condvar,
+}
+
+impl JobInner {
+    fn new(id: String, exp: &'static dyn Experiment, refs: u64) -> Self {
+        let mut data = JobData {
+            state: JobState::Queued,
+            artifacts: Vec::new(),
+            error: None,
+            total: 0,
+            completed: 0,
+            hits: 0,
+            misses: 0,
+            mapped: 0,
+            events: Vec::new(),
+        };
+        data.set_state(JobState::Queued);
+        Self { id, exp, refs, data: Mutex::new(data), changed: Condvar::new() }
+    }
+
+    /// Applies `f` under the job's lock, then wakes its subscribers.
+    fn update(&self, f: impl FnOnce(&mut JobData)) {
+        f(&mut lock(&self.data));
+        self.changed.notify_all();
+    }
+
+    fn state(&self) -> JobState {
+        lock(&self.data).state
+    }
 
     fn status(&self) -> JobStatus {
-        let st = self.state.lock().expect("job state lock");
+        let d = lock(&self.data);
         JobStatus {
             id: self.id.clone(),
             experiment: self.exp.name().to_owned(),
             refs: self.refs,
-            state: st.state,
-            points: PointsProgress {
-                total: self.total.load(Ordering::Relaxed),
-                completed: self.completed.load(Ordering::Relaxed),
-            },
-            cache: CacheCounts {
-                hits: self.hits.load(Ordering::Relaxed),
-                misses: self.misses.load(Ordering::Relaxed),
-            },
-            artifacts: st.artifacts.clone(),
-            error: st.error.clone(),
+            state: d.state,
+            points: PointsProgress { total: d.total, completed: d.completed },
+            cache: CacheCounts { hits: d.hits, misses: d.misses },
+            artifacts: d.artifacts.clone(),
+            error: d.error.clone(),
         }
     }
 }
@@ -313,26 +305,38 @@ impl EventCursor {
     /// Events appended since the last poll; blocks up to `wait` when none
     /// are pending (an empty return after `wait` means "still caught up").
     pub fn poll(&mut self, wait: Duration) -> Vec<SseEvent> {
-        let mut log = self.job.events.lock().expect("events lock");
-        if self.next >= log.len() {
-            let (guard, _timeout) =
-                self.job.events_cv.wait_timeout(log, wait).expect("events condvar");
-            log = guard;
-        }
-        let batch: Vec<SseEvent> = log[self.next.min(log.len())..].to_vec();
-        self.next = log.len();
+        let next = self.next;
+        let (d, _timeout) = self
+            .job
+            .changed
+            .wait_timeout_while(lock(&self.job.data), wait, |d| d.events.len() <= next)
+            .unwrap_or_else(PoisonError::into_inner);
+        let batch = d.events[next..].to_vec();
+        self.next = d.events.len();
         batch
     }
 }
 
-/// Shared pool state (behind an `Arc` for the worker threads).
+/// Everything about the pool that changes, behind its one lock.
+struct PoolState {
+    jobs: HashMap<String, Arc<JobInner>>,
+    queue: VecDeque<Arc<JobInner>>,
+    /// Jobs a worker has taken off the queue and not finished.
+    running: usize,
+    /// Set once by [`JobPool::shutdown`]: no new jobs, and idle workers,
+    /// the retention sweeper and `run()` stop.
+    draining: bool,
+    /// The job-worker threads, taken by [`JobPool::join`].
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// Shared pool state (behind an `Arc` for the worker threads): the fixed
+/// config, plus one lock and one condvar notified on every submission and
+/// on the drain.
 struct PoolShared {
-    jobs: Mutex<HashMap<String, Arc<JobInner>>>,
-    queue: Mutex<VecDeque<Arc<JobInner>>>,
-    available: Condvar,
+    state: Mutex<PoolState>,
+    changed: Condvar,
     queue_cap: usize,
-    draining: AtomicBool,
-    running: AtomicU64,
     out_root: PathBuf,
     /// Worker threads per sweep (`0` = the engine default).
     sweep_jobs: usize,
@@ -347,7 +351,6 @@ struct PoolShared {
 /// Bounded worker pool executing experiment runs.
 pub struct JobPool {
     shared: Arc<PoolShared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl JobPool {
@@ -360,19 +363,22 @@ impl JobPool {
     #[must_use]
     pub fn new(cfg: &ServeConfig, metrics: Arc<MetricsSink>) -> Self {
         let shared = Arc::new(PoolShared {
-            jobs: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
+            state: Mutex::new(PoolState {
+                jobs: HashMap::new(),
+                queue: VecDeque::new(),
+                running: 0,
+                draining: false,
+                workers: Vec::new(),
+            }),
+            changed: Condvar::new(),
             queue_cap: cfg.queue_cap,
-            draining: AtomicBool::new(false),
-            running: AtomicU64::new(0),
             out_root: cfg.out_dir.clone(),
             sweep_jobs: cfg.sweep_jobs,
             shards: cfg.shards,
             worker_exe: cfg.worker_exe.clone(),
             metrics,
         });
-        let handles = (0..cfg.workers.max(1))
+        let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -381,7 +387,8 @@ impl JobPool {
                     .expect("spawn job worker")
             })
             .collect();
-        Self { shared, workers: Mutex::new(handles) }
+        lock(&shared.state).workers = workers;
+        Self { shared }
     }
 
     /// Deterministic run id for a submission: the sweep-point key scheme
@@ -404,83 +411,78 @@ impl JobPool {
     /// job, else enqueues a new one (subject to queue capacity and drain
     /// state). A failed job is re-enqueued by an identical submission.
     pub fn submit(&self, exp: &'static dyn Experiment, refs: u64) -> SubmitOutcome {
-        if self.shared.draining.load(Ordering::SeqCst) {
+        let id = Self::run_id(exp.name(), refs);
+        let mut st = lock(&self.shared.state);
+        if st.draining {
             return SubmitOutcome::Draining;
         }
-        let id = Self::run_id(exp.name(), refs);
-        let mut jobs = self.shared.jobs.lock().expect("jobs lock");
-        if let Some(existing) = jobs.get(&id) {
-            let failed = existing.state.lock().expect("job state lock").state == JobState::Failed;
-            if !failed {
-                return SubmitOutcome::Deduped(existing.status());
+        if let Some(existing) = st.jobs.get(&id) {
+            let status = existing.status();
+            if status.state != JobState::Failed {
+                return SubmitOutcome::Deduped(status);
             }
         }
-        let mut queue = self.shared.queue.lock().expect("queue lock");
-        if queue.len() >= self.shared.queue_cap {
+        if st.queue.len() >= self.shared.queue_cap {
             return SubmitOutcome::QueueFull;
         }
         let job = Arc::new(JobInner::new(id.clone(), exp, refs));
-        jobs.insert(id, Arc::clone(&job));
-        queue.push_back(Arc::clone(&job));
-        self.shared.available.notify_one();
+        st.jobs.insert(id, Arc::clone(&job));
+        st.queue.push_back(Arc::clone(&job));
+        drop(st);
+        self.shared.changed.notify_all();
         SubmitOutcome::Created(job.status())
+    }
+
+    /// The job registered under `id`, if any.
+    fn job(&self, id: &str) -> Option<Arc<JobInner>> {
+        lock(&self.shared.state).jobs.get(id).map(Arc::clone)
     }
 
     /// Status snapshot of a job, if it exists.
     #[must_use]
     pub fn status(&self, id: &str) -> Option<JobStatus> {
-        self.shared.jobs.lock().expect("jobs lock").get(id).map(|j| j.status())
+        self.job(id).map(|j| j.status())
     }
 
     /// A subscriber cursor over a job's event log, replaying from the
     /// beginning (late subscribers see the full history).
     #[must_use]
     pub fn events(&self, id: &str) -> Option<EventCursor> {
-        let job = self.shared.jobs.lock().expect("jobs lock").get(id).map(Arc::clone)?;
-        Some(EventCursor { job, next: 0 })
+        Some(EventCursor { job: self.job(id)?, next: 0 })
     }
 
     /// Jobs waiting for a worker right now (the `/metrics` queue depth).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").len()
+        lock(&self.shared.state).queue.len()
     }
 
     /// Whether a run is queued or running (the GC must never touch it).
     #[must_use]
     pub fn is_active(&self, id: &str) -> bool {
-        self.shared.jobs.lock().expect("jobs lock").get(id).is_some_and(|j| {
-            matches!(
-                j.state.lock().expect("job state lock").state,
-                JobState::Queued | JobState::Running
-            )
-        })
+        self.job(id).is_some_and(|j| matches!(j.state(), JobState::Queued | JobState::Running))
     }
 
     /// Forgets a finished job (GC deleted its directory): the id maps to
     /// 404 afterwards and an identical resubmission re-runs from scratch.
     /// Refuses (returns `false`) while the job is queued or running.
     pub fn forget(&self, id: &str) -> bool {
-        let mut jobs = self.shared.jobs.lock().expect("jobs lock");
-        let Some(job) = jobs.get(id) else { return false };
-        let active = matches!(
-            job.state.lock().expect("job state lock").state,
-            JobState::Queued | JobState::Running
-        );
-        if active {
+        let mut st = lock(&self.shared.state);
+        let Some(job) = st.jobs.get(id) else { return false };
+        if matches!(job.state(), JobState::Queued | JobState::Running) {
             return false;
         }
-        jobs.remove(id);
+        st.jobs.remove(id);
         true
     }
 
     /// Aggregate per-state counts.
     #[must_use]
     pub fn counts(&self) -> JobCounts {
-        let jobs = self.shared.jobs.lock().expect("jobs lock");
+        let st = lock(&self.shared.state);
         let mut c = JobCounts::default();
-        for j in jobs.values() {
-            match j.state.lock().expect("job state lock").state {
+        for j in st.jobs.values() {
+            match j.state() {
                 JobState::Queued => c.queued += 1,
                 JobState::Running => c.running += 1,
                 JobState::Done => c.done += 1,
@@ -491,23 +493,42 @@ impl JobPool {
     }
 
     /// Starts draining: rejects new submissions and wakes idle workers so
-    /// they can exit once the queue is empty. Idempotent.
+    /// they can exit once the queue is empty, and everything waiting in
+    /// [`JobPool::wait_for_drain`]. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.available.notify_all();
+        lock(&self.shared.state).draining = true;
+        self.shared.changed.notify_all();
+    }
+
+    /// Whether [`JobPool::shutdown`] has been called.
+    #[must_use]
+    pub fn draining(&self) -> bool {
+        lock(&self.shared.state).draining
+    }
+
+    /// Blocks until the pool is draining or `timeout` has passed; returns
+    /// whether it is draining.
+    pub fn wait_for_drain(&self, timeout: Duration) -> bool {
+        let st = lock(&self.shared.state);
+        let (st, _timeout) = self
+            .shared
+            .changed
+            .wait_timeout_while(st, timeout, |st| !st.draining)
+            .unwrap_or_else(PoisonError::into_inner);
+        st.draining
     }
 
     /// Whether nothing is queued or running (safe to stop serving).
     #[must_use]
     pub fn drained(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst) == 0
-            && self.shared.queue.lock().expect("queue lock").is_empty()
+        let st = lock(&self.shared.state);
+        st.running == 0 && st.queue.is_empty()
     }
 
     /// Joins the worker threads (call after [`JobPool::shutdown`]).
     pub fn join(&self) {
-        let handles: Vec<_> = self.workers.lock().expect("workers lock").drain(..).collect();
-        for h in handles {
+        let workers = std::mem::take(&mut lock(&self.shared.state).workers);
+        for h in workers {
             let _ = h.join();
         }
     }
@@ -516,25 +537,19 @@ impl JobPool {
 /// Worker body: pop → run → repeat; exit when draining and the queue is
 /// empty. Jobs already accepted are always finished (drain semantics).
 fn worker_loop(pool: &PoolShared) {
+    let mut st = lock(&pool.state);
     loop {
-        let job = {
-            let mut q = pool.queue.lock().expect("queue lock");
-            loop {
-                if let Some(j) = q.pop_front() {
-                    // Running before the queue lock drops, so `drained()`
-                    // can never observe "empty queue, nothing running"
-                    // while this job is in hand-off.
-                    pool.running.fetch_add(1, Ordering::SeqCst);
-                    break j;
-                }
-                if pool.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                q = pool.available.wait(q).expect("queue condvar");
-            }
-        };
-        run_job(pool, &job);
-        pool.running.fetch_sub(1, Ordering::SeqCst);
+        if let Some(job) = st.queue.pop_front() {
+            st.running += 1;
+            drop(st);
+            run_job(pool, &job);
+            st = lock(&pool.state);
+            st.running -= 1;
+        } else if st.draining {
+            return;
+        } else {
+            st = pool.changed.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -542,8 +557,7 @@ fn worker_loop(pool: &PoolShared) {
 /// engine's progress callback. With `shards >= 2` the sweep itself runs in
 /// shard-worker processes; the in-process part is then only the fold.
 fn run_job(pool: &PoolShared, job: &Arc<JobInner>) {
-    job.state.lock().expect("job state lock").state = JobState::Running;
-    job.push_state_event(JobState::Running);
+    job.update(|d| d.set_state(JobState::Running));
     let dir = pool.out_root.join("runs").join(&job.id);
     if pool.shards >= 2 {
         run_shard_workers(pool, job, &dir);
@@ -557,7 +571,7 @@ fn run_job(pool: &PoolShared, job: &Arc<JobInner>) {
 /// its shard owns, so the coordinator's per-point counters sum to exactly
 /// the sweep size across all workers. A worker that dies, fails or never
 /// starts is only logged: the fold computes whatever the cache lacks.
-fn run_shard_workers(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path) {
+fn run_shard_workers(pool: &PoolShared, job: &Arc<JobInner>, dir: &Path) {
     let exe = pool
         .worker_exe
         .clone()
@@ -580,14 +594,14 @@ fn run_shard_workers(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Pa
 /// counters, and waits for exit. `Err` on spawn failure, abnormal exit, or
 /// a `failed` protocol line.
 fn spawn_and_track_worker(
-    exe: &std::path::Path,
+    exe: &Path,
     pool: &PoolShared,
     job: &Arc<JobInner>,
-    dir: &std::path::Path,
+    dir: &Path,
     index: usize,
     shards: usize,
 ) -> Result<(), String> {
-    let shard = Shard::new(index, shards).expect("index < shards by construction");
+    let shard = Shard::new(index, shards)?;
     let mut cmd = std::process::Command::new(exe);
     cmd.arg("serve-worker")
         .arg("--experiment")
@@ -604,21 +618,17 @@ fn spawn_and_track_worker(
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::inherit());
     let mut child = cmd.spawn().map_err(|e| format!("spawning {}: {e}", exe.display()))?;
-    let stdout = child.stdout.take().expect("piped stdout");
+    let stdout = child.stdout.take().ok_or("worker stdout is not piped")?;
     let mut failure: Option<String> = None;
     for line in std::io::BufReader::new(stdout).lines() {
         let Ok(line) = line else { break };
         match WireEvent::parse(&line) {
-            Some(WireEvent::MapStarted { points }) => {
-                job.total.fetch_add(points, Ordering::Relaxed);
-            }
+            Some(WireEvent::MapStarted { points }) => job.update(|d| d.total += points),
             Some(WireEvent::PointDone { label, cached }) => {
-                job.point_done(&label, cached);
+                job.update(|d| d.point_done(&label, cached));
             }
             Some(WireEvent::Failed { error }) => failure = Some(error),
-            // Per-worker totals are diagnostic; the fold meta is
-            // authoritative for the job's final counters.
-            Some(WireEvent::Done { .. }) | None => {}
+            None => {}
         }
     }
     let status = child.wait().map_err(|e| format!("waiting for worker: {e}"))?;
@@ -636,20 +646,21 @@ fn spawn_and_track_worker(
 /// failed or never started) and every later `map` call are computed here
 /// as misses, and the artifacts are rendered by exactly one process, which
 /// is what makes them byte-identical to the single-pool path.
-fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path, folded: bool) {
+fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &Path, folded: bool) {
     let progress: ProgressFn = {
         let job = Arc::clone(job);
         Arc::new(move |ev| match ev {
-            Progress::MapStarted { points } => {
-                if !folded {
-                    job.total.fetch_add(*points as u64, Ordering::Relaxed);
-                }
-            }
+            // `total` may already hold the workers' announced stripes of
+            // the first `map` call, which this run submits again in full.
+            Progress::MapStarted { points } => job.update(|d| {
+                d.mapped += *points as u64;
+                d.total = d.total.max(d.mapped);
+            }),
+            // After shard workers, hits replay points a worker already
+            // announced; only the points the fold computes are news.
             Progress::PointDone { cached, label } => {
-                // After shard workers, hits replay points a worker already
-                // announced; only the points the fold computes are news.
                 if !folded || !*cached {
-                    job.point_done(label, *cached);
+                    job.update(|d| d.point_done(label, *cached));
                 }
             }
         })
@@ -663,38 +674,29 @@ fn fold_and_finish(pool: &PoolShared, job: &Arc<JobInner>, dir: &std::path::Path
         cfg = cfg.jobs(pool.sweep_jobs);
     }
     let exp = job.exp;
-    match catch_unwind(AssertUnwindSafe(|| run_experiment(exp, &cfg))) {
-        Ok(report) => {
-            // The meta twin is authoritative for totals; the hit/miss split
-            // of a sharded run keeps the counters the workers and the fold's
-            // own computes fed (the fold's replay hits say nothing about how
-            // points were computed).
-            job.total.store(report.meta.points as u64, Ordering::Relaxed);
-            job.completed.store(report.meta.points as u64, Ordering::Relaxed);
-            if !folded {
-                job.hits.store(report.meta.cache_hits, Ordering::Relaxed);
-                job.misses.store(report.meta.cache_misses, Ordering::Relaxed);
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_experiment(exp, &cfg)));
+    job.update(|d| {
+        match outcome {
+            Ok(report) => {
+                // The meta twin is authoritative for totals: a worker may
+                // cache a point it never announced, or announce one whose
+                // cache write was lost and the fold computes again.
+                d.total = report.meta.points as u64;
+                d.completed = d.total;
+                d.artifacts = report
+                    .artifacts
+                    .iter()
+                    .filter_map(|a| a.path.file_name().map(|f| f.to_string_lossy().into_owned()))
+                    .collect();
+                d.state = JobState::Done;
             }
-            let mut st = job.state.lock().expect("job state lock");
-            st.artifacts = report
-                .artifacts
-                .iter()
-                .filter_map(|a| a.path.file_name().map(|f| f.to_string_lossy().into_owned()))
-                .collect();
-            st.state = JobState::Done;
+            Err(panic) => {
+                d.error = Some(panic_message(&*panic));
+                d.state = JobState::Failed;
+            }
         }
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "experiment panicked".to_owned());
-            let mut st = job.state.lock().expect("job state lock");
-            st.error = Some(msg);
-            st.state = JobState::Failed;
-        }
-    }
-    job.push_terminal_event();
+        d.push_terminal_event();
+    });
 }
 
 #[cfg(test)]

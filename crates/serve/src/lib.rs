@@ -47,12 +47,13 @@ pub mod router;
 mod signal;
 pub mod worker;
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,6 +61,30 @@ use ringsim_obs::{LatencyHistogram, MetricsSink};
 
 use crate::jobs::JobPool;
 use crate::router::Reply;
+
+/// Per-connection read/write timeout.
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long `run()` waits on the drain condition between checks of the
+/// signal latch.
+const SIGNAL_CHECK: Duration = Duration::from_millis(50);
+
+/// Locks `m`, recovering its data if a thread panicked while holding it:
+/// every update of a record guarded in this crate leaves it valid at every
+/// step, and a failed job must not take the service down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The message a caught panic carried, whether raised with a literal or a
+/// formatted string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_else(|| "experiment panicked".to_owned())
+}
 
 /// How the service runs: bind address, storage root, queue shape,
 /// execution mode (in-process pool vs shard-worker processes), retention.
@@ -77,8 +102,6 @@ pub struct ServeConfig {
     pub sweep_jobs: usize,
     /// Per-processor reference budget when a submission omits `refs`.
     pub default_refs: u64,
-    /// Per-connection read/write timeout.
-    pub request_timeout: Duration,
     /// Shard-worker processes per run; `0`/`1` keeps the in-process pool,
     /// `N >= 2` first runs N `serve-worker` processes, each caching one
     /// stripe of the sweep in the run directory, then folds in-process:
@@ -107,7 +130,6 @@ impl Default for ServeConfig {
             queue_cap: 16,
             sweep_jobs: 0,
             default_refs: ringsim_bench::EXPERIMENT_REFS,
-            request_timeout: Duration::from_secs(10),
             shards: 0,
             worker_exe: None,
             gc_max_bytes: 0,
@@ -140,9 +162,6 @@ pub struct ServerState {
     /// (summary only: `/metrics` exports no timelines).
     pub(crate) metrics: Arc<MetricsSink>,
     started: Instant,
-    draining: Mutex<bool>,
-    /// Notified when `draining` flips, so the GC sweeper stops at once.
-    drain_wake: Condvar,
     http: Mutex<BTreeMap<&'static str, LatencyHistogram>>,
     gc_sweeps: AtomicU64,
     gc_deleted_runs: AtomicU64,
@@ -167,8 +186,6 @@ impl ServerState {
             pool,
             metrics,
             started: Instant::now(),
-            draining: Mutex::new(false),
-            drain_wake: Condvar::new(),
             http: Mutex::new(http),
             gc_sweeps: AtomicU64::new(0),
             gc_deleted_runs: AtomicU64::new(0),
@@ -177,17 +194,15 @@ impl ServerState {
     }
 
     /// Flips into draining: the pool rejects new jobs, workers exit once
-    /// the queue is empty, and the GC sweeper stops.
+    /// the queue is empty, and the GC sweeper and `run()` stop waiting.
     pub fn request_shutdown(&self) {
-        *self.draining.lock().expect("drain lock") = true;
         self.pool.shutdown();
-        self.drain_wake.notify_all();
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn draining(&self) -> bool {
-        *self.draining.lock().expect("drain lock")
+        self.pool.draining()
     }
 
     /// Milliseconds since the state was built.
@@ -198,13 +213,13 @@ impl ServerState {
 
     /// Folds one request's wall time into the per-route latency digest.
     pub(crate) fn record_http(&self, route: &'static str, dur: Duration) {
-        let mut map = self.http.lock().expect("http metrics lock");
+        let mut map = lock(&self.http);
         map.entry(route).or_default().record(dur.as_secs_f64() * 1e9);
     }
 
     /// Per-route latency digests, sorted by route label.
     pub(crate) fn http_stats(&self) -> Vec<(String, LatencyHistogram)> {
-        let map = self.http.lock().expect("http metrics lock");
+        let map = lock(&self.http);
         map.iter().map(|(route, h)| ((*route).to_owned(), h.clone())).collect()
     }
 
@@ -323,21 +338,11 @@ fn wake_addr(addr: SocketAddr) -> SocketAddr {
 
 /// Retention sweeper: every `gc_interval`, scan `<out>/runs`, delete what
 /// the policy marks evictable, and fold the outcome into `/metrics`.
-/// Sleeps on the drain condvar, so a drain wakes it at once.
+/// Sleeps on the pool's drain condition, so a drain wakes it at once.
 fn gc_loop(state: &Arc<ServerState>) {
     let runs_root = state.cfg.out_dir.join("runs");
     let policy = state.cfg.gc_policy();
-    let interval = state.cfg.gc_interval;
-    loop {
-        let draining = state.draining.lock().expect("drain lock");
-        let (draining, _) = state
-            .drain_wake
-            .wait_timeout_while(draining, interval, |draining| !*draining)
-            .expect("drain lock");
-        if *draining {
-            return;
-        }
-        drop(draining);
+    while !state.pool.wait_for_drain(state.cfg.gc_interval) {
         let outcome = gc::sweep_once(
             &runs_root,
             &policy,
@@ -373,10 +378,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 /// Serves one connection: one request, one response, close. Transport
 /// failures are dropped silently; parse failures get the mapped 400/413.
 fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let timeout = state.cfg.request_timeout;
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
+    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = io::BufReader::new(read_half);
     let mut writer = stream;
@@ -443,9 +447,9 @@ pub fn run(cfg: ServeConfig) -> io::Result<()> {
     signal::install();
     let server = Server::bind(cfg)?;
     eprintln!("ringsim serve: listening on http://{}", server.local_addr());
-    while !signal::triggered() && !server.shutdown_requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // `POST /shutdown` wakes the wait at once; the signal latch cannot
+    // notify a condvar, so it is checked between waits.
+    while !signal::triggered() && !server.state.pool.wait_for_drain(SIGNAL_CHECK) {}
     eprintln!("ringsim serve: draining (in-flight jobs run to completion)");
     server.join();
     eprintln!("ringsim serve: drained cleanly");

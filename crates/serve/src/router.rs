@@ -39,21 +39,6 @@ pub enum Reply {
     Events(EventCursor),
 }
 
-impl Reply {
-    /// Unwraps the buffered response (tests and non-streaming callers).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a streaming reply.
-    #[must_use]
-    pub fn into_response(self) -> Response {
-        match self {
-            Reply::Full(resp) => resp,
-            Reply::Events(_) => panic!("streaming reply has no buffered response"),
-        }
-    }
-}
-
 impl From<Response> for Reply {
     fn from(resp: Response) -> Self {
         Reply::Full(resp)
@@ -350,6 +335,16 @@ fn render<T: Serialize>(value: &T) -> String {
 mod tests {
     use super::*;
     use crate::ServeConfig;
+
+    impl Reply {
+        /// Unwraps the buffered response; panics on a streaming reply.
+        fn into_response(self) -> Response {
+            match self {
+                Reply::Full(resp) => resp,
+                Reply::Events(_) => panic!("streaming reply has no buffered response"),
+            }
+        }
+    }
 
     fn state(tag: &str) -> ServerState {
         let out =

@@ -43,15 +43,6 @@ pub enum WireEvent {
         /// Whether it was served from the shared cache.
         cached: bool,
     },
-    /// The worker's stripe finished cleanly.
-    Done {
-        /// Points of the worker's own stripe.
-        points: u64,
-        /// Stripe points served from the cache.
-        hits: u64,
-        /// Stripe points this worker computed.
-        misses: u64,
-    },
     /// The worker's run panicked.
     Failed {
         /// Panic message.
@@ -69,19 +60,10 @@ impl WireEvent {
             points: Option<u64>,
             label: Option<String>,
             cached: Option<bool>,
-            hits: Option<u64>,
-            misses: Option<u64>,
             error: Option<String>,
         }
-        let mut line = Line {
-            ev: String::new(),
-            points: None,
-            label: None,
-            cached: None,
-            hits: None,
-            misses: None,
-            error: None,
-        };
+        let mut line =
+            Line { ev: String::new(), points: None, label: None, cached: None, error: None };
         match self {
             WireEvent::MapStarted { points } => {
                 line.ev = "map-started".to_owned();
@@ -91,12 +73,6 @@ impl WireEvent {
                 line.ev = "point-done".to_owned();
                 line.label = Some(label.clone());
                 line.cached = Some(*cached);
-            }
-            WireEvent::Done { points, hits, misses } => {
-                line.ev = "done".to_owned();
-                line.points = Some(*points);
-                line.hits = Some(*hits);
-                line.misses = Some(*misses);
             }
             WireEvent::Failed { error } => {
                 line.ev = "failed".to_owned();
@@ -128,11 +104,6 @@ impl WireEvent {
                 "point-done" => Some(WireEvent::PointDone {
                     label: text("label")?,
                     cached: matches!(v.get("cached"), Some(Value::Bool(true))),
-                }),
-                "done" => Some(WireEvent::Done {
-                    points: uint("points")?,
-                    hits: uint("hits")?,
-                    misses: uint("misses")?,
                 }),
                 "failed" => Some(WireEvent::Failed { error: text("error")? }),
                 _ => None,
@@ -190,21 +161,9 @@ pub fn run_worker(spec: &WorkerSpec) -> i32 {
         cfg = cfg.jobs(spec.jobs);
     }
     match catch_unwind(AssertUnwindSafe(|| run_shard(exp, &cfg, spec.shard))) {
-        Ok(report) => {
-            emit(&WireEvent::Done {
-                points: report.points,
-                hits: report.hits,
-                misses: report.misses,
-            });
-            0
-        }
+        Ok(_) => 0,
         Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "experiment panicked".to_owned());
-            emit(&WireEvent::Failed { error: msg });
+            emit(&WireEvent::Failed { error: crate::panic_message(&*panic) });
             1
         }
     }
@@ -220,7 +179,6 @@ mod tests {
             WireEvent::MapStarted { points: 7 },
             WireEvent::PointDone { label: "mp3d procs=64 \"q\"".to_owned(), cached: true },
             WireEvent::PointDone { label: "x".to_owned(), cached: false },
-            WireEvent::Done { points: 26, hits: 20, misses: 6 },
             WireEvent::Failed { error: "boom\nwith newline".to_owned() },
         ];
         for ev in events {

@@ -7,6 +7,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use ringsim_bench::loadtest::request;
 use ringsim_serve::{ServeConfig, Server};
 use ringsim_sweep::{run_experiment, SweepConfig};
 use serde::Value;
@@ -19,56 +20,16 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ringsim-serve-e2e-{tag}-{}", std::process::id()))
 }
 
-/// Minimal raw-socket HTTP/1.1 client: one request, reads to EOF
-/// (the server always closes), returns `(status, body_bytes)`.
+/// One request through the load tester's client, returning
+/// `(status, body_bytes)`.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response must have a header/body separator");
-    let head = std::str::from_utf8(&raw[..header_end]).expect("ASCII headers");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line in {head:?}"));
-    (status, raw[header_end + 4..].to_vec())
+    let resp = request(addr, Duration::from_secs(30), method, path, Some(body)).expect("request");
+    (resp.status, resp.body)
 }
 
 fn json(body: &[u8]) -> Value {
     serde_json::parse_value(std::str::from_utf8(body).expect("UTF-8 JSON body"))
         .expect("valid JSON body")
-}
-
-fn str_of<'v>(v: &'v Value, key: &str) -> &'v str {
-    match v.get(key) {
-        Some(Value::Str(s)) => s,
-        other => panic!("expected string `{key}`, got {other:?}"),
-    }
-}
-
-fn u64_of(v: &Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(Value::UInt(n)) => *n,
-        Some(Value::Int(n)) if *n >= 0 => *n as u64,
-        other => panic!("expected integer `{key}`, got {other:?}"),
-    }
-}
-
-fn bool_of(v: &Value, key: &str) -> bool {
-    match v.get(key) {
-        Some(Value::Bool(b)) => *b,
-        other => panic!("expected bool `{key}`, got {other:?}"),
-    }
 }
 
 /// Polls `GET /runs/:id` until the job is done (or failed/panicking).
@@ -78,7 +39,7 @@ fn wait_done(addr: &str, id: &str) -> Value {
         let (status, body) = http(addr, "GET", &format!("/runs/{id}"), "");
         assert_eq!(status, 200, "status poll failed: {}", String::from_utf8_lossy(&body));
         let v = json(&body);
-        match str_of(&v, "state") {
+        match v.get("state").and_then(Value::as_str).expect("state") {
             "done" => return v,
             "failed" => panic!("job failed: {v:?}"),
             _ => assert!(Instant::now() < deadline, "job did not finish in time: {v:?}"),
@@ -128,11 +89,11 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
                 let (status, body) = http(&addr, "POST", "/runs", &submission);
                 assert!(status == 200 || status == 202, "unexpected submit status {status}");
                 let v = json(&body);
-                let id = str_of(&v, "id").to_owned();
+                let id = v.get("id").and_then(Value::as_str).expect("id").to_owned();
                 // Interleave status reads with the other submitters.
                 let (st, _) = http(&addr, "GET", &format!("/runs/{id}"), "");
                 assert_eq!(st, 200);
-                (id, bool_of(&v, "deduped"))
+                (id, v.get("deduped") == Some(&Value::Bool(true)))
             })
         })
         .collect();
@@ -149,26 +110,30 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     // The job completes; the cold run computed every point.
     let status_doc = wait_done(&addr, &first_id);
     let cache = status_doc.get("cache").expect("cache counts");
-    assert_eq!(u64_of(cache, "hits"), 0, "cold run must not hit the cache");
-    assert!(u64_of(cache, "misses") > 0);
+    assert_eq!(
+        cache.get("hits").and_then(Value::as_u64).expect("hits"),
+        0,
+        "cold run must not hit the cache"
+    );
+    assert!(cache.get("misses").and_then(Value::as_u64).expect("misses") > 0);
     let points = status_doc.get("points").expect("points progress");
-    assert_eq!(u64_of(points, "total"), u64_of(points, "completed"));
+    assert_eq!(
+        points.get("total").and_then(Value::as_u64).expect("total"),
+        points.get("completed").and_then(Value::as_u64).expect("completed")
+    );
 
     // Every artifact the direct run produced is served byte-exactly.
-    let artifact_names: Vec<String> = match status_doc.get("artifacts") {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|v| match v {
-                Value::Str(s) => s.clone(),
-                other => panic!("artifact names must be strings, got {other:?}"),
-            })
-            .collect(),
-        other => panic!("expected artifact array, got {other:?}"),
-    };
+    let artifact_names: Vec<&str> = status_doc
+        .get("artifacts")
+        .and_then(Value::as_array)
+        .expect("artifact array")
+        .iter()
+        .map(|v| v.as_str().expect("artifact names are strings"))
+        .collect();
     assert!(!artifact_names.is_empty());
     for artifact in &report.artifacts {
         let file = artifact.path.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(artifact_names.contains(&file), "service is missing artifact {file}");
+        assert!(artifact_names.contains(&file.as_str()), "service is missing artifact {file}");
         let (status, served) =
             http(&addr, "GET", &format!("/runs/{first_id}/artifacts/{file}"), "");
         assert_eq!(status, 200);
@@ -179,7 +144,7 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     // Re-submitting the identical request is a warm dedupe.
     let (status, body) = http(&addr, "POST", "/runs", &submission);
     assert_eq!(status, 200);
-    assert!(bool_of(&json(&body), "deduped"));
+    assert!(json(&body).get("deduped") == Some(&Value::Bool(true)));
 
     // Unknown artifacts and runs are clean 404s; bad submissions are 400s.
     let (status, _) = http(&addr, "GET", &format!("/runs/{first_id}/artifacts/../secret"), "");
@@ -204,12 +169,13 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     let (status, body) = http(&addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let metrics = json(&body);
-    assert_eq!(u64_of(metrics.get("jobs").expect("job counts"), "done"), 1);
-    let http_stats = match metrics.get("http") {
-        Some(Value::Array(items)) => items,
-        other => panic!("expected http stats array, got {other:?}"),
-    };
-    let routes: Vec<&str> = http_stats.iter().map(|s| str_of(s, "route")).collect();
+    assert_eq!(
+        metrics.get("jobs").expect("job counts").get("done").and_then(Value::as_u64).expect("done"),
+        1
+    );
+    let http_stats = metrics.get("http").and_then(Value::as_array).expect("http stats array");
+    let routes: Vec<&str> =
+        http_stats.iter().map(|s| s.get("route").and_then(Value::as_str).expect("route")).collect();
     assert!(routes.contains(&"POST /runs"), "missing POST /runs in {routes:?}");
     assert!(routes.contains(&"GET /runs/:id"), "missing GET /runs/:id in {routes:?}");
 
@@ -221,8 +187,8 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     let (status, body) = http(&addr, "POST", "/runs", &sci_submission);
     assert_eq!(status, 202, "new submission must create a job: {status}");
     let v = json(&body);
-    assert_eq!(str_of(&v, "network"), "sci500");
-    let sci_id = str_of(&v, "id").to_owned();
+    assert_eq!(v.get("network").and_then(Value::as_str).expect("network"), "sci500");
+    let sci_id = v.get("id").and_then(Value::as_str).expect("id").to_owned();
     assert_ne!(sci_id, first_id);
     wait_done(&addr, &sci_id);
 
@@ -256,12 +222,16 @@ fn concurrent_clients_dedupe_onto_one_byte_identical_run() {
     let addr = server.local_addr().to_string();
     let (status, body) = http(&addr, "POST", "/runs", &submission);
     assert_eq!(status, 202, "fresh server has no job registry entry yet");
-    let warm_id = str_of(&json(&body), "id").to_owned();
+    let warm_id = json(&body).get("id").and_then(Value::as_str).expect("id").to_owned();
     assert_eq!(warm_id, first_id, "run ids must be stable across restarts");
     let warm = wait_done(&addr, &warm_id);
     let cache = warm.get("cache").expect("cache counts");
-    assert_eq!(u64_of(cache, "misses"), 0, "warm resubmission must not recompute: {warm:?}");
-    assert!(u64_of(cache, "hits") > 0);
+    assert_eq!(
+        cache.get("misses").and_then(Value::as_u64).expect("misses"),
+        0,
+        "warm resubmission must not recompute: {warm:?}"
+    );
+    assert!(cache.get("hits").and_then(Value::as_u64).expect("hits") > 0);
     for artifact in &report.artifacts {
         let file = artifact.path.file_name().unwrap().to_string_lossy().into_owned();
         let (status, served) = http(&addr, "GET", &format!("/runs/{warm_id}/artifacts/{file}"), "");
@@ -299,19 +269,28 @@ fn two_servers_in_one_process_report_only_their_own_runs() {
             let (status, body) =
                 http(&server.local_addr().to_string(), "POST", "/runs", &submission);
             assert_eq!(status, 202);
-            str_of(&json(&body), "id").to_owned()
+            json(&body).get("id").and_then(Value::as_str).expect("id").to_owned()
         })
         .collect();
     for ((server, out_dir), id) in servers.into_iter().zip(&ids) {
         let addr = server.local_addr().to_string();
         let done = wait_done(&addr, id);
-        let computed = u64_of(done.get("cache").expect("cache counts"), "misses");
+        let computed = done
+            .get("cache")
+            .expect("cache counts")
+            .get("misses")
+            .and_then(Value::as_u64)
+            .expect("misses");
         assert_eq!(computed, 4, "topology_sweep computes one point per topology cold");
         let (status, body) = http(&addr, "GET", "/metrics", "");
         assert_eq!(status, 200);
         let metrics = json(&body);
         let summary = metrics.get("summary").expect("simulator summary");
-        assert_eq!(u64_of(summary, "runs"), computed, "each server folds only its own runs");
+        assert_eq!(
+            summary.get("runs").and_then(Value::as_u64).expect("runs"),
+            computed,
+            "each server folds only its own runs"
+        );
         assert!(metrics.get("warnings").is_none(), "/metrics has no warnings field");
         server.join();
         let _ = std::fs::remove_dir_all(&out_dir);

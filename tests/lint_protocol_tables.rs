@@ -29,7 +29,7 @@
 //!    worker pools (`thread::scope(`) inside `ringsim_types::par`, the
 //!    service's per-shard supervisors and the load-test clients, and
 //!    polling sleeps (`thread::sleep(`) inside the service's accept back-off
-//!    and signal poll and the benchmark's client harness.
+//!    and the benchmark's client harness.
 
 use ringsim::cache::LineState;
 use ringsim::proto::guarded::{dir_action, home_snoop_action, snooper_action};
@@ -274,8 +274,8 @@ fn no_rule_is_dead_at_four_nodes() {
 /// pool, `ringsim_types::par`, so `thread::scope(` appears only there, in
 /// the service's one-supervisor-per-shard-worker loop and in the load-test
 /// clients. Nothing waits by polling: `thread::sleep(` appears only in
-/// `crates/serve/src/lib.rs` (the accept back-off and the signal poll in
-/// `run()`) and in the benchmark's client harness. Test code is exempt
+/// `crates/serve/src/lib.rs` (the accept loop's back-off on errors) and in
+/// the benchmark's client harness. Test code is exempt
 /// (everything from a file's `#[cfg(test)]` on).
 #[test]
 fn only_the_engines_dispatch_protocol_rules() {

@@ -10,16 +10,17 @@
 //! /runs/:id/pin` drops the retention marker.
 //!
 //! A second run points the workers at an executable that exits non-zero at
-//! once: the fold, the one recovery path, computes the whole sweep itself.
+//! once: the fold, the one recovery path, computes the whole sweep itself,
+//! and its progress events count against the sweep size. In both runs no
+//! `progress` event counts more points done than submitted.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ringsim::serve::{ServeConfig, Server};
 use ringsim::sweep::{run_experiment, Artifact, SweepConfig};
 use ringsim_bench::experiments;
+use ringsim_bench::loadtest::request;
 use serde::Value;
 
 const REFS: u64 = 2_000;
@@ -28,40 +29,15 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ringsim-shard-e2e-{tag}-{}", std::process::id()))
 }
 
-/// One raw HTTP/1.1 request; reads to EOF (the server always closes).
+/// One request through the load tester's client, returning
+/// `(status, body_bytes)`.
 fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(req.as_bytes()).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let header_end = raw.windows(4).position(|w| w == b"\r\n\r\n").expect("header/body separator");
-    let head = std::str::from_utf8(&raw[..header_end]).expect("ASCII headers");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    (status, raw[header_end + 4..].to_vec())
+    let resp = request(addr, Duration::from_secs(60), method, path, Some(body)).expect("request");
+    (resp.status, resp.body)
 }
 
 fn json(body: &[u8]) -> Value {
     serde_json::parse_value(std::str::from_utf8(body).expect("UTF-8 body")).expect("valid JSON")
-}
-
-fn str_of<'v>(v: &'v Value, key: &str) -> &'v str {
-    match v.get(key) {
-        Some(Value::Str(s)) => s,
-        other => panic!("expected string `{key}`, got {other:?}"),
-    }
-}
-
-fn u64_of(v: &Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(Value::UInt(n)) => *n,
-        Some(Value::Int(n)) if *n >= 0 => *n as u64,
-        other => panic!("expected integer `{key}`, got {other:?}"),
-    }
 }
 
 fn wait_done(addr: &str, id: &str) -> Value {
@@ -70,7 +46,7 @@ fn wait_done(addr: &str, id: &str) -> Value {
         let (status, body) = http(addr, "GET", &format!("/runs/{id}"), "");
         assert_eq!(status, 200, "poll failed: {}", String::from_utf8_lossy(&body));
         let v = json(&body);
-        match str_of(&v, "state") {
+        match v.get("state").and_then(Value::as_str).expect("state") {
             "done" => return v,
             "failed" => panic!("job failed: {v:?}"),
             _ => assert!(Instant::now() < deadline, "job did not finish: {v:?}"),
@@ -82,37 +58,15 @@ fn wait_done(addr: &str, id: &str) -> Value {
 /// Reads the full SSE stream of a run (the server closes it after the
 /// terminal event) and returns the decoded `(event, data)` frames.
 fn read_stream(addr: &str, id: &str) -> Vec<(String, String)> {
-    let mut stream = TcpStream::connect(addr).expect("connect stream");
-    stream.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-    let req = format!(
-        "GET /runs/{id}/events HTTP/1.1\r\nHost: {addr}\r\nAccept: text/event-stream\r\n\r\n"
-    );
-    stream.write_all(req.as_bytes()).expect("send stream request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read stream to close");
-    let text = String::from_utf8_lossy(&raw);
-    let (head, body) = text.split_once("\r\n\r\n").expect("stream headers");
-    assert!(head.starts_with("HTTP/1.1 200"), "stream status: {head}");
-    assert!(
-        head.to_ascii_lowercase().contains("content-type: text/event-stream"),
-        "stream content type: {head}"
-    );
-    assert!(
-        head.to_ascii_lowercase().contains("transfer-encoding: chunked"),
-        "stream must be chunked: {head}"
-    );
-    // Undo chunked framing, then split SSE frames on blank lines.
-    let mut decoded = String::new();
-    let mut rest = body;
-    while let Some((size_line, after)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
-        if size == 0 {
-            break;
-        }
-        decoded.push_str(&after[..size]);
-        rest = after[size..].strip_prefix("\r\n").unwrap_or("");
-    }
-    decoded
+    let resp = request(addr, Duration::from_secs(120), "GET", &format!("/runs/{id}/events"), None)
+        .expect("stream request");
+    let head = resp.head.to_ascii_lowercase();
+    assert_eq!(resp.status, 200, "stream status: {}", resp.head);
+    assert!(head.contains("content-type: text/event-stream"), "stream content type: {head}");
+    assert!(head.contains("transfer-encoding: chunked"), "stream must be chunked: {head}");
+    // The client undid the chunked framing; split SSE frames on blank lines.
+    String::from_utf8(resp.body)
+        .expect("UTF-8 stream")
         .split("\n\n")
         .filter(|frame| !frame.trim().is_empty() && !frame.starts_with(':'))
         .map(|frame| {
@@ -126,6 +80,22 @@ fn read_stream(addr: &str, id: &str) -> Vec<(String, String)> {
                 }
             }
             (event, data)
+        })
+        .collect()
+}
+
+/// Every `progress` event of a run's stream, as `(completed, total)`, in
+/// stream order. Each one must count no more points done than submitted.
+fn progress_of(frames: &[(String, String)]) -> Vec<(u64, u64)> {
+    frames
+        .iter()
+        .filter(|(event, _)| event == "progress")
+        .map(|(_, data)| {
+            let v = serde_json::parse_value(data).expect("progress data is JSON");
+            let count = |key: &str| v.get(key).and_then(Value::as_u64).expect(key);
+            let (completed, total) = (count("completed"), count("total"));
+            assert!(completed <= total, "progress {completed} of {total} points: {data}");
+            (completed, total)
         })
         .collect()
 }
@@ -172,20 +142,32 @@ fn four_shard_workers_fold_to_byte_identical_artifacts() {
     let submission = format!("{{\"experiment\": \"fig3\", \"refs\": {REFS}}}");
     let (status, body) = http(&addr, "POST", "/runs", &submission);
     assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&body));
-    let id = str_of(&json(&body), "id").to_owned();
+    let id = json(&body).get("id").and_then(Value::as_str).expect("id").to_owned();
 
     let status_doc = wait_done(&addr, &id);
     let points = status_doc.get("points").expect("points progress");
-    let total = u64_of(points, "total");
+    let total = points.get("total").and_then(Value::as_u64).expect("total");
     assert!(total > 0);
-    assert_eq!(total, u64_of(points, "completed"), "sharded progress must sum to the sweep size");
+    assert_eq!(
+        total,
+        points.get("completed").and_then(Value::as_u64).expect("completed"),
+        "sharded progress must sum to the sweep size"
+    );
     // Cold sharded run: each point is computed exactly once across the
     // workers (misses == total, no duplicated compute), and nothing was
     // pre-warmed. The fold's own cache hits are bookkeeping, not work, and
     // are deliberately not counted.
     let cache = status_doc.get("cache").expect("cache counts");
-    assert_eq!(u64_of(cache, "misses"), total, "duplicated compute: {status_doc:?}");
-    assert_eq!(u64_of(cache, "hits"), 0, "cold run must not report hits: {status_doc:?}");
+    assert_eq!(
+        cache.get("misses").and_then(Value::as_u64).expect("misses"),
+        total,
+        "duplicated compute: {status_doc:?}"
+    );
+    assert_eq!(
+        cache.get("hits").and_then(Value::as_u64).expect("hits"),
+        0,
+        "cold run must not report hits: {status_doc:?}"
+    );
 
     // Workers render nothing, so they leave no scratch directories.
     assert!(!out_dir.join("runs").join(&id).join("shards").exists());
@@ -197,28 +179,31 @@ fn four_shard_workers_fold_to_byte_identical_artifacts() {
     // with the status document.
     let frames = read_stream(&addr, &id);
     assert!(frames.len() >= 2, "stream too short: {frames:?}");
-    let mut last_completed = 0;
-    let mut progress_events = 0;
-    for (event, data) in &frames[..frames.len() - 1] {
+    for (event, _) in &frames[..frames.len() - 1] {
         assert_ne!(event.as_str(), "done", "terminal event must be last");
-        if event == "progress" {
-            let v = serde_json::parse_value(data).expect("progress data is JSON");
-            let completed = u64_of(&v, "completed");
-            assert!(
-                completed > last_completed,
-                "progress must be strictly increasing: {completed} after {last_completed}"
-            );
-            last_completed = completed;
-            progress_events += 1;
-        }
     }
-    assert_eq!(progress_events, total, "one progress event per point");
+    let progress = progress_of(&frames);
+    let mut last_completed = 0;
+    for &(completed, _) in &progress {
+        assert!(
+            completed > last_completed,
+            "progress must be strictly increasing: {completed} after {last_completed}"
+        );
+        last_completed = completed;
+    }
+    assert_eq!(progress.len() as u64, total, "one progress event per point");
     let (last_event, last_data) = frames.last().unwrap();
     assert_eq!(last_event.as_str(), "done");
     let terminal = serde_json::parse_value(last_data).expect("terminal data is JSON");
-    assert_eq!(u64_of(&terminal, "points"), total);
-    assert_eq!(u64_of(&terminal, "hits"), u64_of(cache, "hits"));
-    assert_eq!(u64_of(&terminal, "misses"), u64_of(cache, "misses"));
+    assert_eq!(terminal.get("points").and_then(Value::as_u64).expect("points"), total);
+    assert_eq!(
+        terminal.get("hits").and_then(Value::as_u64).expect("hits"),
+        cache.get("hits").and_then(Value::as_u64).expect("hits")
+    );
+    assert_eq!(
+        terminal.get("misses").and_then(Value::as_u64).expect("misses"),
+        cache.get("misses").and_then(Value::as_u64).expect("misses")
+    );
 
     // Pinning drops the retention marker.
     let (status, body) = http(&addr, "POST", &format!("/runs/{id}/pin"), "");
@@ -230,10 +215,10 @@ fn four_shard_workers_fold_to_byte_identical_artifacts() {
     assert_eq!(status, 200);
     let metrics = json(&body);
     let pool = metrics.get("pool").expect("pool stats");
-    assert_eq!(u64_of(pool, "shards"), 4);
-    assert_eq!(u64_of(pool, "workers"), 1);
+    assert_eq!(pool.get("shards").and_then(Value::as_u64).expect("shards"), 4);
+    assert_eq!(pool.get("workers").and_then(Value::as_u64).expect("workers"), 1);
     let gc = metrics.get("gc").expect("gc stats");
-    assert_eq!(u64_of(gc, "deleted_runs"), 0);
+    assert_eq!(gc.get("deleted_runs").and_then(Value::as_u64).expect("deleted_runs"), 0);
 
     server.join();
     let _ = std::fs::remove_dir_all(&ref_dir);
@@ -267,17 +252,27 @@ fn failing_workers_leave_the_whole_sweep_to_the_fold() {
     let submission = format!("{{\"experiment\": \"fig3\", \"refs\": {REFS}}}");
     let (status, body) = http(&addr, "POST", "/runs", &submission);
     assert_eq!(status, 202, "submit: {}", String::from_utf8_lossy(&body));
-    let id = str_of(&json(&body), "id").to_owned();
+    let id = json(&body).get("id").and_then(Value::as_str).expect("id").to_owned();
 
     let status_doc = wait_done(&addr, &id);
     let points = status_doc.get("points").expect("points progress");
-    let total = u64_of(points, "total");
+    let total = points.get("total").and_then(Value::as_u64).expect("total");
     assert_eq!(total, report.meta.points as u64);
-    assert_eq!(u64_of(points, "completed"), total);
+    assert_eq!(points.get("completed").and_then(Value::as_u64).expect("completed"), total);
     let cache = status_doc.get("cache").expect("cache counts");
-    assert_eq!(u64_of(cache, "misses"), total, "the fold computes every point: {status_doc:?}");
-    assert_eq!(u64_of(cache, "hits"), 0);
+    assert_eq!(
+        cache.get("misses").and_then(Value::as_u64).expect("misses"),
+        total,
+        "the fold computes every point: {status_doc:?}"
+    );
+    assert_eq!(cache.get("hits").and_then(Value::as_u64).expect("hits"), 0);
     assert_artifacts_match(&addr, &id, &report.artifacts);
+
+    // With no worker announcing its stripe, the fold's own `map` call sets
+    // the total its progress events count against.
+    let progress = progress_of(&read_stream(&addr, &id));
+    assert_eq!(progress.len() as u64, total, "one progress event per fold-computed point");
+    assert!(progress.iter().all(|&(_, t)| t == total), "fold progress totals: {progress:?}");
 
     server.join();
     let _ = std::fs::remove_dir_all(&ref_dir);
