@@ -3,13 +3,29 @@
 //! This validates the hierarchical analytical model
 //! (`ringsim_analytic::HierRingModel`) by actually circulating messages
 //! through real [`SlotRing`]s: every ring of a [`RingTopology`] — flat,
-//! two-level or three-level — is a slot machine in lockstep, [`Bridge`]
-//! junctions forward between a ring and its parent, and nodes run a closed
-//! loop of *think → transact → wait for reply*. Coherence details are
-//! abstracted to a single request/reply transaction shape (the protocol
-//! level is validated separately by the flat-ring system simulator); what
-//! is measured here is exactly what the hierarchy model predicts — slot
-//! contention and multi-level latency.
+//! two-level or three-level — is a slotted ring on one shared clock,
+//! [`Bridge`] junctions forward between a ring and its parent, and nodes
+//! run a closed loop of *think → transact → wait for reply*. Coherence
+//! details are abstracted to a single request/reply transaction shape (the
+//! protocol level is validated separately by the flat-ring system
+//! simulator); what is measured here is exactly what the hierarchy model
+//! predicts — slot contention and multi-level latency.
+//!
+//! The simulation steps only on header arrivals that can act. Every
+//! message in flight holds one *stop*: the nearest downstream interface
+//! whose handler acts on its header (its home's snoop, its removal, a
+//! bridge copy or transfer), recomputed after each visit because
+//! deflection marks and age tags change the header in place. Every
+//! non-empty injection queue holds a stop at the next arrival of a slot
+//! its front message fits. Stops sit on a timing wheel, and the run jumps
+//! from one cycle with a stop, a node wake-up, a maturing reply or a gauge
+//! sample to the next; [`SlotRing::advance_to`] books the skipped cycles'
+//! occupancy in one step. An arrival that is no stop would find an empty
+//! slot with nothing to insert, or a message no handler there acts on, so
+//! leaving it out changes nothing; visiting an arrival that then does
+//! nothing is harmless, so a stop may over-approximate. Within a cycle the
+//! visits keep the cycle-by-cycle order: nodes, matured replies, leaf
+//! rings, then each upper level, rings and positions ascending.
 //!
 //! Transaction shapes (KSR1-style bridge filters):
 //!
@@ -45,7 +61,7 @@ use std::collections::VecDeque;
 
 use ringsim_obs::{LatencyHistogram, Obs};
 use ringsim_proto::{MsgKind, RingMessage};
-use ringsim_ring::{RingTopology, SlotId, SlotRing};
+use ringsim_ring::{RingLayout, RingTopology, SlotId, SlotKind, SlotRing};
 use ringsim_types::rng::Xoshiro256;
 use ringsim_types::stats::RunningMean;
 use ringsim_types::{BlockAddr, CoherenceEvents, ConfigError, NodeId, Time};
@@ -266,13 +282,178 @@ pub struct HierNetSim {
     /// Whether retire boundaries run the coherence sanitizer.
     sanitize: bool,
     /// Earliest cycle each node could act in the think/issue step
-    /// (`u64::MAX` while waiting on a reply or finished). Lets the
-    /// per-cycle loop skip nodes that provably cannot move.
+    /// (`u64::MAX` while waiting on a reply or finished).
     wake_at: Vec<u64>,
-    /// Phase-indexed header arrivals, one schedule per level (all rings of
-    /// a level are identically configured): `scheds[level][cycle % stages]`
-    /// lists the `(position, slot)` pairs with an arrival that cycle.
-    scheds: Vec<Vec<Vec<(NodeId, SlotId)>>>,
+    /// Slot timing per level (all rings of a level are identically
+    /// configured), for the queue stops.
+    fit_waits: Vec<FitWait>,
+}
+
+/// A queue that feeds a ring: a node's `out_q`, or one direction of
+/// `bridges[level][index]`.
+#[derive(Debug, Clone, Copy)]
+enum Queue {
+    Node(usize),
+    Up(usize, usize),
+    Down(usize, usize),
+}
+
+/// Which slots a queued message may enter: block slots, even probe slots or
+/// odd probe slots ([`RingMessage::fits`] on a representative message).
+const FIT_CLASSES: usize = 3;
+
+fn fit_class(msg: &RingMessage) -> usize {
+    if msg.fits(SlotKind::Block) {
+        0
+    } else if msg.fits(SlotKind::ProbeEven) {
+        1
+    } else {
+        2
+    }
+}
+
+/// For each fit class, the cycles from each ring phase until a slot of
+/// that class next reaches position 0 (0 = it is there this phase). Every
+/// position sees the same arrivals shifted by its stage, so one table per
+/// class serves the whole level.
+#[derive(Debug)]
+struct FitWait {
+    layout: RingLayout,
+    wait: [Vec<u64>; FIT_CLASSES],
+}
+
+impl FitWait {
+    fn new(layout: &RingLayout) -> Self {
+        let stages = layout.stages() as u64;
+        let probe = |block| {
+            RingMessage::for_requester(
+                MsgKind::SnoopRead,
+                BlockAddr::new(block),
+                NodeId::new(0),
+                NodeId::new(0),
+                NodeId::new(0),
+            )
+        };
+        let reps = [RingMessage { kind: MsgKind::BlockData, ..probe(0) }, probe(0), probe(1)];
+        let wait = reps.map(|rep| {
+            (0..stages)
+                .map(|phase| {
+                    (0..stages)
+                        .find(|&d| {
+                            layout
+                                .arrival_at(NodeId::new(0), phase + d)
+                                .is_some_and(|slot| rep.fits(layout.slot_spec(slot).kind))
+                        })
+                        .expect("every slot kind circulates")
+                })
+                .collect()
+        });
+        Self { layout: layout.clone(), wait }
+    }
+
+    /// The first cycle at or after `from` in which a slot that `msg` fits
+    /// reaches position `pos`.
+    fn next_fit(&self, msg: &RingMessage, pos: usize, from: u64) -> u64 {
+        let stages = self.layout.stages() as u64;
+        let shift = self.layout.node_stage(NodeId::new(pos)) as u64;
+        let phase = (from % stages + stages - shift) % stages;
+        from + self.wait[fit_class(msg)][phase as usize]
+    }
+}
+
+/// Packs a header arrival `(level, ring, position)` into one integer whose
+/// order is the within-cycle visit order: levels bottom-up, rings and
+/// positions ascending. The slot follows from the position and the cycle.
+fn stop_key(level: usize, ring: usize, pos: usize) -> u64 {
+    ((level as u64) << 48) | ((ring as u64) << 24) | pos as u64
+}
+
+fn unpack_stop(key: u64) -> (usize, usize, usize) {
+    ((key >> 48) as usize, ((key >> 24) & 0xFF_FFFF) as usize, (key & 0xFF_FFFF) as usize)
+}
+
+/// The stops still to visit: a timing wheel of per-cycle buckets, plus the
+/// current cycle's bucket, sorted into visit order.
+#[derive(Debug)]
+struct Wheel {
+    buckets: Vec<Vec<u64>>,
+    mask: u64,
+    /// Entries across all buckets (the current cycle's excluded).
+    pending: usize,
+    cycle: u64,
+    current: Vec<u64>,
+    /// Index in `current` of the next stop to visit.
+    next: usize,
+}
+
+impl Wheel {
+    /// A wheel for stops at most `horizon` cycles ahead.
+    fn new(horizon: u64) -> Self {
+        let size = (horizon + 1).next_power_of_two();
+        Self {
+            buckets: vec![Vec::new(); size as usize],
+            mask: size - 1,
+            pending: 0,
+            cycle: 0,
+            current: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// Makes `cycle`'s bucket the current one, sorted and without
+    /// duplicates (two reasons to visit one arrival make one visit).
+    fn start(&mut self, cycle: u64) {
+        self.cycle = cycle;
+        let bucket = &mut self.buckets[(cycle & self.mask) as usize];
+        self.current.clear();
+        std::mem::swap(&mut self.current, bucket);
+        self.pending -= self.current.len();
+        self.current.sort_unstable();
+        self.current.dedup();
+        self.next = 0;
+    }
+
+    /// Whether `key` comes after every stop already visited this cycle.
+    fn still_ahead(&self, key: u64) -> bool {
+        self.next == 0 || key > self.current[self.next - 1]
+    }
+
+    /// Schedules a visit of `key` in cycle `at`. A stop in the current
+    /// cycle must lie ahead of the visits already made.
+    fn push(&mut self, at: u64, key: u64) {
+        if at == self.cycle {
+            debug_assert!(self.still_ahead(key));
+            let ahead = &self.current[self.next..];
+            if let Err(i) = ahead.binary_search(&key) {
+                self.current.insert(self.next + i, key);
+            }
+        } else {
+            debug_assert!(at > self.cycle && at - self.cycle <= self.mask);
+            self.buckets[(at & self.mask) as usize].push(key);
+            self.pending += 1;
+        }
+    }
+
+    /// The next stop of the current cycle.
+    fn pop(&mut self) -> Option<u64> {
+        let key = *self.current.get(self.next)?;
+        self.next += 1;
+        Some(key)
+    }
+
+    /// The first cycle after the current one that holds a stop, if it
+    /// comes before `limit`; `limit` otherwise.
+    fn next_busy(&self, limit: u64) -> u64 {
+        if self.pending > 0 {
+            let end = limit.min(self.cycle + self.mask + 1);
+            for at in self.cycle + 1..end {
+                if !self.buckets[(at & self.mask) as usize].is_empty() {
+                    return at;
+                }
+            }
+        }
+        limit
+    }
 }
 
 impl HierNetSim {
@@ -298,10 +479,7 @@ impl HierNetSim {
                 bridges.push((0..cfg.topo.rings_at(level)).map(|_| Bridge::new(cap)).collect());
             }
         }
-        let scheds = rings
-            .iter()
-            .map(|l| l[0].layout().arrival_schedule())
-            .collect::<Vec<Vec<Vec<(NodeId, SlotId)>>>>();
+        let fit_waits = rings.iter().map(|l| FitWait::new(l[0].layout())).collect();
         let mut root = Xoshiro256::seed_from_u64(cfg.seed);
         let nodes = (0..cfg.topo.total_nodes())
             .map(|i| NetNode {
@@ -332,7 +510,7 @@ impl HierNetSim {
             obs_hier_tl: usize::MAX,
             obs_bridge_tl: usize::MAX,
             wake_at: vec![0; cfg_total_nodes],
-            scheds,
+            fit_waits,
         })
     }
 
@@ -392,115 +570,73 @@ impl HierNetSim {
     }
 
     /// Runs to completion.
-    #[allow(clippy::too_many_lines)]
+    ///
+    /// The loop visits only the cycles with work: a node waking, a reply
+    /// leaving memory, a gauge sample, or a stop on the timing wheel (see
+    /// the module docs for the stop rule).
+    ///
+    /// # Panics
+    ///
+    /// Panics when nodes still wait but nothing can move any more, or the
+    /// run exceeds its cycle bound.
     pub fn run(&mut self) -> HierNetReport {
         let period = self.cfg.topo.base().clock_period;
         let mem_cycles = self.cfg.mem_latency.as_ps().div_ceil(period.as_ps());
         let per_ring = self.cfg.topo.leaf_procs();
         let leaf_rings = self.cfg.topo.leaf_rings();
-        let levels = self.cfg.topo.levels();
-        let root_dim = self.cfg.topo.shape()[levels - 1];
-        // Delayed reply queue: (ready_cycle, home_global_node, msg) — the
-        // home node inserts its own reply once the memory access finishes.
-        let mut pending_replies: Vec<(u64, usize, RingMessage)> = Vec::new();
+        // Replies waiting for the home's memory access:
+        // (ready_cycle, home_global_node, msg). Every reply waits
+        // `mem_cycles`, so they mature in queueing order.
+        let mut pending_replies: VecDeque<(u64, usize, RingMessage)> = VecDeque::new();
+        // A stop is at most one revolution ahead.
+        let horizon = self.fit_waits.iter().map(|f| f.layout.stages() as u64).max().unwrap_or(1);
+        let mut wheel = Wheel::new(horizon);
         let mut cycle: u64 = 0;
+        // The earliest `wake_at` entry.
+        let mut min_wake: u64 = 0;
         // Nodes that have entered `Phase::Done` (termination check without
         // an all-nodes scan every cycle).
         let mut done_nodes: usize = 0;
         loop {
             let now = period * cycle;
-            // 1. nodes think / issue. `wake_at` keeps nodes that provably
-            // cannot move (still thinking, waiting on a reply, done) out of
-            // the loop body; reply completion re-arms the entry.
-            for i in 0..self.nodes.len() {
-                if self.wake_at[i] > cycle {
-                    continue;
-                }
-                let node = &mut self.nodes[i];
-                let Phase::Thinking { until } = node.phase else {
-                    self.wake_at[i] = u64::MAX;
-                    continue;
-                };
-                if until > now {
-                    self.wake_at[i] = until.as_ps().div_ceil(period.as_ps());
-                    continue;
-                }
-                if node.issued == self.cfg.txns_per_node {
-                    node.phase = Phase::Done;
-                    node.finished = now;
-                    done_nodes += 1;
-                    self.wake_at[i] = u64::MAX;
-                    continue;
-                }
-                node.issued += 1;
-                node.started = now;
-                let my_ring = i / per_ring;
-                let home_ring = if leaf_rings == 1 {
-                    // Flat topology: everything is local.
-                    my_ring
-                } else if node.rng.chance(self.cfg.locality) {
-                    my_ring
-                } else {
-                    // A uniformly chosen *other* ring.
-                    let k = leaf_rings as u64 - 1;
-                    let pick = node.rng.next_below(k) as usize;
-                    if pick >= my_ring {
-                        pick + 1
-                    } else {
-                        pick
+            wheel.start(cycle);
+            // 1. nodes think / issue.
+            if min_wake <= cycle {
+                min_wake = u64::MAX;
+                for i in 0..self.nodes.len() {
+                    if self.wake_at[i] <= cycle {
+                        self.step_node(i, cycle, per_ring, leaf_rings, &mut done_nodes, &mut wheel);
                     }
-                };
-                let probe = Self::make_probe(NodeId::new(i % per_ring), home_ring, node.issued);
-                let block = probe.block.raw();
-                node.out_q.push_back(probe);
-                node.phase = Phase::Waiting;
-                self.wake_at[i] = u64::MAX;
-                self.obs.txn_begin(i, "probe", block, now);
+                    min_wake = min_wake.min(self.wake_at[i]);
+                }
             }
             // 2. release matured replies into the home nodes' send queues.
-            pending_replies.retain(|&(ready, home_node, msg)| {
-                if ready <= cycle {
-                    self.nodes[home_node].out_q.push_back(msg);
-                    false
-                } else {
-                    true
+            while let Some(&(ready, home_node, msg)) = pending_replies.front() {
+                if ready > cycle {
+                    break;
                 }
-            });
-            // 3. leaf rings: arrivals at processor and bridge positions —
-            // only the positions with a header this phase.
-            let lphase = (cycle % self.scheds[0].len().max(1) as u64) as usize;
-            for ring_idx in 0..self.rings[0].len() {
-                for k in 0..self.scheds[0][lphase].len() {
-                    let (pos, slot) = self.scheds[0][lphase][k];
-                    self.handle_leaf_arrival(
-                        ring_idx,
-                        pos,
-                        slot,
-                        cycle,
-                        mem_cycles,
-                        &mut pending_replies,
-                    );
+                pending_replies.pop_front();
+                self.nodes[home_node].out_q.push_back(msg);
+                if self.nodes[home_node].out_q.len() == 1 {
+                    self.schedule_queue(&mut wheel, Queue::Node(home_node), cycle);
                 }
             }
-            // 4. upper rings, level by level: arrivals at child-bridge and
-            // uplink positions (skip padding positions when the root ring
-            // was widened to its 2-node minimum).
-            for level in 1..levels {
-                let phase = (cycle % self.scheds[level].len() as u64) as usize;
-                for ring_idx in 0..self.rings[level].len() {
-                    for k in 0..self.scheds[level][phase].len() {
-                        let (pos, slot) = self.scheds[level][phase][k];
-                        if level + 1 == levels && pos.index() >= root_dim {
-                            continue;
-                        }
-                        self.handle_upper_arrival(level, ring_idx, pos, slot);
-                    }
-                }
-            }
-            // 5. advance everything one cycle, leaves first.
-            for level in &mut self.rings {
-                for ring in level {
-                    ring.advance();
+            // 3. the header arrivals that can act, leaf rings first, then
+            // each upper level.
+            while let Some(key) = wheel.pop() {
+                let (level, ring_idx, pos) = unpack_stop(key);
+                self.visit(
+                    &mut wheel,
+                    level,
+                    ring_idx,
+                    pos,
+                    cycle,
+                    mem_cycles,
+                    &mut pending_replies,
+                );
+                if level == 0 && pos < per_ring {
+                    // A delivered reply sets its requester thinking.
+                    min_wake = min_wake.min(self.wake_at[ring_idx * per_ring + pos]);
                 }
             }
             if self.obs.sample_due(now) {
@@ -535,12 +671,26 @@ impl HierNetSim {
                     self.obs.sample(self.obs_bridge_tl, now, gauges);
                 }
             }
-            cycle += 1;
             if done_nodes == self.nodes.len() {
+                cycle += 1;
                 break;
             }
+            // 4. jump to the next cycle with work.
+            let mut next = min_wake;
+            if let Some(&(ready, ..)) = pending_replies.front() {
+                next = next.min(ready.max(cycle + 1));
+            }
+            if let Some(at) = self.obs.next_sample() {
+                next = next.min(at.as_ps().div_ceil(period.as_ps()));
+            }
+            cycle = wheel.next_busy(next);
             if cycle >= self.max_cycles {
                 panic!("hierarchy network simulation ran away (deadlock?)");
+            }
+        }
+        for level in &mut self.rings {
+            for ring in level {
+                ring.advance_to(cycle);
             }
         }
         let sim_end = period * cycle;
@@ -580,6 +730,253 @@ impl HierNetSim {
             completed: self.completed,
             sim_end,
             deflections: self.bridges.iter().flatten().map(|b| b.deflections).sum(),
+        }
+    }
+
+    /// Node `i`'s think/issue step in `cycle` (its `wake_at` is due).
+    fn step_node(
+        &mut self,
+        i: usize,
+        cycle: u64,
+        per_ring: usize,
+        leaf_rings: usize,
+        done_nodes: &mut usize,
+        wheel: &mut Wheel,
+    ) {
+        let now = self.cfg.topo.base().clock_period * cycle;
+        let node = &mut self.nodes[i];
+        let Phase::Thinking { until } = node.phase else {
+            self.wake_at[i] = u64::MAX;
+            return;
+        };
+        if until > now {
+            self.wake_at[i] = until.as_ps().div_ceil(self.cfg.topo.base().clock_period.as_ps());
+            return;
+        }
+        if node.issued == self.cfg.txns_per_node {
+            node.phase = Phase::Done;
+            node.finished = now;
+            *done_nodes += 1;
+            self.wake_at[i] = u64::MAX;
+            return;
+        }
+        node.issued += 1;
+        node.started = now;
+        let my_ring = i / per_ring;
+        let home_ring = if leaf_rings == 1 {
+            // Flat topology: everything is local.
+            my_ring
+        } else if node.rng.chance(self.cfg.locality) {
+            my_ring
+        } else {
+            // A uniformly chosen *other* ring.
+            let k = leaf_rings as u64 - 1;
+            let pick = node.rng.next_below(k) as usize;
+            if pick >= my_ring {
+                pick + 1
+            } else {
+                pick
+            }
+        };
+        let probe = Self::make_probe(NodeId::new(i % per_ring), home_ring, node.issued);
+        let block = probe.block.raw();
+        node.out_q.push_back(probe);
+        node.phase = Phase::Waiting;
+        self.wake_at[i] = u64::MAX;
+        self.obs.txn_begin(i, "probe", block, now);
+        if self.nodes[i].out_q.len() == 1 {
+            self.schedule_queue(wheel, Queue::Node(i), cycle);
+        }
+    }
+
+    /// Visits the header arrival at position `pos` of ring `ring_idx` of
+    /// `level` in `cycle`, then re-arms the stops the visit may have
+    /// moved: the slot's message (new or changed), the position's own
+    /// queue, and the queue the visit may have started to fill.
+    #[allow(clippy::too_many_arguments)]
+    fn visit(
+        &mut self,
+        wheel: &mut Wheel,
+        level: usize,
+        ring_idx: usize,
+        pos: usize,
+        cycle: u64,
+        mem_cycles: u64,
+        pending_replies: &mut VecDeque<(u64, usize, RingMessage)>,
+    ) {
+        let ring = &mut self.rings[level][ring_idx];
+        ring.advance_to(cycle);
+        let node = NodeId::new(pos);
+        let slot = ring.arrival(node).expect("a stop is a header arrival");
+        let output = self.output_queue(level, ring_idx, pos);
+        let output_was_empty = output.is_some_and(|q| self.queue(q).is_empty());
+        if level == 0 {
+            self.handle_leaf_arrival(ring_idx, node, slot, cycle, mem_cycles, pending_replies);
+        } else {
+            self.handle_upper_arrival(level, ring_idx, node, slot);
+        }
+        if let Some(q) = output {
+            if output_was_empty && !self.queue(q).is_empty() {
+                self.schedule_queue(wheel, q, cycle);
+            }
+        }
+        if let Some(msg) = self.rings[level][ring_idx].peek(slot).copied() {
+            if let Some((stop, distance)) = self.message_stop(level, ring_idx, pos, &msg) {
+                wheel.push(cycle + distance, stop_key(level, ring_idx, stop));
+            }
+        }
+        let input = self.input_queue(level, ring_idx, pos);
+        if let Some(&front) = self.queue(input).front() {
+            let at = self.fit_waits[level].next_fit(&front, pos, cycle + 1);
+            wheel.push(at, stop_key(level, ring_idx, pos));
+        }
+    }
+
+    fn queue(&self, q: Queue) -> &VecDeque<RingMessage> {
+        match q {
+            Queue::Node(i) => &self.nodes[i].out_q,
+            Queue::Up(level, i) => &self.bridges[level][i].up,
+            Queue::Down(level, i) => &self.bridges[level][i].down,
+        }
+    }
+
+    /// The position of a level's rings that joins it to its parent.
+    fn uplink_pos(&self, level: usize) -> usize {
+        if level == 0 {
+            self.cfg.topo.leaf_procs()
+        } else {
+            self.cfg.topo.children_at(level)
+        }
+    }
+
+    /// The queue position `pos` of ring `ring_idx` of `level` injects from
+    /// into an empty slot.
+    fn input_queue(&self, level: usize, ring_idx: usize, pos: usize) -> Queue {
+        let uplink = self.uplink_pos(level);
+        match level {
+            0 if pos < uplink => Queue::Node(ring_idx * uplink + pos),
+            0 => Queue::Down(0, ring_idx),
+            _ if pos < uplink => Queue::Up(level - 1, ring_idx * uplink + pos),
+            _ => Queue::Down(level, ring_idx),
+        }
+    }
+
+    /// The bridge queue the handler at that position copies or moves
+    /// messages into (a leaf processor's replies wait in memory first).
+    fn output_queue(&self, level: usize, ring_idx: usize, pos: usize) -> Option<Queue> {
+        let uplink = self.uplink_pos(level);
+        match level {
+            0 if pos < uplink => None,
+            0 => Some(Queue::Up(0, ring_idx)),
+            _ if pos < uplink => Some(Queue::Down(level - 1, ring_idx * uplink + pos)),
+            _ => Some(Queue::Up(level, ring_idx)),
+        }
+    }
+
+    /// `(level, ring, position)` of the interface that drains `q`.
+    fn consumer(&self, q: Queue) -> (usize, usize, usize) {
+        match q {
+            Queue::Node(i) => {
+                let per_ring = self.cfg.topo.leaf_procs();
+                (0, i / per_ring, i % per_ring)
+            }
+            Queue::Up(level, i) => {
+                let children = self.cfg.topo.children_at(level + 1);
+                (level + 1, i / children, i % children)
+            }
+            Queue::Down(level, i) => (level, i, self.uplink_pos(level)),
+        }
+    }
+
+    /// Arms the stop of queue `q`, which just became non-empty in `cycle`:
+    /// the next arrival of a slot its front fits at the draining position,
+    /// this very cycle if that position's visit is still ahead.
+    fn schedule_queue(&self, wheel: &mut Wheel, q: Queue, cycle: u64) {
+        let (level, ring_idx, pos) = self.consumer(q);
+        let key = stop_key(level, ring_idx, pos);
+        let from = if wheel.still_ahead(key) { cycle } else { cycle + 1 };
+        let front = self.queue(q).front().expect("scheduled queue is non-empty");
+        wheel.push(self.fit_waits[level].next_fit(front, pos, from), key);
+    }
+
+    /// The nearest position downstream of `pos` (a full revolution back to
+    /// `pos` included) whose handler acts on `msg`'s header, on ring
+    /// `ring_idx` of `level`, with the cycles until the message's slot
+    /// reaches it; `None` if no interface of the ring acts on it. The
+    /// conditions mirror [`HierNetSim::handle_leaf_arrival`] and
+    /// [`HierNetSim::handle_upper_arrival`]; naming a position that then
+    /// does nothing only costs a visit, but missing one would change the
+    /// run.
+    fn message_stop(
+        &self,
+        level: usize,
+        ring_idx: usize,
+        pos: usize,
+        msg: &RingMessage,
+    ) -> Option<(usize, u64)> {
+        let topo = &self.cfg.topo;
+        let deflect = self.cfg.bridge_buffer.is_some();
+        let has_uplink = level + 1 < topo.levels();
+        let uplink = self.uplink_pos(level);
+        let crossed = Self::crossed(msg);
+        let mut acts: [Option<usize>; 3] = [None; 3];
+        match msg.kind {
+            MsgKind::SnoopRead if level == 0 => {
+                let home = Self::home_ring_of(msg);
+                if home == ring_idx {
+                    // The home snoop.
+                    acts[0] = Some((msg.block.raw() & ROUTE_MASK) as usize % uplink);
+                }
+                let src = msg.src.index();
+                if src == uplink || !(deflect && home != ring_idx) || crossed {
+                    // Removal at the source.
+                    acts[1] = Some(src);
+                }
+                if has_uplink && home != ring_idx && Self::origin_of(msg) == 0 && !crossed {
+                    // The uplink copies the probe towards the parent.
+                    acts[2] = Some(uplink);
+                }
+            }
+            MsgKind::SnoopRead => {
+                let home_leaf = Self::home_ring_of(msg);
+                if !crossed {
+                    // A copy down to the home's subtree, or up.
+                    acts[0] = self.subtree_exit(level, ring_idx, home_leaf);
+                }
+                if !deflect || crossed {
+                    acts[1] = Some(msg.src.index());
+                }
+            }
+            MsgKind::BlockData if level == 0 => acts[0] = Some(msg.dst.index()),
+            MsgKind::BlockData => {
+                let origin = Self::origin_of(msg);
+                if origin >= 1 {
+                    acts[0] = self.subtree_exit(level, ring_idx, origin - 1);
+                }
+            }
+            _ => {}
+        }
+        let layout = &self.fit_waits[level].layout;
+        acts.into_iter()
+            .flatten()
+            .map(|q| (q, layout.stage_distance(NodeId::new(pos), NodeId::new(q)) as u64))
+            .min_by_key(|&(_, distance)| distance)
+    }
+
+    /// On upper ring `ring_idx` of `level`, the position where a message
+    /// bound for leaf ring `leaf` leaves: the child interface whose
+    /// subtree holds it, else the uplink (`None` at the root, which holds
+    /// every leaf).
+    fn subtree_exit(&self, level: usize, ring_idx: usize, leaf: usize) -> Option<usize> {
+        let topo = &self.cfg.topo;
+        let per_self = topo.leafs_per_subtree(level);
+        let self_lo = ring_idx * per_self;
+        if (self_lo..self_lo + per_self).contains(&leaf) {
+            Some((leaf - self_lo) / topo.leafs_per_subtree(level - 1))
+        } else if level + 1 < topo.levels() {
+            Some(topo.children_at(level))
+        } else {
+            None
         }
     }
 
@@ -650,7 +1047,7 @@ impl HierNetSim {
         slot: SlotId,
         cycle: u64,
         mem_cycles: u64,
-        pending_replies: &mut Vec<(u64, usize, RingMessage)>,
+        pending_replies: &mut VecDeque<(u64, usize, RingMessage)>,
     ) {
         let now = self.cfg.topo.base().clock_period * cycle;
         let per_ring = self.cfg.topo.leaf_procs();
@@ -686,7 +1083,7 @@ impl HierNetSim {
                                 dst,
                                 ..msg
                             });
-                            pending_replies.push((
+                            pending_replies.push_back((
                                 cycle + mem_cycles,
                                 ring_idx * per_ring + p,
                                 reply,
@@ -1160,6 +1557,19 @@ mod tests {
     fn unbounded_bridges_never_deflect() {
         let r = run(4, 4, 150, 0.0, 60);
         assert_eq!(r.deflections, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ran away")]
+    fn a_wait_nothing_can_end_panics_at_once() {
+        let mut cfg = HierNetConfig::new(RingTopology::two_level(2, 2).unwrap());
+        cfg.txns_per_node = 2;
+        let mut sim = HierNetSim::new(cfg).unwrap();
+        // Waiting for a reply no message carries: once the other nodes are
+        // done, nothing is scheduled, and the run stops there instead of
+        // spinning to `max_cycles`.
+        sim.nodes[0].phase = Phase::Waiting;
+        sim.run();
     }
 
     #[test]

@@ -173,6 +173,14 @@ impl Obs {
         true
     }
 
+    /// When the next gauge sample falls due (`None` when disabled). A
+    /// simulator that skips idle cycles stops at this time, so its
+    /// timelines match a cycle-by-cycle run's.
+    #[must_use]
+    pub fn next_sample(&self) -> Option<Time> {
+        self.rec.as_deref().map(|r| r.next_sample)
+    }
+
     /// Pushes one gauge row (pair with a `true` from [`Obs::sample_due`]).
     #[inline]
     pub fn sample(&mut self, timeline: usize, now: Time, values: Vec<f64>) {

@@ -291,6 +291,25 @@ impl<M> SlotRing<M> {
         self.cycle += 1;
     }
 
+    /// Advances to ring cycle `cycle` in one step. The slots' occupancy
+    /// cannot change between calls, so this accumulates exactly the
+    /// statistics `cycle - self.cycle()` calls to [`SlotRing::advance`]
+    /// would; a simulator that skips idle cycles catches a ring up with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle` is behind the ring's current cycle.
+    pub fn advance_to(&mut self, cycle: u64) {
+        assert!(cycle >= self.cycle, "ring at cycle {} cannot move back to {cycle}", self.cycle);
+        let skipped = cycle - self.cycle;
+        self.stats.cycles += skipped;
+        self.stats.occupied_probe_cycles += skipped * self.occupied_probe as u64;
+        self.stats.occupied_block_cycles += skipped * self.occupied_block as u64;
+        self.stats.occupied_slot_cycles +=
+            skipped * (self.occupied_probe + self.occupied_block) as u64;
+        self.cycle = cycle;
+    }
+
     /// Probe-slot count (all parities).
     #[must_use]
     pub fn probe_slots(&self) -> usize {
@@ -450,6 +469,47 @@ mod tests {
         let util = st.block_utilization(r.block_slots());
         // One of three block slots occupied during the non-warmup cycles.
         assert!(util > 0.0 && util <= 1.0 / 3.0 + 1e-9, "util = {util}");
+    }
+
+    #[test]
+    fn advance_to_matches_repeated_advance() {
+        let mut stepped = ring();
+        // One probe and one block message in flight.
+        let src = NodeId::new(0);
+        let id =
+            wait_for(&mut stepped, src, |r, id| r.kind_of(id).is_probe() && r.peek(id).is_none());
+        stepped.try_insert(id, src, 1).unwrap();
+        let id = wait_for(&mut stepped, src, |r, id| {
+            r.kind_of(id) == SlotKind::Block && r.peek(id).is_none()
+        });
+        stepped.try_insert(id, src, 2).unwrap();
+        let mut jumped = stepped.clone();
+        for _ in 0..37 {
+            stepped.advance();
+        }
+        jumped.advance_to(jumped.cycle() + 37);
+        assert_eq!(jumped.cycle(), stepped.cycle());
+        assert_eq!(jumped.stats(), stepped.stats());
+        assert_eq!(jumped, stepped);
+    }
+
+    #[test]
+    fn advance_to_the_current_cycle_is_a_no_op() {
+        let mut r = ring();
+        let src = NodeId::new(3);
+        let id = wait_for(&mut r, src, |r, id| r.peek(id).is_none());
+        r.try_insert(id, src, 5).unwrap();
+        let before = r.clone();
+        r.advance_to(r.cycle());
+        assert_eq!(r, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot move back")]
+    fn advance_to_rejects_a_backwards_target() {
+        let mut r = ring();
+        r.advance_to(10);
+        r.advance_to(9);
     }
 
     #[test]
