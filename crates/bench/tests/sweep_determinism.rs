@@ -29,6 +29,9 @@ fn run_into(name: &str, jobs: usize, dir: &Path) -> Vec<PathBuf> {
 fn artifacts_are_byte_identical_across_jobs() {
     for name in ["table3", "block_sweep", "ring_access", "sci_vs_fullmap", "topology_sweep"] {
         let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("det-{name}"));
+        // A point cache left by an earlier build would be served instead
+        // of computed (its keys do not cover the code).
+        let _ = fs::remove_dir_all(&base);
         let serial = run_into(name, 1, &base.join("jobs1"));
         let parallel = run_into(name, 8, &base.join("jobs8"));
         assert!(!serial.is_empty(), "{name} wrote no artifacts");
@@ -52,9 +55,42 @@ fn artifacts_are_byte_identical_across_jobs() {
 #[test]
 fn artifacts_are_byte_identical_across_runs() {
     let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("det-rerun");
+    let _ = fs::remove_dir_all(&base);
     let first = run_into("ring_access", 4, &base.join("a"));
     let second = run_into("ring_access", 4, &base.join("b"));
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(fs::read(a).unwrap(), fs::read(b).unwrap());
+    }
+}
+
+/// Every cache write fails when `<out>/.cache` is a regular file (no entry
+/// directory can be made under it): the run must still finish, and render
+/// exactly the bytes a run without the cache renders. `block_sweep` reads
+/// shared characterisations, `topology_sweep` only per-point entries.
+#[test]
+fn failing_cache_writes_leave_artifacts_unchanged() {
+    for name in ["block_sweep", "topology_sweep"] {
+        let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cache-fail-{name}"));
+        let _ = fs::remove_dir_all(&base);
+        let (blocked, uncached) = (base.join("blocked"), base.join("no-cache"));
+        fs::create_dir_all(&blocked).unwrap();
+        fs::write(blocked.join(".cache"), "not a directory").unwrap();
+        let exp = experiments::find(name).expect("known experiment");
+        let failing = run_experiment(exp, &SweepConfig::new(REFS).jobs(2).out_dir(&blocked));
+        let reference =
+            run_experiment(exp, &SweepConfig::new(REFS).jobs(2).out_dir(&uncached).cache(false));
+        assert_eq!(failing.meta.cache_hits, 0, "{name}: nothing can have been cached");
+        assert!(!failing.artifacts.is_empty(), "{name} wrote no artifacts");
+        assert_eq!(failing.artifacts.len(), reference.artifacts.len());
+        for (a, b) in failing.artifacts.iter().zip(&reference.artifacts) {
+            assert_eq!(a.path.file_name(), b.path.file_name());
+            assert_eq!(
+                fs::read(&a.path).unwrap(),
+                fs::read(&b.path).unwrap(),
+                "{name} artifact {:?} differs when every cache write fails",
+                a.path.file_name()
+            );
+        }
+        assert_eq!(fs::read_to_string(blocked.join(".cache")).unwrap(), "not a directory");
     }
 }

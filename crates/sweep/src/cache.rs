@@ -77,12 +77,14 @@ pub(crate) fn read<R: Deserialize>(path: &Path) -> Option<R> {
 /// must leave a complete entry or none at all for the fold to read. Two
 /// writers racing on the same entry write identical bytes (results are
 /// pure functions of the key), so the last rename winning is harmless.
+/// When the write or the rename fails (a full disk, a `.cache` that is
+/// not a directory), the temp file goes too.
 pub(crate) fn write<R: Serialize>(path: &Path, value: &R) {
     let Some(dir) = path.parent() else { return };
     let _ = std::fs::create_dir_all(dir);
     let Ok(data) = serde_json::to_string_pretty(value) else { return };
     let tmp = dir.join(format!(".tmp-{}-{:?}", std::process::id(), std::thread::current().id()));
-    if std::fs::write(&tmp, data).is_ok() && std::fs::rename(&tmp, path).is_err() {
+    if std::fs::write(&tmp, data).and_then(|()| std::fs::rename(&tmp, path)).is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
 }
@@ -125,6 +127,29 @@ mod tests {
         assert_eq!(read::<Vec<String>>(&path), None);
         std::fs::write(&path, "not json").unwrap();
         assert_eq!(read::<Vec<u64>>(&path), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_writes_leave_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("ringsim-cache-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The rename fails: the entry's path is a non-empty directory.
+        let path = entry_path(&dir, "t", 0, 1, "p", 7);
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        write(&path, &vec![1u64]);
+        let parent = path.parent().unwrap();
+        let names: Vec<_> =
+            std::fs::read_dir(parent).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, [path.file_name().unwrap()], "a temp file was left behind");
+        // The write fails: `.cache` is a regular file, so no directory
+        // under it can be made.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(&blocked).unwrap();
+        std::fs::write(blocked.join(".cache"), "a file").unwrap();
+        write(&entry_path(&blocked, "t", 0, 1, "p", 7), &vec![1u64]);
+        assert_eq!(std::fs::read_to_string(blocked.join(".cache")).unwrap(), "a file");
+        assert_eq!(std::fs::read_dir(&blocked).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
